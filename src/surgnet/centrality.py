@@ -6,21 +6,28 @@ normalized to [0, 1]:
 
 * degree: raw degree / (n - 1)
 * betweenness: shortest-path pair fractions / ((n - 1)(n - 2) / 2),
-  computed exactly with per-source dependency accumulation (no sampling)
+  computed exactly by Brandes dependency accumulation (no sampling)
 * closeness: component-corrected, ((n_C - 1) / sum of distances within the
   component) * ((n_C - 1) / (n - 1)); isolated nodes get 0
 * eigenvector: principal eigenvector of the largest connected component,
   rescaled so the maximum entry is 1; nodes outside that component get 0
 * clustering: edges among neighbors / (deg * (deg - 1) / 2)
 
-The per-source passes are level-synchronous and vectorized over the CSR
-adjacency, which keeps a full pass over a ~1000-node, ~10^5-edge segment
-network in the seconds range.
+Every measure derives from the graph's sparse adjacency matrix A
+(``CoworkerGraph.adjacency``). Betweenness and closeness share one
+shortest-path engine, the algebraic form of Brandes' algorithm (Brandes
+2001; Kepner & Gilbert 2011): a BFS from a block of sources at once is a
+sequence of sparse products with A, and the dependency sweep runs the
+same products backwards level by level. Components come from
+``scipy.sparse.csgraph``, the eigenvector iteration multiplies by A
+restricted to the largest component, and triangles come from
+(A @ A) * A.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .errors import ConvergenceError, DataError
 from .network import CoworkerGraph
@@ -54,84 +61,51 @@ class TeamMetrics:
 
 
 # ---------------------------------------------------------------------------
-# vectorized BFS machinery over CSR adjacency
+# blocked multi-source BFS over the sparse adjacency
+
+# Sources per BFS block are chosen so that each node-by-source work array
+# of a block holds at most this many cells (1 MiB as float64).
+_BLOCK_CELLS = 1 << 17
 
 
-def _gather_edges(indptr, indices, nodes):
-    """All (source, target) adjacency entries out of ``nodes``.
+def _bfs_blocks(a):
+    """Breadth-first search from every node, a block of sources at a time.
 
-    Returns (srcs, targets) index arrays; srcs repeats each node by its
-    degree, targets are its CSR neighbors.
+    ``a`` is the symmetric sparse adjacency matrix. Yields
+    ``(sources, dist, sigma)`` per block, where column j of the
+    (n, len(sources)) arrays belongs to ``sources[j]``: ``dist`` is the
+    hop distance (-1 where unreachable) and ``sigma`` the number of
+    shortest paths. Each level multiplies the frontier's path counts by
+    the adjacency (``a @ frontier``, the transpose of frontier @ A since
+    A is symmetric) and keeps the entries of unvisited nodes, so path
+    counts are summed over all predecessors and ties need no breaking.
     """
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    nz = counts > 0
-    starts, counts = starts[nz], counts[nz]
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    # concatenated ranges [starts[i], starts[i]+counts[i])
-    idx = np.ones(total, dtype=np.int64)
-    idx[0] = starts[0]
-    ends = np.cumsum(counts)
-    idx[ends[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
-    np.cumsum(idx, out=idx)
-    return np.repeat(nodes[nz], counts), indices[idx]
-
-
-def _sssp(indptr, indices, n, source, count_paths):
-    """Single-source BFS. Returns (dist, sigma, frontiers).
-
-    dist is -1 for unreachable nodes; sigma holds geodesic counts when
-    ``count_paths`` (ties handled exactly by accumulation, no
-    tie-breaking); frontiers is the list of level sets.
-    """
-    dist = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
-    dist[source] = 0
-    sigma[source] = 1.0
-    frontiers = []
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        frontiers.append(frontier)
-        srcs, targets = _gather_edges(indptr, indices, frontier)
-        if targets.size == 0:
-            break
-        fresh = targets[dist[targets] == -1]
-        if fresh.size:
-            dist[fresh] = level + 1
-        if count_paths:
-            ahead = dist[targets] == level + 1
-            sigma += np.bincount(targets[ahead], weights=sigma[srcs[ahead]], minlength=n)
-        frontier = np.unique(fresh)
-        level += 1
-    return dist, sigma, frontiers
-
-
-def _component_labels(indptr, indices, n):
-    """Connected component label per node; labels increase with the
-    smallest node index in the component."""
-    labels = np.full(n, -1, dtype=np.int64)
-    label = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        frontier = np.array([start], dtype=np.int64)
-        labels[start] = label
-        while frontier.size:
-            _, targets = _gather_edges(indptr, indices, frontier)
-            fresh = np.unique(targets[labels[targets] == -1])
-            labels[fresh] = label
-            frontier = fresh
-        label += 1
-    return labels
+    n = a.shape[0]
+    height = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n, height):
+        sources = np.arange(start, min(start + height, n))
+        cols = np.arange(sources.size)
+        dist = np.full((n, sources.size), -1, dtype=np.int32)
+        sigma = np.zeros((n, sources.size))
+        dist[sources, cols] = 0
+        sigma[sources, cols] = 1.0
+        frontier, level = sigma, 0
+        while True:
+            frontier = a @ frontier
+            frontier[dist >= 0] = 0.0
+            fresh = frontier > 0
+            if not fresh.any():
+                break
+            level += 1
+            dist[fresh] = level
+            sigma += frontier
+        yield sources, dist, sigma
 
 
 def connected_components(g: CoworkerGraph):
     """Components as frozensets of ids, largest first (ties: earliest node)."""
-    labels = _component_labels(g.indptr, g.indices, g.n_nodes)
+    # labels increase with the smallest node index in the component
+    _, labels = csgraph.connected_components(g.adjacency(), directed=False)
     comps = {}
     for i, lab in enumerate(labels):
         comps.setdefault(int(lab), []).append(g.nodes[i])
@@ -152,30 +126,28 @@ def degree_centrality(g: CoworkerGraph):
 
 
 def betweenness_centrality(g: CoworkerGraph):
-    """Exact normalized betweenness via per-source dependency accumulation.
+    """Exact normalized betweenness by Brandes dependency accumulation.
 
-    For each source, a BFS records geodesic counts level by level; a
+    The blocked BFS gives distances and geodesic counts per source; a
     backward sweep then pushes pair dependencies down the shortest-path
-    DAG. Raw scores count unordered pairs and are divided by
-    (n - 1)(n - 2) / 2.
+    DAG one level at a time: with W = (1 + delta) / sigma on level k,
+    the nodes on level k - 1 gain sigma * (A @ W). Raw scores count
+    unordered pairs and are divided by (n - 1)(n - 2) / 2.
     """
     n = g.n_nodes
     if n < 3:
         return {u: 0.0 for u in g.nodes}
-    indptr, indices = g.indptr, g.indices
+    a = g.adjacency()
     bc = np.zeros(n, dtype=np.float64)
 
-    for s in range(n):
-        dist, sigma, frontiers = _sssp(indptr, indices, n, s, count_paths=True)
-        delta = np.zeros(n, dtype=np.float64)
-        for frontier in reversed(frontiers[1:]):
-            srcs, targets = _gather_edges(indptr, indices, frontier)
-            back = dist[targets] == dist[srcs] - 1
-            srcs, targets = srcs[back], targets[back]
-            contrib = sigma[targets] / sigma[srcs] * (1.0 + delta[srcs])
-            delta += np.bincount(targets, weights=contrib, minlength=n)
-        delta[s] = 0.0
-        bc += delta
+    for _, dist, sigma in _bfs_blocks(a):
+        delta = np.zeros_like(sigma)
+        # the sweep stops at level 1: a source gains no dependency
+        for level in range(int(dist.max()), 1, -1):
+            w = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma),
+                          where=dist == level)
+            delta += np.where(dist == level - 1, (a @ w) * sigma, 0.0)
+        bc += delta.sum(axis=1)
 
     # each unordered pair was counted from both endpoints
     bc /= 2.0
@@ -193,14 +165,12 @@ def closeness_centrality(g: CoworkerGraph):
     n = g.n_nodes
     out = np.zeros(n, dtype=np.float64)
     if n >= 2:
-        indptr, indices = g.indptr, g.indices
-        for s in range(n):
-            dist, _, _ = _sssp(indptr, indices, n, s, count_paths=False)
+        for sources, dist, _ in _bfs_blocks(g.adjacency()):
             reach = dist >= 0
-            n_c = int(reach.sum())
-            if n_c > 1:
-                total = float(dist[reach].sum())
-                out[s] = (n_c - 1) / total * (n_c - 1) / (n - 1)
+            n_c = reach.sum(axis=0)
+            total = np.where(reach, dist, 0).sum(axis=0)
+            ok = n_c > 1
+            out[sources[ok]] = (n_c[ok] - 1) / total[ok] * (n_c[ok] - 1) / (n - 1)
     return {u: float(out[i]) for i, u in enumerate(g.nodes)}
 
 
@@ -226,23 +196,19 @@ def eigenvector_centrality(g: CoworkerGraph, tol=1e-10, max_iter=10000):
     if n == 0:
         return {}
 
-    labels = _component_labels(g.indptr, g.indices, n)
+    a = g.adjacency()
+    _, labels = csgraph.connected_components(a, directed=False)
     sizes = np.bincount(labels)
     lcc = int(np.argmax(sizes))  # ties: smallest label = earliest node
     members = np.flatnonzero(labels == lcc)
     m = members.size
 
     if m >= 2:
-        # restrict CSR to the component
-        remap = np.full(n, -1, dtype=np.int64)
-        remap[members] = np.arange(m)
-        srcs, targets = _gather_edges(g.indptr, g.indices, members)
-        srcs, targets = remap[srcs], remap[targets]
-
+        sub = a[members][:, members]
         x = np.full(m, 1.0 / np.sqrt(m))
         residual = np.inf
         for _ in range(max_iter):
-            y = x + np.bincount(srcs, weights=x[targets], minlength=m)
+            y = x + sub @ x
             y /= np.linalg.norm(y)
             residual = float(np.max(np.abs(y - x)))
             x = y
@@ -261,25 +227,12 @@ def eigenvector_centrality(g: CoworkerGraph, tol=1e-10, max_iter=10000):
 def clustering_coefficient(g: CoworkerGraph):
     """Local clustering: realized neighbor-pair edges over possible ones.
 
-    Triangle counts come from the diagonal of A^3 (dense for small graphs,
-    sparse matmul above ~2000 nodes). Nodes of degree < 2 get 0.
+    Triangles per node are the row sums of (A @ A) * A over two, from a
+    sparse product. Nodes of degree < 2 get 0.
     """
-    n = g.n_nodes
+    a = g.adjacency()
     deg = g.degrees().astype(np.float64)
-    triangles = np.zeros(n, dtype=np.float64)
-    if g.n_edges:
-        srcs = np.repeat(np.arange(n), g.degrees())
-        if n <= 2048:
-            a = np.zeros((n, n), dtype=np.float64)
-            a[srcs, g.indices] = 1.0
-            triangles = np.einsum("ij,ji->i", a @ a, a) / 2.0
-        else:
-            from scipy import sparse
-
-            a = sparse.csr_matrix(
-                (np.ones(len(srcs)), g.indices, g.indptr), shape=(n, n))
-            triangles = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel() / 2.0
-
+    triangles = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel() / 2.0
     possible = deg * (deg - 1) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         cc = np.where(possible > 0, triangles / possible, 0.0)

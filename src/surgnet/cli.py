@@ -135,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eig-max-iter", type=int, default=None)
     p.add_argument("--codeset", default=None)
     p.add_argument("--distinct", action="store_true", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a synthetic case file")
@@ -272,7 +271,6 @@ def cmd_run(args):
         "eig_max_iter": args.eig_max_iter,
         "codeset": args.codeset,
         "distinct_complications": args.distinct,
-        "seed": args.seed,
     }
     if args.config:
         cfg = pipeline.PipelineConfig.from_file(args.config, **overrides)

@@ -9,7 +9,7 @@ everything; those pairs are reported as NaN.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .errors import DataError
 
@@ -75,7 +75,7 @@ def _t_pvalue(rho, n):
     if abs(rho) >= 1.0:
         return 0.0
     t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return float(2.0 * stats.t.sf(abs(t), n - 2))
+    return float(2.0 * stdtr(n - 2, -abs(t)))
 
 
 def spearman_matrix(columns) -> SpearmanResult:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .records import Segment
 
@@ -28,9 +29,9 @@ class BipartiteGraph:
 class CoworkerGraph:
     """Undirected simple graph over provider ids.
 
-    Nodes are kept sorted and adjacency is stored as CSR-style index
-    arrays with sorted neighbor lists, so iteration order (and everything
-    derived from it) is deterministic.
+    Nodes are kept sorted and adjacency is stored as CSR index arrays
+    (scipy's int32 index type) with sorted neighbor lists, so iteration
+    order (and everything derived from it) is deterministic.
     """
 
     def __init__(self, nodes, edges, pair_counts=None):
@@ -54,12 +55,12 @@ class CoworkerGraph:
             dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
             order = np.lexsort((dst, src))
             src, dst = src[order], dst[order]
-            self.indptr = np.zeros(n + 1, dtype=np.int64)
+            self.indptr = np.zeros(n + 1, dtype=np.int32)
             np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
-            self.indices = dst
+            self.indices = dst.astype(np.int32)
         else:
-            self.indptr = np.zeros(n + 1, dtype=np.int64)
-            self.indices = np.zeros(0, dtype=np.int64)
+            self.indptr = np.zeros(n + 1, dtype=np.int32)
+            self.indices = np.zeros(0, dtype=np.int32)
 
         # co-occurrence multiplicity; ignored by all metrics
         self.pair_counts = dict(pair_counts) if pair_counts else {}
@@ -75,6 +76,17 @@ class CoworkerGraph:
     def degrees(self):
         """Raw degree per node, aligned with ``self.nodes``."""
         return np.diff(self.indptr)
+
+    def adjacency(self):
+        """The 0/1 adjacency matrix as a ``scipy.sparse.csr_matrix``.
+
+        Symmetric, float64, rows and columns aligned with ``self.nodes``;
+        it shares ``indptr`` and ``indices`` with the graph, so callers
+        must not modify it in place.
+        """
+        n = self.n_nodes
+        return sparse.csr_matrix(
+            (np.ones(self.indices.size), self.indices, self.indptr), shape=(n, n))
 
     def neighbors(self, node):
         i = self._index[node]

@@ -55,22 +55,38 @@ class PipelineConfig:
     regression_columns: tuple = REGRESSION_COLUMNS
     codeset: str = "embedded"
     distinct_complications: bool = False
-    seed: int = 0
 
     _KNOWN_COLUMNS = REGRESSION_COLUMNS + ("avgClust", "avgDeg")
 
     def validate(self):
+        def expect(key, ok, what):
+            if not ok:
+                raise ConfigError(f"{key} must be {what}, "
+                                  f"got {getattr(self, key)!r}")
+
+        def is_int(value):
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        for key in ("input_path", "output_dir", "codeset"):
+            expect(key, isinstance(getattr(self, key), str), "a string")
         if not self.input_path:
             raise ConfigError("input_path is required")
-        if self.window_days < 1:
-            raise ConfigError(f"window_days must be >= 1, got {self.window_days}")
-        if self.provider_form not in ("wide", "long"):
-            raise ConfigError(f"provider_form must be 'wide' or 'long', "
-                              f"got {self.provider_form!r}")
-        if not (self.eig_tol > 0):
-            raise ConfigError("eig_tol must be positive")
-        if self.eig_max_iter < 1:
-            raise ConfigError("eig_max_iter must be >= 1")
+        expect("window_days", is_int(self.window_days) and self.window_days >= 1,
+               "an integer >= 1")
+        expect("delimiter", isinstance(self.delimiter, str)
+               and len(self.delimiter) == 1, "a one-character string")
+        expect("provider_form", self.provider_form in ("wide", "long"),
+               "'wide' or 'long'")
+        expect("eig_tol", (is_int(self.eig_tol) or isinstance(self.eig_tol, float))
+               and self.eig_tol > 0, "a positive number")
+        expect("eig_max_iter", is_int(self.eig_max_iter) and self.eig_max_iter >= 1,
+               "an integer >= 1")
+        expect("distinct_complications",
+               isinstance(self.distinct_complications, bool), "true or false")
+        expect("regression_columns",
+               isinstance(self.regression_columns, (list, tuple))
+               and all(isinstance(c, str) for c in self.regression_columns),
+               "a list of strings")
         unknown = [c for c in self.regression_columns if c not in self._KNOWN_COLUMNS]
         if unknown:
             raise ConfigError(f"unknown regression column(s): {unknown}; "
@@ -89,7 +105,6 @@ class PipelineConfig:
             "regression_columns": list(self.regression_columns),
             "codeset": self.codeset,
             "distinct_complications": self.distinct_complications,
-            "seed": self.seed,
         }
 
     def config_hash(self) -> str:
@@ -111,7 +126,7 @@ class PipelineConfig:
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        if "regression_columns" in raw:
+        if isinstance(raw.get("regression_columns"), list):
             raw["regression_columns"] = tuple(raw["regression_columns"])
         return cls(**raw)
 

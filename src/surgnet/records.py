@@ -266,7 +266,7 @@ def _parse_stream(stream, columns, delimiter, provider_form, placeholders):
 EXCLUSION_RULES = (
     ("age", lambda c: c.age is None or c.age < 21),
     ("missing dates", lambda c: c.day_offset is None or c.end_day_offset is None),
-    ("same-day discharge", lambda c: c.day_offset == c.end_day_offset),
+    ("same-day discharge", lambda c: c.end_day_offset <= c.day_offset),
     ("providers", lambda c: len(c.providers) == 0),
 )
 
@@ -275,8 +275,10 @@ def apply_exclusions(cases):
     """Filter out ineligible cases.
 
     Removes cases aged under 21 (or with no recorded age), cases with a
-    missing start or end day offset, same-day start/end cases (same-day
-    discharge proxy), and cases with no valid providers.
+    missing start or end day offset, cases whose end day is not after the
+    start day (same-day discharge proxy; an end before the start is a
+    negative stay and goes under the same rule), and cases with no valid
+    providers.
 
     Returns (retained_cases, report) where report maps rule name ->
     removed count. Idempotent.

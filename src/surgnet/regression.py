@@ -23,8 +23,8 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, stats
-from scipy.special import gammaln
+from scipy import linalg
+from scipy.special import chdtrc, gammaln, ndtr
 
 from .errors import ConvergenceError, DataError
 
@@ -253,7 +253,7 @@ class LrAlphaResult:
 def _wald(coef, se):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = coef / se
-    p = 2.0 * stats.norm.sf(np.abs(z))
+    p = 2.0 * ndtr(-np.abs(z))
     return z, p, coef - Z95 * se, coef + Z95 * se
 
 
@@ -337,7 +337,7 @@ def poisson_gof(fit: FitResult, dm: DesignMatrix) -> GofResult:
     deviance = float(2.0 * np.sum(dev_terms - (y - mu)))
     df = dm.n_obs - dm.n_params
     return GofResult(pearson_chi2=pearson, deviance=deviance, df=df,
-                     p_value=float(stats.chi2.sf(pearson, df)))
+                     p_value=float(chdtrc(df, pearson)))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +552,7 @@ def lr_test_alpha(poisson: FitResult, negbin: FitResult) -> LrAlphaResult:
         raise DataError("fits were not run on the same design matrix")
     statistic = max(0.0, 2.0 * (negbin.log_likelihood - poisson.log_likelihood))
     return LrAlphaResult(statistic=statistic,
-                         p_value=float(0.5 * stats.chi2.sf(statistic, 1)))
+                         p_value=float(0.5 * chdtrc(1, statistic)))
 
 
 # ---------------------------------------------------------------------------

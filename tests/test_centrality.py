@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import oracles
 from conftest import make_case
+from surgnet import centrality
 from surgnet.errors import DataError
 from surgnet.centrality import (
     betweenness_centrality,
@@ -187,8 +188,37 @@ def test_medium_random_graph_matches_oracles():
                     [ev[v] for v in g.nodes], atol=1e-8)
 
 
+def test_multi_block_graph_matches_oracles():
+    # a disjoint union with more nodes than one BFS source block: a 60-node
+    # path, isolated nodes and small random components, labelled in
+    # shuffled order so components straddle block boundaries
+    rng = np.random.default_rng(314)
+    labels = iter(f"p{i:03d}" for i in rng.permutation(1000))
+    nodes, edges = [], []
+    path = [next(labels) for _ in range(60)]
+    nodes += path
+    edges += list(zip(path, path[1:]))
+    nodes += [next(labels) for _ in range(20)]
+    while len(nodes) < 420:
+        sub_nodes, sub_edges = oracles.random_edge_set(rng, max_nodes=7)
+        rename = {u: next(labels) for u in sub_nodes}
+        nodes += rename.values()
+        edges += [(rename[u], rename[v]) for u, v in sub_edges]
+    g = CoworkerGraph(nodes, edges)
+    assert g.n_nodes > centrality._BLOCK_CELLS // g.n_nodes
+
+    bc = betweenness_centrality(g)
+    cl = closeness_centrality(g)
+    bc_ref = oracles.betweenness_by_enumeration(nodes, edges)
+    cl_ref = oracles.closeness_by_floyd_warshall(nodes, edges)
+    assert_allclose([bc[v] for v in g.nodes], [bc_ref[v] for v in g.nodes],
+                    rtol=0, atol=1e-12)
+    assert_allclose([cl[v] for v in g.nodes], [cl_ref[v] for v in g.nodes],
+                    rtol=0, atol=1e-12)
+
+
 def test_sparse_clustering_path_agrees_with_dense():
-    # above 2048 nodes the triangle count switches to the sparse route
+    # a 2100-node sparse graph against neighbor-pair counting
     rng = np.random.default_rng(5)
     n = 2100
     nodes = [f"p{i}" for i in range(n)]

@@ -164,6 +164,26 @@ def test_run_unknown_config_key_is_config_error(dataset, tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("window_days", "365"),
+    ("eig_tol", None),
+    ("window_days", True),
+    ("eig_max_iter", 1.5),
+    ("delimiter", ";;"),
+    ("output_dir", 5),
+    ("distinct_complications", "yes"),
+    ("regression_columns", "age"),
+    ("regression_columns", [1]),
+])
+def test_run_mistyped_config_value_is_config_error(dataset, tmp_path, capsys,
+                                                   key, value):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"input_path": str(dataset), key: value}))
+    rc = cli.main(["run", "--config", str(cfg)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 def test_env_output_dir_and_flag_precedence(dataset, tmp_path, monkeypatch,
                                             capsys):
     env_dir = tmp_path / "from_env"

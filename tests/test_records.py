@@ -180,12 +180,13 @@ def test_exclusion_rules_each_fire():
         make_case("no-start", day=None),
         make_case("no-end", end=None),
         make_case("same-day", day=5, end=5),
+        make_case("negative-stay", day=5, end=3),
         make_case("no-team", providers=()),
     ]
     retained, report = apply_exclusions([keep] + dropped)
     assert [c.case_id for c in retained] == ["ok"]
     assert report == {"age": 2, "missing dates": 2,
-                      "same-day discharge": 1, "providers": 1}
+                      "same-day discharge": 2, "providers": 1}
 
 
 def test_exclusion_attribution_is_first_matching_rule():
