@@ -22,11 +22,17 @@ same products backwards level by level. Components come from
 ``scipy.sparse.csgraph``, the eigenvector iteration multiplies by A
 restricted to the largest component, and triangles come from
 (A @ A) * A.
+
+Team averages take every case of a segment at once from the case x
+provider incidence matrix B of ``network.build_bipartite``: team sizes
+are B's row sums k and the means are (B @ M) / k for the node-by-measure
+array M.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import ConvergenceError, DataError
@@ -260,27 +266,41 @@ def compute_all(g: CoworkerGraph, eig_tol=1e-10, eig_max_iter=10000):
     }
 
 
+# NodeMetrics fields averaged over a team, in TeamMetrics field order
+TEAM_MEASURES = ("betweenness", "closeness", "eigenvector", "clustering",
+                 "degree")
+
+
+def team_means(incidence, metrics, providers):
+    """Team size and TEAM_MEASURES means of every case of an incidence matrix.
+
+    ``incidence`` is a case x provider CSR 0/1 matrix B whose columns are
+    ``providers`` with sorted indices per row. With M the (providers, 5)
+    array of measures from ``metrics``, team sizes are the row sums k and
+    the means are (B @ M) / k. The sparse product adds each case's members
+    from 0 in column order, so a team's sums follow its sorted provider
+    ids and do not depend on set order.
+    """
+    m = np.array([[getattr(metrics[u], f) for f in TEAM_MEASURES]
+                  for u in providers], dtype=np.float64).reshape(-1, 5)
+    k = np.diff(incidence.indptr)
+    return k, (incidence @ m) / k[:, None]
+
+
 def team_aggregate(case: CaseRecord, metrics) -> TeamMetrics:
     """Average each measure over the case's team.
 
-    Every provider on the case must appear in ``metrics`` (the case's own
-    segment network); a missing provider signals a segment/case mismatch.
+    The one-row case of ``team_means``. Every provider on the case must
+    appear in ``metrics`` (the case's own segment network); a missing
+    provider signals a segment/case mismatch.
     """
     missing = sorted(p for p in case.providers if p not in metrics)
     if missing:
         raise DataError(
             f"provider {missing[0]!r} of case {case.case_id} is not in the "
             "segment network")
-    # sorted so the summation order (and hence the float result) does not
-    # depend on set iteration order
-    team = [metrics[p] for p in sorted(case.providers)]
+    team = sorted(case.providers)
     k = len(team)
-    return TeamMetrics(
-        case_id=case.case_id,
-        team_size=k,
-        avg_betweenness=sum(t.betweenness for t in team) / k,
-        avg_closeness=sum(t.closeness for t in team) / k,
-        avg_eigenvector=sum(t.eigenvector for t in team) / k,
-        avg_clustering=sum(t.clustering for t in team) / k,
-        avg_degree=sum(t.degree for t in team) / k,
-    )
+    row = sparse.csr_matrix((np.ones(k), np.arange(k), [0, k]), shape=(1, k))
+    size, means = team_means(row, metrics, team)
+    return TeamMetrics(case.case_id, int(size[0]), *means[0].tolist())

@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__, pipeline, records, synth
-from .complications import ComplicationCodeset, count_complications
+from .complications import count_complications
 from .errors import ConfigError, ConvergenceError, DataError
 from .network import write_edge_list
 
@@ -226,7 +226,7 @@ def cmd_metrics(args):
 
 def cmd_outcomes(args):
     cfg = _config_from_args(args)
-    codeset = pipeline.load_codeset(cfg)
+    codeset = pipeline.load_codeset(cfg.codeset)
     _, _, retained = pipeline.load_cases(cfg)
     print("case_id\tC")
     for case in sorted(retained, key=lambda c: c.case_id):
@@ -237,7 +237,7 @@ def cmd_outcomes(args):
 
 def _joined_rows(args):
     cfg = _config_from_args(args)
-    codeset = pipeline.load_codeset(cfg)
+    codeset = pipeline.load_codeset(cfg.codeset)
     _, _, retained = pipeline.load_cases(cfg)
     analyses = pipeline.analyze_segments(cfg, retained)
     rows = pipeline.assemble_rows(cfg, analyses, codeset)
@@ -316,11 +316,7 @@ def cmd_synth(args):
 
 
 def cmd_dump_codeset(args):
-    if args.codeset == "embedded":
-        codeset = ComplicationCodeset.embedded()
-    else:
-        codeset = ComplicationCodeset.from_file(args.codeset)
-    codeset.dump(sys.stdout)
+    pipeline.load_codeset(args.codeset).dump(sys.stdout)
     return 0
 
 

@@ -3,7 +3,8 @@
 The shipped codeset covers the surgical-complication categories 996.x
 through 999.x at subcategory granularity. A case's complication count is
 the number of its diagnosis codes matching any codeset entry; duplicate
-matches count individually by default.
+matches count individually by default. A codeset is immutable, so it
+scans its entries once per distinct code and keeps the answer.
 """
 
 from dataclasses import dataclass
@@ -67,6 +68,7 @@ class ComplicationCodeset:
 
     def __init__(self, entries):
         self.entries = tuple(CodesetEntry(p, d) for p, d in entries)
+        self._matches = {}  # normalized code -> entry or None
         seen = set()
         for e in self.entries:
             if not e.prefix.startswith(("996", "997", "998", "999")):
@@ -130,8 +132,16 @@ def match_complication(code: str, codeset: ComplicationCodeset):
 
     A code matches an entry when it equals the prefix or extends it with
     further digits. A bare three-digit class (e.g. "996") is matched to
-    its first covering entry. Returns None when nothing matches.
+    its first covering entry. Returns None when nothing matches. The
+    answer is kept on the codeset, so each distinct code is scanned once.
     """
+    if code not in codeset._matches:
+        codeset._matches[code] = _scan(code, codeset)
+    return codeset._matches[code]
+
+
+def _scan(code, codeset):
+    """``match_complication`` without the memo: the codeset in order."""
     for entry in codeset:
         rest = code[len(entry.prefix):]
         if code.startswith(entry.prefix) and (rest == "" or rest.isdigit()):
@@ -149,13 +159,6 @@ def count_complications(case: CaseRecord, codeset: ComplicationCodeset,
     Each matching diagnosis code counts, so duplicates add up; with
     ``distinct`` every matched codeset entry counts once.
     """
-    if distinct:
-        hit = set()
-        for raw in case.dx_codes:
-            entry = match_complication(normalize_icd9(raw), codeset)
-            if entry is not None:
-                hit.add(entry.prefix)
-        return len(hit)
-    return sum(
-        1 for raw in case.dx_codes
-        if match_complication(normalize_icd9(raw), codeset) is not None)
+    hits = [e for e in (match_complication(normalize_icd9(raw), codeset)
+                        for raw in case.dx_codes) if e is not None]
+    return len(set(hits)) if distinct else len(hits)

@@ -1,13 +1,15 @@
 """Two-mode case-provider network construction and one-mode projection.
 
 Within one time segment, providers who were involved in a case are linked
-to that case (two-mode). Removing the case nodes and connecting providers
-who share at least one case yields the one-mode co-worker graph. The
-projection is unweighted: repeated collaborations collapse to one edge,
-with the co-occurrence multiplicity kept only as edge metadata.
+to that case (two-mode). The two-mode graph is held as a sparse incidence
+matrix B, one row per case and one column per provider. Removing the case
+nodes and connecting providers who share at least one case yields the
+one-mode co-worker graph: the off-diagonal of B^T B (Borgatti & Everett
+1997), whose entries count the cases each pair shares. The projection is
+unweighted: repeated collaborations collapse to one edge, with the
+co-occurrence multiplicity kept only as edge metadata.
 """
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,13 +19,34 @@ from scipy import sparse
 from .records import Segment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """Two-mode graph: edges only run between case nodes and provider nodes."""
+    """Two-mode graph: edges only run between case nodes and provider nodes.
 
-    case_nodes: frozenset
-    provider_nodes: frozenset
-    edges: frozenset  # of (case_id, provider_id)
+    ``incidence`` is the case x provider 0/1 matrix in CSR form: row r is
+    ``case_ids[r]``, column j is ``providers[j]`` (sorted), and each row's
+    column indices are sorted, i.e. the case's providers in id order.
+    """
+
+    case_ids: tuple
+    providers: tuple
+    incidence: sparse.csr_matrix
+
+    @property
+    def case_nodes(self):
+        return frozenset(self.case_ids)
+
+    @property
+    def provider_nodes(self):
+        return frozenset(self.providers)
+
+    @property
+    def edges(self):
+        """The (case_id, provider_id) links."""
+        b = self.incidence
+        rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
+        return frozenset((self.case_ids[r], self.providers[j])
+                         for r, j in zip(rows.tolist(), b.indices.tolist()))
 
 
 class CoworkerGraph:
@@ -31,39 +54,56 @@ class CoworkerGraph:
 
     Nodes are kept sorted and adjacency is stored as CSR index arrays
     (scipy's int32 index type) with sorted neighbor lists, so iteration
-    order (and everything derived from it) is deterministic.
+    order (and everything derived from it) is deterministic. The CSR
+    values, kept alongside, count how often each pair occurs.
     """
 
-    def __init__(self, nodes, edges, pair_counts=None):
-        self.nodes = tuple(sorted(set(nodes)))
-        self._index = {u: i for i, u in enumerate(self.nodes)}
-        n = len(self.nodes)
+    def __init__(self, nodes, edges):
+        nodes = tuple(sorted(set(nodes)))
+        index = {u: i for i, u in enumerate(nodes)}
+        ends = np.array([(index[u], index[v]) for u, v in edges],
+                        dtype=np.int32).reshape(-1, 2)
+        loops = ends[:, 0] == ends[:, 1]
+        if loops.any():
+            raise ValueError(f"self-loop on {nodes[ends[loops][0, 0]]!r}")
+        n = len(nodes)
+        # both directions; a pair listed twice sums to a count of 2
+        self._set(nodes, sparse.csr_matrix(
+            (np.ones(2 * len(ends)), (ends.ravel(), ends[:, ::-1].ravel())),
+            shape=(n, n)))
 
-        seen = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop on {u!r}")
-            i, j = self._index[u], self._index[v]
-            seen.add((i, j) if i < j else (j, i))
-        self._edge_pairs = sorted(seen)
-        m = len(self._edge_pairs)
+    @classmethod
+    def _from_counts(cls, nodes, shared):
+        """Graph on sorted ``nodes`` from a symmetric CSR matrix of pair
+        counts with zero diagonal; its nonzeros are the edges."""
+        g = cls.__new__(cls)
+        g._set(nodes, shared)
+        return g
 
-        # CSR over both directions
-        if m:
-            pairs = np.array(self._edge_pairs, dtype=np.int64)
-            src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-            self.indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
-            self.indices = dst.astype(np.int32)
-        else:
-            self.indptr = np.zeros(n + 1, dtype=np.int32)
-            self.indices = np.zeros(0, dtype=np.int32)
+    def _set(self, nodes, counts):
+        counts.sort_indices()
+        self.nodes = nodes
+        self._index = {u: i for i, u in enumerate(nodes)}
+        self.indptr = counts.indptr.astype(np.int32, copy=False)
+        self.indices = counts.indices.astype(np.int32, copy=False)
+        self._counts = counts.data
 
-        # co-occurrence multiplicity; ignored by all metrics
-        self.pair_counts = dict(pair_counts) if pair_counts else {}
+    @property
+    def pair_counts(self):
+        """``{(u, v): count}`` per edge, u < v: the cases the pair shares
+        in a projected graph, the times the pair is listed in a graph
+        built from edges. Ignored by all metrics."""
+        rows, cols, at = self._upper()
+        return {(self.nodes[i], self.nodes[j]): int(c) for i, j, c in zip(
+            rows.tolist(), cols.tolist(), self._counts[at].tolist())}
+
+    def _upper(self):
+        """Row, column and position in ``indices`` of every stored entry
+        above the diagonal: each edge once, in lexicographic order."""
+        rows = np.repeat(np.arange(self.n_nodes, dtype=np.int32),
+                         np.diff(self.indptr))
+        at = np.flatnonzero(self.indices > rows)
+        return rows[at], self.indices[at], at
 
     @property
     def n_nodes(self):
@@ -71,7 +111,7 @@ class CoworkerGraph:
 
     @property
     def n_edges(self):
-        return len(self._edge_pairs)
+        return self.indices.size // 2
 
     def degrees(self):
         """Raw degree per node, aligned with ``self.nodes``."""
@@ -100,7 +140,8 @@ class CoworkerGraph:
 
     def edges(self):
         """Edges as sorted (u, v) id pairs, u < v, in lexicographic order."""
-        for i, j in self._edge_pairs:
+        rows, cols, _ = self._upper()
+        for i, j in zip(rows.tolist(), cols.tolist()):
             yield self.nodes[i], self.nodes[j]
 
     def __contains__(self, node):
@@ -124,36 +165,34 @@ class GraphSummary:
 
 def build_bipartite(segment: Segment) -> BipartiteGraph:
     """Two-mode network of one segment: each case links to its providers."""
-    edges = set()
-    providers = set()
-    for case in segment.cases:
-        for pid in case.providers:
-            edges.add((case.case_id, pid))
-            providers.add(pid)
-    return BipartiteGraph(
-        case_nodes=frozenset(c.case_id for c in segment.cases),
-        provider_nodes=frozenset(providers),
-        edges=frozenset(edges),
-    )
+    cases = segment.cases
+    providers = tuple(sorted(set().union(*(c.providers for c in cases))))
+    column = {p: j for j, p in enumerate(providers)}
+    indptr = np.zeros(len(cases) + 1, dtype=np.int32)
+    np.cumsum([len(c.providers) for c in cases], out=indptr[1:])
+    indices = np.fromiter((column[p] for c in cases for p in c.providers),
+                          dtype=np.int32, count=int(indptr[-1]))
+    incidence = sparse.csr_matrix((np.ones(indices.size), indices, indptr),
+                                  shape=(len(cases), len(providers)))
+    incidence.sort_indices()
+    return BipartiteGraph(case_ids=tuple(c.case_id for c in cases),
+                          providers=providers, incidence=incidence)
 
 
 def project_one_mode(bg: BipartiteGraph) -> CoworkerGraph:
     """Project the two-mode graph onto providers.
 
     Each case's provider set becomes a clique; the result is the union of
-    those cliques as a simple graph. The number of shared cases per pair
-    is retained as ``pair_counts`` metadata.
+    those cliques as a simple graph, the off-diagonal nonzeros of B^T B.
+    Its values, the number of cases each pair shares, are retained as
+    ``pair_counts`` metadata. Providers who share no case stay as
+    isolated nodes.
     """
-    members: dict = {c: [] for c in bg.case_nodes}
-    for case_id, pid in bg.edges:
-        members[case_id].append(pid)
-
-    pair_counts: dict = {}
-    for case_id in members:
-        for u, v in itertools.combinations(sorted(members[case_id]), 2):
-            pair_counts[(u, v)] = pair_counts.get((u, v), 0) + 1
-
-    return CoworkerGraph(bg.provider_nodes, pair_counts.keys(), pair_counts)
+    b = bg.incidence
+    shared = (b.T @ b).tocsr()
+    shared.setdiag(0)
+    shared.eliminate_zeros()
+    return CoworkerGraph._from_counts(bg.providers, shared)
 
 
 def summarize(g: CoworkerGraph, segment: Segment) -> GraphSummary:

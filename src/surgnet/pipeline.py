@@ -12,8 +12,10 @@ output. Given the same config and input, reruns are byte-identical.
 import hashlib
 import json
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -149,26 +151,17 @@ class CaseRow:
     avg_deg: float
 
 
-_GETTERS = {
-    "C": lambda r: r.c,
-    "age": lambda r: r.age,
-    "teamSize": lambda r: r.team_size,
-    "typSurgery": lambda r: r.surgery_type,
-    "dMale": lambda r: r.d_male,
-    "avgBtwn": lambda r: r.avg_btwn,
-    "avgClos": lambda r: r.avg_clos,
-    "avgEigen": lambda r: r.avg_eigen,
-    "avgClust": lambda r: r.avg_clust,
-    "avgDeg": lambda r: r.avg_deg,
-}
-
 ROW_COLUMNS = ("case_id", "segment", "C", "age", "teamSize", "typSurgery",
                "dMale", "avgBtwn", "avgClos", "avgEigen", "avgClust", "avgDeg")
+# table column -> CaseRow field; the fields are declared in table order
+_ROW_FIELD = dict(zip(ROW_COLUMNS, (f.name for f in fields(CaseRow))))
+_row_values = attrgetter(*_ROW_FIELD.values())
 
 
 @dataclass(frozen=True)
 class SegmentAnalysis:
     segment: records.Segment
+    bipartite: network.BipartiteGraph
     graph: network.CoworkerGraph
     summary: network.GraphSummary
     node_metrics: dict
@@ -214,11 +207,12 @@ def _stage(name):
         raise type(exc)(f"stage {name}: {exc.args[0]}") from exc
 
 
-def load_codeset(cfg: PipelineConfig) -> ComplicationCodeset:
+def load_codeset(source: str) -> ComplicationCodeset:
+    """The codeset named by a ``codeset`` setting: "embedded" or a file."""
     with _stage("codeset"):
-        if cfg.codeset == "embedded":
+        if source == "embedded":
             return ComplicationCodeset.embedded()
-        return ComplicationCodeset.from_file(cfg.codeset)
+        return ComplicationCodeset.from_file(source)
 
 
 def load_cases(cfg: PipelineConfig):
@@ -243,7 +237,8 @@ def analyze_segments(cfg: PipelineConfig, retained):
     analyses = []
     for seg in segments:
         with _stage(f"network (segment {seg.index})"):
-            graph = network.project_one_mode(network.build_bipartite(seg))
+            bipartite = network.build_bipartite(seg)
+            graph = network.project_one_mode(bipartite)
             summary = network.summarize(graph, seg)
         with _stage(f"metrics (segment {seg.index})"):
             nm = centrality.compute_all(graph, eig_tol=cfg.eig_tol,
@@ -252,40 +247,47 @@ def analyze_segments(cfg: PipelineConfig, retained):
             isolated = sum(1 for c in comps if len(c) == 1)
             largest = max((len(c) for c in comps), default=0)
         analyses.append(SegmentAnalysis(
-            segment=seg, graph=graph, summary=summary, node_metrics=nm,
+            segment=seg, bipartite=bipartite, graph=graph, summary=summary,
+            node_metrics=nm,
             isolated_nodes=isolated,
             outside_largest_component=graph.n_nodes - largest))
     return analyses
 
 
 def assemble_rows(cfg: PipelineConfig, analyses, codeset):
-    """Join team metrics and complication counts into per-case rows."""
+    """Join team metrics and complication counts into per-case rows.
+
+    Team sizes and means come from each segment's incidence matrix in one
+    product (``centrality.team_means``); rows follow the segment's cases.
+    """
     rows = []
     with _stage("join"):
         for sa in analyses:
-            for case in sa.segment.cases:
-                tm = centrality.team_aggregate(case, sa.node_metrics)
+            sizes, means = centrality.team_means(
+                sa.bipartite.incidence, sa.node_metrics, sa.bipartite.providers)
+            for case, k, (btw, clo, eig, clu, deg) in zip(
+                    sa.segment.cases, sizes.tolist(), means.tolist()):
                 rows.append(CaseRow(
                     case_id=case.case_id,
                     segment=sa.segment.index,
                     c=count_complications(case, codeset,
                                           distinct=cfg.distinct_complications),
                     age=case.age,
-                    team_size=tm.team_size,
+                    team_size=k,
                     surgery_type=case.surgery_type,
                     d_male=1 if case.gender == "male" else 0,
-                    avg_btwn=tm.avg_betweenness,
-                    avg_clos=tm.avg_closeness,
-                    avg_eigen=tm.avg_eigenvector,
-                    avg_clust=tm.avg_clustering,
-                    avg_deg=tm.avg_degree))
+                    avg_btwn=btw,
+                    avg_clos=clo,
+                    avg_eigen=eig,
+                    avg_clust=clu,
+                    avg_deg=deg))
     return rows
 
 
 def _column(rows, name):
-    get = _GETTERS[name]
-    return np.array([float(get(r)) if get(r) is not None else np.nan
-                     for r in rows], dtype=np.float64)
+    """One table column as float64; None becomes NaN."""
+    return np.array(list(map(attrgetter(_ROW_FIELD[name]), rows)),
+                    dtype=np.float64)
 
 
 def correlate_rows(rows) -> correlation.SpearmanResult:
@@ -320,7 +322,7 @@ def estimate(cfg: PipelineConfig, rows) -> EstimationResult:
         vifs = regression.vif(dm.x, dm.columns)
         pois = regression.poisson_fit(dm)
         gof = regression.poisson_gof(pois, dm)
-        nb = regression.negbin_fit(dm)
+        nb = regression.negbin_fit(dm, start=regression.negbin_start(pois, dm))
         lr = regression.lr_test_alpha(pois, nb)
     return EstimationResult(design=dm, dropped_constant=dropped, ols=ols,
                             vifs=vifs, poisson=pois, gof=gof, negbin=nb,
@@ -331,7 +333,7 @@ def run_pipeline(cfg: PipelineConfig, write=True) -> RunResult:
     """Execute every stage and, unless ``write`` is false, emit all
     artifacts into ``cfg.output_dir``."""
     cfg.validate()
-    codeset = load_codeset(cfg)
+    codeset = load_codeset(cfg.codeset)
     diagnostics, report, retained = load_cases(cfg)
     analyses = analyze_segments(cfg, retained)
     rows = assemble_rows(cfg, analyses, codeset)
@@ -394,17 +396,36 @@ def _json_text(obj) -> str:
                       allow_nan=False) + "\n"
 
 
+# one flat object at the depth and with the item separator of indent=2
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                                separators=(",\n    ", ": "))
+
+
+def _json_rows(records) -> str:
+    """``_json_text`` of a list of flat dicts of str, int, float or None,
+    byte for byte, from the C encoder: each object is encoded alone and
+    set in the indent=2 list frame. NaN becomes null."""
+    items = ["{\n    " + _ROW_ENCODER.encode(
+        {k: None if v != v else v for k, v in rec.items()})[1:-1] + "\n  }"
+        for rec in records]
+    return "[\n  " + ",\n  ".join(items) + "\n]\n" if items else "[]\n"
+
+
 def _tsv(rows_of_cells) -> str:
     return "".join("\t".join(cells) + "\n" for cells in rows_of_cells)
 
 
 def _segment_stats(analyses, rows):
-    by_seg = {}
-    for sa in analyses:
+    c_sum, c_count = Counter(), Counter()
+    for r in rows:
+        c_sum[r.segment] += r.c
+        c_count[r.segment] += 1
+    stats = []
+    for sa in sorted(analyses, key=lambda sa: sa.segment.index):
         nm = sa.node_metrics.values()
         n = len(sa.node_metrics)
-        cs = [r.c for r in rows if r.segment == sa.segment.index]
-        by_seg[sa.segment.index] = {
+        k = sa.segment.index
+        stats.append({
             "segment": sa.segment.index,
             "start_day": sa.segment.start_day,
             "end_day_exclusive": sa.segment.end_day_exclusive,
@@ -420,9 +441,9 @@ def _segment_stats(analyses, rows):
                 sum(m.closeness for m in nm) / n if n else 0.0,
             "avg_eigenvector":
                 sum(m.eigenvector for m in nm) / n if n else 0.0,
-            "avg_complications": sum(cs) / len(cs) if cs else 0.0,
-        }
-    return [by_seg[k] for k in sorted(by_seg)]
+            "avg_complications": c_sum[k] / c_count[k] if c_count[k] else 0.0,
+        })
+    return stats
 
 
 _SEGMENT_MEASURES = ("nodes", "edges", "cases", "avg_team_size", "avg_degree",
@@ -450,8 +471,8 @@ def render_node_metrics(sa: SegmentAnalysis):
 def _render_network_data(rows):
     out = [list(ROW_COLUMNS)]
     for r in rows:
-        out.append([r.case_id, str(r.segment)]
-                   + [_fmt(_GETTERS[c](r)) for c in ROW_COLUMNS[2:]])
+        values = _row_values(r)
+        out.append([r.case_id, str(r.segment)] + [_fmt(v) for v in values[2:]])
     return _tsv(out)
 
 
@@ -558,11 +579,11 @@ def _build_manifest(cfg, diagnostics, report, retained, analyses, rows,
         "isolated_nodes": sa.isolated_nodes,
         "outside_largest_component": sa.outside_largest_component,
     } for sa in analyses]
-    iso_cases = 0
-    for sa in analyses:
-        iso = {pid for pid, m in sa.node_metrics.items() if m.degree_raw == 0}
-        iso_cases += sum(1 for case in sa.segment.cases
-                         if iso & case.providers)
+    # cases with a member among the degree-0 columns of the incidence matrix
+    iso_cases = sum(
+        int(np.count_nonzero(
+            sa.bipartite.incidence @ (sa.graph.degrees() == 0).astype(float)))
+        for sa in analyses)
     return {
         "surgnet_version": _VERSION,
         "config": cfg.to_dict(),
@@ -601,9 +622,8 @@ def _render_outputs(cfg, report, analyses, rows, spearman, est, manifest):
         "segments.tsv": _render_segments(stats),
         "segments.json": _json_text(stats),
         "network_data.tsv": _render_network_data(rows),
-        "network_data.json": _json_text(
-            [{c: _GETTERS[c](r) if c in _GETTERS else getattr(r, c)
-              for c in ROW_COLUMNS} for r in rows]),
+        "network_data.json": _json_rows(
+            [dict(zip(ROW_COLUMNS, _row_values(r))) for r in rows]),
         "correlation.tsv": render_correlation(spearman),
         "correlation.json": _json_text({
             "columns": list(spearman.names),

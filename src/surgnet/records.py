@@ -9,6 +9,7 @@ repaired row produces a diagnostic.
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,8 +126,10 @@ def parse_cases(
         Field delimiter, default comma.
     provider_form : {"wide", "long"}
         "wide": one row per case, providers semicolon-joined.
-        "long": one row per (case, provider); scalar fields are taken from
-        the first row seen for each case.
+        "long": one row per (case, provider); scalar fields and dx codes
+        are taken from the first row seen for each case, and every value
+        a later row of the case would change or add is reported as a
+        diagnostic.
     placeholder_ids : set of str
         Lower-cased provider tokens dropped as invalid/generic entries.
 
@@ -161,6 +164,33 @@ def parse_cases(
     finally:
         if close_after:
             stream.close()
+
+
+def _dx_codes(row, dx_cols):
+    """The row's non-empty dx cells, trimmed, in dx column order."""
+    cells = [row[i].strip() for _, i in dx_cols if i < len(row)]
+    return [c for c in cells if c]
+
+
+def _report_discarded(kept: CaseRecord, cell, dx, row_no, diagnostics):
+    """One diagnostic per value of a long-form continuation row that the
+    merge discards: a scalar that differs from the case's first row, and
+    each dx code beyond those the case already holds. Empty cells and
+    repeated values discard nothing."""
+    found = {f: _parse_int(cell(f), f, row_no, diagnostics,
+                           nonneg=f.endswith("offset"))[0]
+             for f in ("day_offset", "end_day_offset", "age", "surgery_type")}
+    if found["age"] is not None:
+        found["age"] = min(found["age"], AGE_CAP)
+    if cell("gender").strip():
+        found["gender"] = _parse_gender(cell("gender"))
+    lost = [f"conflicting {f} {v!r} (kept {getattr(kept, f)!r})"
+            for f, v in found.items() if v is not None and v != getattr(kept, f)]
+    lost += [f"dx code {code!r} beyond the kept codes"
+             for code in (Counter(dx) - Counter(kept.dx_codes)).elements()]
+    diagnostics.extend(ParseDiagnostic(row_no, f"case {kept.case_id}: "
+                                               f"discarded {what}")
+                       for what in lost)
 
 
 def _parse_stream(stream, columns, delimiter, provider_form, placeholders):
@@ -205,13 +235,15 @@ def _parse_stream(stream, columns, delimiter, provider_form, placeholders):
             continue
 
         if provider_form == "long" and case_id in by_id:
-            # merge: only the provider cell matters on continuation rows
+            # merge: providers add up; other values stay from the first row
             pids, dropped = _split_providers(cell("provider"), placeholders)
             if dropped:
                 diagnostics.append(ParseDiagnostic(
                     row_no, f"dropped {dropped} invalid provider id(s) for case {case_id}"))
             idx = by_id[case_id]
             prev = cases[idx]
+            _report_discarded(prev, cell, _dx_codes(row, dx_cols), row_no,
+                              diagnostics)
             cases[idx] = CaseRecord(
                 case_id=prev.case_id, day_offset=prev.day_offset,
                 end_day_offset=prev.end_day_offset,
@@ -242,10 +274,7 @@ def _parse_stream(stream, columns, delimiter, provider_form, placeholders):
             diagnostics.append(ParseDiagnostic(
                 row_no, f"case {case_id} has no valid providers"))
 
-        dx = []
-        for _, i in dx_cols:
-            if i < len(row) and row[i].strip():
-                dx.append(row[i].strip())
+        dx = _dx_codes(row, dx_cols)
         if len(dx) > MAX_DX_CODES:
             diagnostics.append(ParseDiagnostic(
                 row_no, f"case {case_id}: {len(dx)} dx codes, keeping first {MAX_DX_CODES}"))

@@ -419,26 +419,32 @@ def negbin_hessian(params, x, y) -> np.ndarray:
     return h
 
 
-def _moment_alpha(y, mu):
-    """Method-of-moments start for alpha from Poisson residuals."""
+def negbin_start(pois: FitResult, dm: DesignMatrix) -> np.ndarray:
+    """NB2 start (beta..., ln alpha) from a Poisson fit on ``dm``: its
+    coefficients and the method-of-moments alpha of its residuals,
+    floored at 0.01."""
+    y = dm.y.astype(np.float64)
+    mu = np.exp(dm.x @ pois.coef)
     num = float(np.sum((y - mu) ** 2 - mu))
     den = float(np.sum(mu ** 2))
-    return max(0.01, num / den) if den > 0 else 0.01
+    alpha = max(0.01, num / den) if den > 0 else 0.01
+    return np.append(pois.coef, np.log(alpha))
 
 
 def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
     """NB2 MLE over (beta, ln alpha) by Newton iteration with step-halving.
 
-    Warm-started from the Poisson fit (beta) and a method-of-moments
-    alpha floored at 0.01; ``start``, if given, is (beta..., ln_alpha)
-    on the original covariate scale. When the data are equidispersed the
-    iteration drives alpha toward zero, where the likelihood flattens;
-    whether a step crosses the clamp or the gradient dies out above it,
-    any estimate below 1e-6 is reported the same way: alpha frozen at the
-    floor, beta re-optimized there, ``alpha_boundary=True``, and NaN
-    alpha standard errors (the information in ln alpha vanishes, so an
-    interior-style interval would be meaningless). Interior optima report
-    ln-alpha and alpha with delta-method standard errors and intervals.
+    ``start`` is (beta..., ln_alpha) on the original covariate scale; by
+    default it is ``negbin_start`` of a Poisson fit made here, so a caller
+    that already holds that fit passes its ``negbin_start``. When the
+    data are equidispersed the iteration drives alpha toward zero, where
+    the likelihood flattens; whether a step crosses the clamp or the
+    gradient dies out above it, any estimate below 1e-6 is reported the
+    same way: alpha frozen at the floor, beta re-optimized there,
+    ``alpha_boundary=True``, and NaN alpha standard errors (the
+    information in ln alpha vanishes, so an interior-style interval would
+    be meaningless). Interior optima report ln-alpha and alpha with
+    delta-method standard errors and intervals.
     """
     x, y = dm.x, dm.y
     n, p = x.shape
@@ -448,15 +454,11 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
     xs = scaler.x_scaled
 
     if start is None:
-        pois = poisson_fit(dm)
-        mu0 = np.exp(x @ pois.coef)
-        alpha0 = _moment_alpha(y.astype(np.float64), mu0)
-        theta = np.append(scaler.from_original(pois.coef), np.log(alpha0))
-    else:
-        start = np.asarray(start, dtype=np.float64)
-        if start.size != p + 1:
-            raise DataError(f"start must have {p + 1} entries (beta, ln_alpha)")
-        theta = np.append(scaler.from_original(start[:-1]), start[-1])
+        start = negbin_start(poisson_fit(dm), dm)
+    start = np.asarray(start, dtype=np.float64)
+    if start.size != p + 1:
+        raise DataError(f"start must have {p + 1} entries (beta, ln_alpha)")
+    theta = np.append(scaler.from_original(start[:-1]), start[-1])
 
     ll_fn = lambda th: negbin_loglik(th, xs, y)
     g_fn = lambda th: negbin_score(th, xs, y)

@@ -18,7 +18,8 @@ from surgnet.centrality import (
     eigenvector_centrality,
     team_aggregate,
 )
-from surgnet.network import CoworkerGraph
+from surgnet.network import CoworkerGraph, build_bipartite, project_one_mode
+from surgnet.records import Segment
 
 
 def graph(edges, extra_nodes=()):
@@ -273,3 +274,27 @@ def test_team_aggregate_missing_provider_raises():
     m = compute_all(STAR5)
     with pytest.raises(DataError, match="ghost"):
         team_aggregate(make_case(providers=("hub", "ghost")), m)
+
+
+def test_incidence_team_means_equal_team_aggregate_exactly():
+    rng = np.random.default_rng(23)
+    pool = [f"p{i}" for i in range(30)]
+    for _ in range(20):
+        cases = [make_case(f"c{k}", providers=tuple(rng.choice(
+                     pool, size=int(rng.integers(1, 8)), replace=False)))
+                 for k in range(int(rng.integers(1, 40)))]
+        seg = Segment(index=1, start_day=0, end_day_exclusive=365,
+                      cases=tuple(cases))
+        bg = build_bipartite(seg)
+        g = project_one_mode(bg)
+        m = compute_all(g)
+        sizes, means = centrality.team_means(bg.incidence, m, bg.providers)
+        for case, k, row in zip(cases, sizes.tolist(), means.tolist()):
+            team = team_aggregate(case, m)
+            assert (team.team_size, team.avg_betweenness, team.avg_closeness,
+                    team.avg_eigenvector, team.avg_clustering,
+                    team.avg_degree) == (k, *row)
+            # the plain left-to-right sum over sorted provider ids
+            members = [m[p] for p in sorted(case.providers)]
+            assert row == [sum(getattr(t, f) for t in members) / k
+                           for f in centrality.TEAM_MEASURES]

@@ -4,9 +4,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_case
+from surgnet import complications
 from surgnet.complications import (
     ComplicationCodeset,
     count_complications,
@@ -16,6 +19,11 @@ from surgnet.complications import (
 from surgnet.errors import DataError
 
 CODESET = ComplicationCodeset.embedded()
+# a second codeset alive in the same process: a bare class, a subset, and
+# an order different from the embedded one
+OTHER = ComplicationCodeset([("998", "Complications of procedures"),
+                             ("997.3", "Respiratory complications"),
+                             ("996.5", "Mechanical, other prosthetic")])
 
 
 def test_embedded_codeset_shape():
@@ -94,6 +102,46 @@ def test_counts_match_prefix_scan_oracle_on_random_codes():
         case = make_case(dx=dx)
         assert count_complications(case, CODESET) == \
             oracles.count_by_prefix_scan(dx, prefixes)
+
+
+# raw dx cells over the shapes the matcher tells apart: bare classes,
+# subcategories with and without the point, trailing letters, V/E codes
+RAW_CODES = st.one_of(
+    st.builds(str.__add__,
+              st.sampled_from(["996", "997", "998", "999", "250", "401"]),
+              st.sampled_from(["", ".", "5", "52", ".5", ".52", ".59",
+                               "5A", ".5A", ".A", "A1"])),
+    st.from_regex(r"[VvEe][0-9]{2,3}(\.[0-9]{1,2})?", fullmatch=True),
+    st.text(alphabet="0123456789.VEA ", min_size=1, max_size=7)
+    .filter(str.strip),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RAW_CODES, max_size=12))
+def test_memoized_match_is_the_scanned_entry(raw):
+    for codeset in (CODESET, OTHER):
+        scanned = [complications._scan(normalize_icd9(r), codeset) for r in raw]
+        for r, entry in zip(raw, scanned):
+            # first call may fill the memo, the second reads it
+            assert match_complication(normalize_icd9(r), codeset) is entry
+            assert match_complication(normalize_icd9(r), codeset) is entry
+        case = make_case(dx=raw)
+        assert count_complications(case, codeset) == \
+            sum(e is not None for e in scanned)
+        assert count_complications(case, codeset, distinct=True) == \
+            len({e.prefix for e in scanned if e is not None})
+
+
+def test_memo_is_per_codeset():
+    assert match_complication("998", CODESET).prefix == "998.0"
+    assert match_complication("998", OTHER).prefix == "998"
+    assert match_complication("998.59", CODESET).prefix == "998.5"
+    assert match_complication("998.59", OTHER) is None
+    assert match_complication("996.52", OTHER).prefix == "996.5"
+    assert match_complication("996.52", CODESET).prefix == "996.5"
+    assert match_complication("996.52", OTHER) is not \
+        match_complication("996.52", CODESET)
 
 
 def test_codeset_file_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -133,7 +134,11 @@ def test_projection_equals_union_of_cliques_on_random_segments():
             size = int(rng.integers(1, min(6, len(pool)) + 1))
             team = rng.choice(pool, size=size, replace=False)
             cases.append(make_case(f"c{k}", providers=tuple(team)))
-        g = project_one_mode(build_bipartite(seg(cases)))
+        # solo cases of providers who work with nobody else: isolated nodes
+        solos = [f"solo{k}" for k in range(int(rng.integers(0, 3)))]
+        cases += [make_case(f"s{p}", providers=(p,)) for p in solos]
+        bg = build_bipartite(seg(cases))
+        g = project_one_mode(bg)
 
         expected_edges = set()
         for c in cases:
@@ -145,3 +150,15 @@ def test_projection_equals_union_of_cliques_on_random_segments():
         for c in cases:  # each team really is a clique
             for u, v in itertools.combinations(sorted(c.providers), 2):
                 assert g.has_edge(u, v)
+        for p in solos:
+            assert g.neighbors(p) == ()
+        # B^T B off the diagonal: each pair's shared cases
+        assert g.pair_counts == Counter(
+            pair for c in cases
+            for pair in itertools.combinations(sorted(c.providers), 2))
+        # the incidence rows: each case's team in provider-id order
+        b = bg.incidence
+        for r, c in enumerate(cases):
+            row = b.indices[b.indptr[r]:b.indptr[r + 1]]
+            assert [bg.providers[j] for j in row] == sorted(c.providers)
+        assert bg.edges == {(c.case_id, p) for c in cases for p in c.providers}

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from surgnet import pipeline
 from surgnet.errors import ConfigError, ConvergenceError, DataError
@@ -266,6 +268,22 @@ def test_manifest_contents(run):
         assert s["nodes"] >= s["outside_largest_component"] >= 0
 
 
+def test_manifest_counts_cases_with_isolated_providers(dataset, tmp_path):
+    # three solo cases on two providers who work with nobody else, so two
+    # isolated nodes; the base roster has none
+    path = tmp_path / "cases.csv"
+    path.write_text(Path(dataset["cases"]).read_text()
+                    + "s1,3,5,60,M,1,solo1\ns2,4,6,60,F,1,solo1\n"
+                    + "s3,100,102,60,M,1,solo2\n")
+    result = run_pipeline(PipelineConfig(
+        input_path=str(path), output_dir=str(tmp_path / "out"),
+        window_days=90), write=False)
+    network = result.manifest["stages"]["network"]
+    assert network["cases_with_isolated_providers"] == 3
+    isolated = sum(s["isolated_nodes"] for s in network["per_segment"])
+    assert isolated == 2
+
+
 def test_rerun_is_byte_identical(run, dataset):
     cfg = run.config
     again = run_pipeline(cfg)
@@ -313,3 +331,32 @@ def test_distinct_complications_flag_reduces_counts(dataset, tmp_path):
     total_distinct = sum(r.c for r in run_pipeline(distinct, write=False).rows)
     assert total_distinct <= total
     assert total_distinct > 0
+
+
+# ---------------------------------------------------------------------------
+# network_data.json row encoder
+
+
+def _row(**values):
+    rec = {"case_id": "c1", "segment": 1, "C": 0, "age": 50, "teamSize": 2,
+           "typSurgery": 1, "dMale": 1, "avgBtwn": 0.1, "avgClos": 0.25,
+           "avgEigen": 1.0, "avgClust": 0.0, "avgDeg": 1 / 3}
+    rec.update(values)
+    return rec
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fixed_dictionaries({
+    "case_id": st.text(max_size=8),
+    "age": st.none() | st.integers(-5, 200),
+    "avgBtwn": st.floats(allow_infinity=False),
+    "C": st.integers(0, 60),
+}), max_size=5))
+@example([])
+@example([_row(), _row(age=None, typSurgery=None),
+          _row(avgBtwn=float("nan"), avgDeg=np.float64("nan")),
+          _row(case_id='q"uo\\te\n'),
+          _row(case_id="ca\u00efs\u00e9-\u2713-\U0001f600"),
+          _row(avgClos=1e-300, avgEigen=-0.0, C=10 ** 20)])
+def test_row_encoder_equals_json_text(rows):
+    assert pipeline._json_rows(rows) == pipeline._json_text(rows)

@@ -154,6 +154,36 @@ def test_long_form_merges_providers():
     assert cases[1].providers == frozenset({"c"})
 
 
+def test_long_form_reports_every_discarded_continuation_value():
+    text = ("case_id,day_offset,end_day_offset,age,gender,surgery_type,"
+            "provider,dx_1,dx_2\n"
+            "c1,0,2,95,M,1,a,998.5,\n"
+            # same values (age 95 caps to the kept 90), an empty cell, the
+            # kept dx code: nothing is lost
+            "c1,0,,95,male,1,b,998.5,\n"
+            # five conflicting scalars, then two codes beyond the kept
+            # one, then an unparseable day
+            "c1,3,4,70,F,2,c,998.5,997.1\n"
+            "c1,,,,,,d,998.5,998.5\n"
+            "c1,x,,,,,e,,\n")
+    cases, diags = read_cases_text(text, provider_form="long")
+    assert len(cases) == 1
+    c1 = cases[0]
+    assert c1.providers == frozenset("abcde")
+    assert (c1.day_offset, c1.end_day_offset, c1.age, c1.gender,
+            c1.surgery_type, c1.dx_codes) == (0, 2, 90, "male", 1, ("998.5",))
+    assert [(d.row, d.message) for d in diags] == [
+        (4, "case c1: discarded conflicting day_offset 3 (kept 0)"),
+        (4, "case c1: discarded conflicting end_day_offset 4 (kept 2)"),
+        (4, "case c1: discarded conflicting age 70 (kept 90)"),
+        (4, "case c1: discarded conflicting surgery_type 2 (kept 1)"),
+        (4, "case c1: discarded conflicting gender 'female' (kept 'male')"),
+        (4, "case c1: discarded dx code '997.1' beyond the kept codes"),
+        (5, "case c1: discarded dx code '998.5' beyond the kept codes"),
+        (6, "non-numeric day_offset: 'x'"),
+    ]
+
+
 def test_bad_provider_form_raises_config_error():
     with pytest.raises(ConfigError, match="provider_form"):
         read_cases_text(HEADER + "\nc1,0,1,50,M,1,a\n", provider_form="tall")

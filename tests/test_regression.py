@@ -386,6 +386,14 @@ def test_negbin_explicit_start_agrees_with_warm_start():
     assert default.alpha == pytest.approx(explicit.alpha, abs=1e-6)
     with pytest.raises(DataError, match="entries"):
         negbin_fit(dm, start=np.zeros(2))
+    # the start of a Poisson fit the caller holds is the default, exactly
+    pois = poisson_fit(dm)
+    start = reg.negbin_start(pois, dm)
+    assert np.array_equal(start[:-1], pois.coef)
+    held = negbin_fit(dm, start=start)
+    assert np.array_equal(held.coef, default.coef)
+    assert (held.ln_alpha, held.log_likelihood, held.iterations) == \
+        (default.ln_alpha, default.log_likelihood, default.iterations)
 
 
 def test_lr_test_alpha():
