@@ -14,14 +14,16 @@ normalized to [0, 1]:
 * clustering: edges among neighbors / (deg * (deg - 1) / 2)
 
 Every measure derives from the graph's sparse adjacency matrix A
-(``CoworkerGraph.adjacency``). Betweenness and closeness share one
-shortest-path engine, the algebraic form of Brandes' algorithm (Brandes
-2001; Kepner & Gilbert 2011): a BFS from a block of sources at once is a
+(``CoworkerGraph.adjacency``). Betweenness, closeness and clustering come
+from one pass, the algebraic form of Brandes' algorithm (Brandes 2001;
+Kepner & Gilbert 2011): a BFS from a block of sources at once is a
 sequence of sparse products with A, and the dependency sweep runs the
-same products backwards level by level. Components come from
-``scipy.sparse.csgraph``, the eigenvector iteration multiplies by A
-restricted to the largest component, and triangles come from
-(A @ A) * A.
+same products backwards level by level. The pass's level-2 product,
+read at the sources' neighbors, is the masked A^2 column block of
+SpGEMM triangle counting (Azad, Buluc & Gilbert 2015), so triangles
+need no product of their own. Components come from
+``scipy.sparse.csgraph`` and the eigenvector iteration multiplies by A
+restricted to the largest component.
 
 Team averages take every case of a segment at once from the case x
 provider incidence matrix B of ``network.build_bipartite``: team sizes
@@ -67,27 +69,35 @@ class TeamMetrics:
 
 
 # ---------------------------------------------------------------------------
-# blocked multi-source BFS over the sparse adjacency
+# one blocked multi-source BFS behind betweenness, closeness and clustering
 
 # Sources per BFS block are chosen so that each node-by-source work array
 # of a block holds at most this many cells (1 MiB as float64).
 _BLOCK_CELLS = 1 << 17
 
 
-def _bfs_blocks(a):
-    """Breadth-first search from every node, a block of sources at a time.
+def _geodesic_measures(a):
+    """Betweenness, closeness and clustering arrays from one BFS pass.
 
-    ``a`` is the symmetric sparse adjacency matrix. Yields
-    ``(sources, dist, sigma)`` per block, where column j of the
-    (n, len(sources)) arrays belongs to ``sources[j]``: ``dist`` is the
-    hop distance (-1 where unreachable) and ``sigma`` the number of
-    shortest paths. Each level multiplies the frontier's path counts by
-    the adjacency (``a @ frontier``, the transpose of frontier @ A since
-    A is symmetric) and keeps the entries of unvisited nodes, so path
-    counts are summed over all predecessors and ties need no breaking.
+    ``a`` is the symmetric sparse adjacency matrix. The search runs from
+    a block of sources at a time; column j of the (n, len(sources))
+    arrays belongs to ``sources[j]``: ``dist`` is the hop distance (-1
+    where unreachable) and ``sigma`` the number of shortest paths. Each
+    level multiplies the frontier's path counts by the adjacency (``a @
+    frontier``, the transpose of frontier @ A since A is symmetric) and
+    keeps the entries of unvisited nodes, so path counts are summed over
+    all predecessors and ties need no breaking. The level-2 product, read
+    before that mask at the source's neighbors, is A^2 there: twice the
+    source's triangles. A backward sweep then pushes pair dependencies
+    down the shortest-path DAG: with W = (1 + delta) / sigma on level k,
+    the nodes on level k - 1 gain sigma * (A @ W).
     """
     n = a.shape[0]
-    height = max(1, _BLOCK_CELLS // n)
+    dependency = np.zeros(n)
+    twice_triangles = np.zeros(n)
+    reach = np.zeros(n, dtype=np.int64)
+    dist_sum = np.zeros(n, dtype=np.int64)
+    height = max(1, _BLOCK_CELLS // max(n, 1))
     for start in range(0, n, height):
         sources = np.arange(start, min(start + height, n))
         cols = np.arange(sources.size)
@@ -98,6 +108,8 @@ def _bfs_blocks(a):
         frontier, level = sigma, 0
         while True:
             frontier = a @ frontier
+            if level == 1:
+                twice_triangles[sources] = (frontier * (dist == 1)).sum(axis=0)
             frontier[dist >= 0] = 0.0
             fresh = frontier > 0
             if not fresh.any():
@@ -105,82 +117,35 @@ def _bfs_blocks(a):
             level += 1
             dist[fresh] = level
             sigma += frontier
-        yield sources, dist, sigma
 
-
-def connected_components(g: CoworkerGraph):
-    """Components as frozensets of ids, largest first (ties: earliest node)."""
-    # labels increase with the smallest node index in the component
-    _, labels = csgraph.connected_components(g.adjacency(), directed=False)
-    comps = {}
-    for i, lab in enumerate(labels):
-        comps.setdefault(int(lab), []).append(g.nodes[i])
-    ordered = sorted(comps, key=lambda lab: (-len(comps[lab]), lab))
-    return [frozenset(comps[lab]) for lab in ordered]
-
-
-# ---------------------------------------------------------------------------
-# the five measures
-
-
-def degree_centrality(g: CoworkerGraph):
-    """Per-node (raw, normalized) degree; normalized by n - 1."""
-    n = g.n_nodes
-    raw = g.degrees()
-    scale = 1.0 / (n - 1) if n >= 2 else 0.0
-    return {u: (int(raw[i]), raw[i] * scale) for i, u in enumerate(g.nodes)}
-
-
-def betweenness_centrality(g: CoworkerGraph):
-    """Exact normalized betweenness by Brandes dependency accumulation.
-
-    The blocked BFS gives distances and geodesic counts per source; a
-    backward sweep then pushes pair dependencies down the shortest-path
-    DAG one level at a time: with W = (1 + delta) / sigma on level k,
-    the nodes on level k - 1 gain sigma * (A @ W). Raw scores count
-    unordered pairs and are divided by (n - 1)(n - 2) / 2.
-    """
-    n = g.n_nodes
-    if n < 3:
-        return {u: 0.0 for u in g.nodes}
-    a = g.adjacency()
-    bc = np.zeros(n, dtype=np.float64)
-
-    for _, dist, sigma in _bfs_blocks(a):
+        reached = dist >= 0
+        reach[sources] = reached.sum(axis=0)
+        dist_sum[sources] = np.where(reached, dist, 0).sum(axis=0)
         delta = np.zeros_like(sigma)
         # the sweep stops at level 1: a source gains no dependency
-        for level in range(int(dist.max()), 1, -1):
+        for k in range(level, 1, -1):
             w = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma),
-                          where=dist == level)
-            delta += np.where(dist == level - 1, (a @ w) * sigma, 0.0)
-        bc += delta.sum(axis=1)
+                          where=dist == k)
+            delta += np.where(dist == k - 1, (a @ w) * sigma, 0.0)
+        dependency += delta.sum(axis=1)
 
-    # each unordered pair was counted from both endpoints
-    bc /= 2.0
-    bc /= (n - 1) * (n - 2) / 2.0
-    return {u: float(bc[i]) for i, u in enumerate(g.nodes)}
-
-
-def closeness_centrality(g: CoworkerGraph):
-    """Component-corrected closeness from BFS distances.
-
-    Within a component of size n_C the value is (n_C - 1) / sum(d(i, j)),
-    scaled by (n_C - 1) / (n - 1) so components of different sizes stay
-    comparable. Isolated nodes get 0.
-    """
-    n = g.n_nodes
-    out = np.zeros(n, dtype=np.float64)
-    if n >= 2:
-        for sources, dist, _ in _bfs_blocks(g.adjacency()):
-            reach = dist >= 0
-            n_c = reach.sum(axis=0)
-            total = np.where(reach, dist, 0).sum(axis=0)
-            ok = n_c > 1
-            out[sources[ok]] = (n_c[ok] - 1) / total[ok] * (n_c[ok] - 1) / (n - 1)
-    return {u: float(out[i]) for i, u in enumerate(g.nodes)}
+    betweenness = np.zeros(n)
+    if n >= 3:
+        # each unordered pair was counted from both endpoints
+        betweenness = dependency / 2.0
+        betweenness /= (n - 1) * (n - 2) / 2.0
+    closeness = np.zeros(n)
+    ok = reach > 1
+    closeness[ok] = (reach[ok] - 1) / dist_sum[ok] * (reach[ok] - 1) / (n - 1)
+    deg = np.diff(a.indptr).astype(np.float64)
+    possible = deg * (deg - 1) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        clustering = np.where(possible > 0, twice_triangles / 2.0 / possible,
+                              0.0)
+    return betweenness, closeness, clustering
 
 
-def eigenvector_centrality(g: CoworkerGraph, tol=1e-10, max_iter=10000):
+def _eigenvector(a, tol, max_iter):
     """Principal-eigenvector centrality of the largest connected component.
 
     Power iteration with L2 renormalization on the shifted matrix A + I:
@@ -191,18 +156,14 @@ def eigenvector_centrality(g: CoworkerGraph, tol=1e-10, max_iter=10000):
     difference between successive normalized iterates drops below ``tol``;
     the final vector is rescaled so its maximum entry is 1. Nodes outside
     the largest component get 0.
-
-    Raises ConvergenceError with the last residual if ``max_iter`` is
-    exhausted.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = g.n_nodes
+    n = a.shape[0]
     values = np.zeros(n, dtype=np.float64)
     if n == 0:
-        return {}
+        return values
 
-    a = g.adjacency()
     _, labels = csgraph.connected_components(a, directed=False)
     sizes = np.bincount(labels)
     lcc = int(np.argmax(sizes))  # ties: smallest label = earliest node
@@ -226,44 +187,75 @@ def eigenvector_centrality(g: CoworkerGraph, tol=1e-10, max_iter=10000):
                 f"iterations (last residual {residual:.3e})",
                 trace={"iterations": max_iter, "residual": residual})
         values[members] = x / x.max()
+    return values
 
-    return {u: float(values[i]) for i, u in enumerate(g.nodes)}
+
+def connected_components(g: CoworkerGraph):
+    """Components as frozensets of ids, largest first (ties: earliest node)."""
+    # labels increase with the smallest node index in the component
+    _, labels = csgraph.connected_components(g.adjacency(), directed=False)
+    comps = {}
+    for i, lab in enumerate(labels):
+        comps.setdefault(int(lab), []).append(g.nodes[i])
+    ordered = sorted(comps, key=lambda lab: (-len(comps[lab]), lab))
+    return [frozenset(comps[lab]) for lab in ordered]
+
+
+# ---------------------------------------------------------------------------
+# the five measures; a standalone betweenness, closeness or clustering
+# call runs the whole BFS pass
+
+
+def _degrees(g):
+    raw = g.degrees()
+    return raw, raw * (1.0 / (g.n_nodes - 1) if g.n_nodes >= 2 else 0.0)
+
+
+def _by_node(g, values):
+    return dict(zip(g.nodes, values.tolist()))
+
+
+def degree_centrality(g: CoworkerGraph):
+    """Per-node (raw, normalized) degree; normalized by n - 1."""
+    raw, degree = _degrees(g)
+    return dict(zip(g.nodes, zip(raw.tolist(), degree.tolist())))
+
+
+def betweenness_centrality(g: CoworkerGraph):
+    """Exact normalized betweenness by Brandes dependency accumulation."""
+    return _by_node(g, _geodesic_measures(g.adjacency())[0])
+
+
+def closeness_centrality(g: CoworkerGraph):
+    """Component-corrected closeness from BFS distances."""
+    return _by_node(g, _geodesic_measures(g.adjacency())[1])
+
+
+def eigenvector_centrality(g: CoworkerGraph, tol=1e-10, max_iter=10000):
+    """Eigenvector centrality of ``_eigenvector``, keyed by provider id.
+
+    Raises ConvergenceError with the last residual if ``max_iter`` is
+    exhausted.
+    """
+    return _by_node(g, _eigenvector(g.adjacency(), tol, max_iter))
 
 
 def clustering_coefficient(g: CoworkerGraph):
-    """Local clustering: realized neighbor-pair edges over possible ones.
-
-    Triangles per node are the row sums of (A @ A) * A over two, from a
-    sparse product. Nodes of degree < 2 get 0.
-    """
-    a = g.adjacency()
-    deg = g.degrees().astype(np.float64)
-    triangles = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel() / 2.0
-    possible = deg * (deg - 1) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cc = np.where(possible > 0, triangles / possible, 0.0)
-    return {u: float(cc[i]) for i, u in enumerate(g.nodes)}
+    """Local clustering: realized neighbor-pair edges over possible ones."""
+    return _by_node(g, _geodesic_measures(g.adjacency())[2])
 
 
 def compute_all(g: CoworkerGraph, eig_tol=1e-10, eig_max_iter=10000):
-    """All five measures per provider, keyed by provider id."""
-    deg = degree_centrality(g)
-    btw = betweenness_centrality(g)
-    clo = closeness_centrality(g)
-    eig = eigenvector_centrality(g, tol=eig_tol, max_iter=eig_max_iter)
-    clu = clustering_coefficient(g)
-    return {
-        u: NodeMetrics(
-            provider_id=u,
-            degree_raw=deg[u][0],
-            degree=deg[u][1],
-            betweenness=btw[u],
-            closeness=clo[u],
-            eigenvector=eig[u],
-            clustering=clu[u],
-        )
-        for u in g.nodes
-    }
+    """All five measures per provider, keyed by provider id.
+
+    Runs the BFS pass once for betweenness, closeness and clustering.
+    """
+    a = g.adjacency()
+    betweenness, closeness, clustering = _geodesic_measures(a)
+    columns = (*_degrees(g), betweenness, closeness,
+               _eigenvector(a, eig_tol, eig_max_iter), clustering)
+    return {u: NodeMetrics(u, *values)
+            for u, values in zip(g.nodes, zip(*(c.tolist() for c in columns)))}
 
 
 # NodeMetrics fields averaged over a team, in TeamMetrics field order

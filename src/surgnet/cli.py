@@ -10,6 +10,7 @@ overridden with the SURGNET_OUTPUT_DIR environment variable (an explicit
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__, pipeline, records, synth
 from .complications import count_complications
@@ -19,54 +20,58 @@ from .network import write_edge_list
 ENV_OUTPUT_DIR = "SURGNET_OUTPUT_DIR"
 
 
-def _add_ingest_args(p):
-    p.add_argument("input", help="case file (delimited text with header)")
-    p.add_argument("--delimiter", default=",", help="field delimiter")
-    p.add_argument("--provider-form", choices=("wide", "long"), default="wide",
+# Every flag that sets a PipelineConfig field has that field as its dest
+# and defaults to None: an absent flag leaves the value to the environment,
+# the config file or the PipelineConfig default.
+
+
+def _add_format_args(p):
+    p.add_argument("--delimiter", help="field delimiter")
+    p.add_argument("--provider-form", choices=("wide", "long"),
                    help="providers semicolon-joined per case (wide) or one "
                         "provider per row (long)")
 
 
+def _add_ingest_args(p):
+    p.add_argument("input_path", metavar="input",
+                   help="case file (delimited text with header)")
+    _add_format_args(p)
+
+
 def _add_window_args(p):
-    p.add_argument("--window-days", type=int, default=365,
+    p.add_argument("--window-days", type=int,
                    help="segment window length in days")
 
 
 def _add_metric_args(p):
-    p.add_argument("--eig-tol", type=float, default=1e-10,
+    p.add_argument("--eig-tol", type=float,
                    help="eigenvector power-iteration tolerance")
-    p.add_argument("--eig-max-iter", type=int, default=10000,
+    p.add_argument("--eig-max-iter", type=int,
                    help="eigenvector power-iteration cap")
 
 
 def _add_codeset_args(p):
-    p.add_argument("--codeset", default="embedded",
+    p.add_argument("--codeset",
                    help="complication codeset file, or 'embedded'")
-    p.add_argument("--distinct", action="store_true",
+    p.add_argument("--distinct", dest="distinct_complications",
+                   action="store_true", default=None,
                    help="count each matching code once per case")
 
 
-def _resolve_output_dir(flag_value, config_value=None):
-    if flag_value:
-        return flag_value
-    env = os.environ.get(ENV_OUTPUT_DIR)
-    if env:
-        return env
-    return config_value if config_value else "surgnet_out"
-
-
-def _config_from_args(args) -> pipeline.PipelineConfig:
-    cfg = pipeline.PipelineConfig(
-        input_path=args.input,
-        output_dir=_resolve_output_dir(getattr(args, "output_dir", None)),
-        window_days=getattr(args, "window_days", 365),
-        delimiter=args.delimiter,
-        provider_form=args.provider_form,
-        eig_tol=getattr(args, "eig_tol", 1e-10),
-        eig_max_iter=getattr(args, "eig_max_iter", 10000),
-        codeset=getattr(args, "codeset", "embedded"),
-        distinct_complications=getattr(args, "distinct", False),
-    )
+def _config(args) -> pipeline.PipelineConfig:
+    """flag > SURGNET_OUTPUT_DIR > config file > PipelineConfig default."""
+    given = vars(args)
+    overrides = {f.name: given.get(f.name)
+                 for f in fields(pipeline.PipelineConfig)}
+    overrides["output_dir"] = (overrides["output_dir"]
+                               or os.environ.get(ENV_OUTPUT_DIR) or None)
+    if given.get("config"):
+        cfg = pipeline.PipelineConfig.from_file(given["config"], **overrides)
+    else:
+        cfg = pipeline.PipelineConfig(
+            **{k: v for k, v in overrides.items() if v is not None})
+    if not cfg.input_path:
+        raise ConfigError("run needs --input (or --config with input_path)")
     return cfg.validate()
 
 
@@ -96,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metric_args(p)
     p.add_argument("--segment", type=int, default=None,
                    help="restrict output to one segment index")
-    p.add_argument("--output-dir", default=None,
+    p.add_argument("--output-dir",
                    help="where to write node_metrics_seg<k>.tsv")
     p.add_argument("--save-edges", action="store_true",
                    help="also write edges_seg<k>.tsv edge lists")
@@ -125,16 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_regress)
 
     p = sub.add_parser("run", help="full pipeline, all artifacts to disk")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--input", default=None, help="case file (overrides config)")
-    p.add_argument("--output-dir", default=None)
-    p.add_argument("--window-days", type=int, default=None)
-    p.add_argument("--delimiter", default=None)
-    p.add_argument("--provider-form", choices=("wide", "long"), default=None)
-    p.add_argument("--eig-tol", type=float, default=None)
-    p.add_argument("--eig-max-iter", type=int, default=None)
-    p.add_argument("--codeset", default=None)
-    p.add_argument("--distinct", action="store_true", default=None)
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--input", dest="input_path", metavar="INPUT",
+                   help="case file (overrides config)")
+    p.add_argument("--output-dir")
+    _add_format_args(p)
+    _add_window_args(p)
+    _add_metric_args(p)
+    _add_codeset_args(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a synthetic case file")
@@ -150,11 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="synthetic_cases.csv")
     p.add_argument("--truth-out", default=None,
                    help="sidecar truth file (default: <out>.truth.json)")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth,
+                   window_days=pipeline.PipelineConfig.window_days)
 
     p = sub.add_parser("dump-codeset",
                        help="print the complication codeset (prefix<TAB>definition)")
-    p.add_argument("--codeset", default="embedded")
+    p.add_argument("--codeset", default=pipeline.PipelineConfig.codeset)
     p.set_defaults(func=cmd_dump_codeset)
 
     return top
@@ -164,14 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 
 
-def _parsed_cases(args):
-    cases, diagnostics = records.parse_cases(
-        args.input, delimiter=args.delimiter, provider_form=args.provider_form)
-    return cases, diagnostics
-
-
 def cmd_ingest_check(args):
-    cases, diagnostics = _parsed_cases(args)
+    cfg = _config(args)
+    cases, diagnostics = records.parse_cases(
+        cfg.input_path, delimiter=cfg.delimiter,
+        provider_form=cfg.provider_form)
     retained, report = records.apply_exclusions(cases)
     print(f"cases parsed\t{len(cases)}")
     print(f"parse diagnostics\t{len(diagnostics)}")
@@ -186,11 +187,9 @@ def cmd_ingest_check(args):
 
 
 def cmd_segment(args):
-    cases, _ = _parsed_cases(args)
-    retained, _ = records.apply_exclusions(cases)
-    if not retained:
-        raise DataError("no cases after exclusion")
-    segments = records.segment_cases(retained, window_days=args.window_days)
+    cfg = _config(args)
+    _, _, retained = pipeline.load_cases(cfg)
+    segments = records.segment_cases(retained, window_days=cfg.window_days)
     print("segment\tstart_day\tend_day_exclusive\tdays\tcases")
     for seg in segments:
         print(f"{seg.index}\t{seg.start_day}\t{seg.end_day_exclusive}"
@@ -199,14 +198,14 @@ def cmd_segment(args):
 
 
 def cmd_metrics(args):
-    cfg = _config_from_args(args)
+    cfg = _config(args)
     _, _, retained = pipeline.load_cases(cfg)
     analyses = pipeline.analyze_segments(cfg, retained)
     if args.segment is not None:
         analyses = [sa for sa in analyses if sa.segment.index == args.segment]
         if not analyses:
             raise ConfigError(f"no segment with index {args.segment}")
-    outdir = _resolve_output_dir(args.output_dir)
+    outdir = cfg.output_dir
     outputs = {f"node_metrics_seg{sa.segment.index}.tsv":
                pipeline.render_node_metrics(sa) for sa in analyses}
     pipeline.write_outputs(outputs, outdir)
@@ -225,18 +224,19 @@ def cmd_metrics(args):
 
 
 def cmd_outcomes(args):
-    cfg = _config_from_args(args)
+    cfg = _config(args)
     codeset = pipeline.load_codeset(cfg.codeset)
     _, _, retained = pipeline.load_cases(cfg)
     print("case_id\tC")
     for case in sorted(retained, key=lambda c: c.case_id):
-        print(f"{case.case_id}\t"
-              f"{count_complications(case, codeset, distinct=args.distinct)}")
+        count = count_complications(case, codeset,
+                                    distinct=cfg.distinct_complications)
+        print(f"{case.case_id}\t{count}")
     return 0
 
 
 def _joined_rows(args):
-    cfg = _config_from_args(args)
+    cfg = _config(args)
     codeset = pipeline.load_codeset(cfg.codeset)
     _, _, retained = pipeline.load_cases(cfg)
     analyses = pipeline.analyze_segments(cfg, retained)
@@ -259,27 +259,7 @@ def cmd_regress(args):
 
 
 def cmd_run(args):
-    # flag > environment > config file > dataclass default; None here
-    # means "not overridden", so a config-file value can still apply
-    overrides = {
-        "input_path": args.input,
-        "output_dir": args.output_dir or os.environ.get(ENV_OUTPUT_DIR) or None,
-        "window_days": args.window_days,
-        "delimiter": args.delimiter,
-        "provider_form": args.provider_form,
-        "eig_tol": args.eig_tol,
-        "eig_max_iter": args.eig_max_iter,
-        "codeset": args.codeset,
-        "distinct_complications": args.distinct,
-    }
-    if args.config:
-        cfg = pipeline.PipelineConfig.from_file(args.config, **overrides)
-    else:
-        if not args.input:
-            raise ConfigError("run needs --input (or --config with input_path)")
-        cfg = pipeline.PipelineConfig(
-            **{k: v for k, v in overrides.items() if v is not None})
-    result = pipeline.run_pipeline(cfg.validate())
+    result = pipeline.run_pipeline(_config(args))
     nb = result.estimation.negbin
     print(f"cases used\t{len(result.rows)}")
     print(f"segments\t{len(result.analyses)}")

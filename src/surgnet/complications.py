@@ -94,7 +94,7 @@ class ComplicationCodeset:
         entries = []
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read codeset file {path}: {exc}") from exc
         for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip():

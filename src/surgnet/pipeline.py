@@ -47,7 +47,7 @@ CONVENTIONS = {
 class PipelineConfig:
     """Everything a run depends on; hashed into the manifest."""
 
-    input_path: str
+    input_path: str = ""
     output_dir: str = "surgnet_out"
     window_days: int = 365
     delimiter: str = ","
@@ -118,7 +118,7 @@ class PipelineConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc

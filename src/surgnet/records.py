@@ -161,6 +161,8 @@ def parse_cases(
 
     try:
         return _parse_stream(stream, columns, delimiter, provider_form, placeholder_ids)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read case file {source}: {exc}") from exc
     finally:
         if close_after:
             stream.close()

@@ -1,7 +1,12 @@
 """Node-level network measures against fixtures and independent oracles."""
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
@@ -216,6 +221,41 @@ def test_multi_block_graph_matches_oracles():
                     rtol=0, atol=1e-12)
     assert_allclose([cl[v] for v in g.nodes], [cl_ref[v] for v in g.nodes],
                     rtol=0, atol=1e-12)
+    # both count neighbor links as integers over k(k-1)/2
+    cc = clustering_coefficient(g)
+    cc_ref = oracles.clustering_by_triples(nodes, edges)
+    assert [cc[v] for v in g.nodes] == [cc_ref[v] for v in g.nodes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_nodes=st.integers(1, 12),
+       shape=st.sampled_from(["random", "complete", "empty"]),
+       isolated=st.integers(0, 3), block_cells=st.integers(1, 64))
+@example(seed=0, max_nodes=1, shape="empty", isolated=0, block_cells=1)
+@example(seed=1, max_nodes=9, shape="complete", isolated=2, block_cells=20)
+def test_compute_all_equals_standalone_measures(seed, max_nodes, shape,
+                                                isolated, block_cells):
+    # small block heights make the sources of one graph span several blocks
+    nodes, edges = oracles.random_edge_set(np.random.default_rng(seed),
+                                           max_nodes=max_nodes)
+    if shape == "complete":
+        edges = list(itertools.combinations(nodes, 2))
+    elif shape == "empty":
+        edges = []
+    nodes += [f"z{i}" for i in range(isolated)]
+    g = CoworkerGraph(nodes, edges)
+    with mock.patch.object(centrality, "_BLOCK_CELLS", block_cells):
+        m = compute_all(g)
+        dg = degree_centrality(g)
+        bc = betweenness_centrality(g)
+        cl = closeness_centrality(g)
+        ev = eigenvector_centrality(g)
+        cc = clustering_coefficient(g)
+    assert [(m[v].degree_raw, m[v].degree, m[v].betweenness, m[v].closeness,
+             m[v].eigenvector, m[v].clustering) for v in g.nodes] == \
+        [(*dg[v], bc[v], cl[v], ev[v], cc[v]) for v in g.nodes]
+    cc_ref = oracles.clustering_by_triples(nodes, edges)
+    assert [cc[v] for v in g.nodes] == [cc_ref[v] for v in g.nodes]
 
 
 def test_sparse_clustering_path_agrees_with_dense():

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, output routing."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,6 +185,68 @@ def test_run_mistyped_config_value_is_config_error(dataset, tmp_path, capsys,
     rc = cli.main(["run", "--config", str(cfg)])
     assert rc == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest-check", "segment"])
+def test_bad_delimiter_flag_is_config_error(dataset, capsys, command):
+    rc = cli.main([command, str(dataset), "--delimiter", "ab"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "delimiter" in err and err.count("\n") == 1
+
+
+def test_run_config_without_input_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "no_input.json"
+    cfg.write_text(json.dumps({"window_days": 80}))
+    rc = cli.main(["run", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "needs --input" in err and err.count("\n") == 1
+
+
+def _not_utf8(path, text):
+    path.write_bytes(text.encode() + b"\xff\xfe\n")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest-check", "{case}"],
+    ["run", "--input", "{case}", "--output-dir", "{out}"],
+])
+def test_undecodable_case_file_is_data_error(tmp_path, capsys, argv):
+    case = _not_utf8(tmp_path / "cases.csv",
+                     "case_id,day_offset,end_day_offset,age,gender,"
+                     "surgery_type,providers\nc1,0,3,50,M,1,a;b\nc2,")
+    rc = cli.main([a.format(case=case, out=tmp_path / "o") for a in argv])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(case) in err and err.count("\n") == 1
+
+
+def test_undecodable_config_file_is_config_error(dataset, tmp_path, capsys):
+    cfg = _not_utf8(tmp_path / "cfg.json",
+                    json.dumps({"input_path": str(dataset)}))
+    rc = cli.main(["run", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and err.count("\n") == 1
+
+
+def test_undecodable_codeset_file_is_data_error(tmp_path, capsys):
+    codes = _not_utf8(tmp_path / "codes.tsv", "996.5\tMechanical complication\n")
+    rc = cli.main(["dump-codeset", "--codeset", str(codes)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(codes) in err and err.count("\n") == 1
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of import time in every run
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, surgnet.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_env_output_dir_and_flag_precedence(dataset, tmp_path, monkeypatch,
