@@ -227,33 +227,32 @@ def cmd_outcomes(args):
     cfg = _config(args)
     codeset = pipeline.load_codeset(cfg.codeset)
     _, _, retained = pipeline.load_cases(cfg)
+    counts = count_complications(retained, codeset,
+                                 distinct=cfg.distinct_complications).tolist()
     print("case_id\tC")
-    for case in sorted(retained, key=lambda c: c.case_id):
-        count = count_complications(case, codeset,
-                                    distinct=cfg.distinct_complications)
-        print(f"{case.case_id}\t{count}")
+    for case_id, count in sorted(zip(retained.case_id, counts)):
+        print(f"{case_id}\t{count}")
     return 0
 
 
-def _joined_rows(args):
+def _joined_table(args):
     cfg = _config(args)
     codeset = pipeline.load_codeset(cfg.codeset)
     _, _, retained = pipeline.load_cases(cfg)
     analyses = pipeline.analyze_segments(cfg, retained)
-    rows = pipeline.assemble_rows(cfg, analyses, codeset)
-    return cfg, rows
+    return cfg, pipeline.assemble_rows(cfg, analyses, codeset)
 
 
 def cmd_correlate(args):
-    _, rows = _joined_rows(args)
-    sp = pipeline.correlate_rows(rows)
+    _, table = _joined_table(args)
+    sp = pipeline.correlate_rows(table)
     sys.stdout.write(pipeline.render_correlation(sp))
     return 0
 
 
 def cmd_regress(args):
-    cfg, rows = _joined_rows(args)
-    est = pipeline.estimate(cfg, rows)
+    cfg, table = _joined_table(args)
+    est = pipeline.estimate(cfg, table)
     sys.stdout.write(pipeline.render_regression(est))
     return 0
 
@@ -261,7 +260,7 @@ def cmd_regress(args):
 def cmd_run(args):
     result = pipeline.run_pipeline(_config(args))
     nb = result.estimation.negbin
-    print(f"cases used\t{len(result.rows)}")
+    print(f"cases used\t{len(result.table['case_id'])}")
     print(f"segments\t{len(result.analyses)}")
     print(f"negbin alpha\t{nb.alpha:.6g}"
           + (" (boundary)" if nb.alpha_boundary else ""))

@@ -4,14 +4,17 @@ The shipped codeset covers the surgical-complication categories 996.x
 through 999.x at subcategory granularity. A case's complication count is
 the number of its diagnosis codes matching any codeset entry; duplicate
 matches count individually by default. A codeset is immutable, so it
-scans its entries once per distinct code and keeps the answer.
+scans its entries once per distinct code and keeps the answer. Counts for
+a whole case table take each distinct code of the table once.
 """
 
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataError
-from .records import CaseRecord
+from .records import CaseRecord, CaseTable
 
 # (prefix, ICD-9-CM definition), subcategory granularity.
 _EMBEDDED_ROWS = (
@@ -152,13 +155,25 @@ def _scan(code, codeset):
     return None
 
 
-def count_complications(case: CaseRecord, codeset: ComplicationCodeset,
-                        distinct=False) -> int:
-    """Number of complication codes detected on the case.
+def count_complications(cases, codeset: ComplicationCodeset, distinct=False):
+    """Number of complication codes detected on each case.
 
-    Each matching diagnosis code counts, so duplicates add up; with
-    ``distinct`` every matched codeset entry counts once.
+    ``cases`` is a CaseTable, for an int64 array of one count per row, or
+    one CaseRecord, for its count alone. Each matching diagnosis code
+    counts, so duplicates add up; with ``distinct`` every matched codeset
+    entry counts once per case. Each distinct code of the table is matched
+    once; the counts are the row sums of the case x code matrix over the
+    matched codes.
     """
-    hits = [e for e in (match_complication(normalize_icd9(raw), codeset)
-                        for raw in case.dx_codes) if e is not None]
-    return len(set(hits)) if distinct else len(hits)
+    if isinstance(cases, CaseRecord):
+        return int(count_complications(CaseTable.of([cases]), codeset,
+                                       distinct)[0])
+    position = {e: k for k, e in enumerate(codeset.entries)}
+    entry = np.array([position.get(match_complication(normalize_icd9(code),
+                                                      codeset), -1)
+                      for code in cases.codes], dtype=np.int64)[cases.dx]
+    hit = entry >= 0
+    rows = np.repeat(np.arange(len(cases)), np.diff(cases.dx_ptr))[hit]
+    if distinct:  # one hit per (row, entry) pair
+        rows = np.unique(np.stack([rows, entry[hit]]), axis=1)[0]
+    return np.bincount(rows, minlength=len(cases))

@@ -164,19 +164,20 @@ class GraphSummary:
 
 
 def build_bipartite(segment: Segment) -> BipartiteGraph:
-    """Two-mode network of one segment: each case links to its providers."""
+    """Two-mode network of one segment: each case links to its providers.
+
+    B is the segment's rows of its case table's case x provider matrix,
+    keeping the columns of the providers that occur in them.
+    """
     cases = segment.cases
-    providers = tuple(sorted(set().union(*(c.providers for c in cases))))
-    column = {p: j for j, p in enumerate(providers)}
-    indptr = np.zeros(len(cases) + 1, dtype=np.int32)
-    np.cumsum([len(c.providers) for c in cases], out=indptr[1:])
-    indices = np.fromiter((column[p] for c in cases for p in c.providers),
-                          dtype=np.int32, count=int(indptr[-1]))
-    incidence = sparse.csr_matrix((np.ones(indices.size), indices, indptr),
-                                  shape=(len(cases), len(providers)))
-    incidence.sort_indices()
-    return BipartiteGraph(case_ids=tuple(c.case_id for c in cases),
-                          providers=providers, incidence=incidence)
+    used, columns = np.unique(cases.team, return_inverse=True)
+    incidence = sparse.csr_matrix(
+        (np.ones(columns.size), columns.astype(np.int32),
+         cases.team_ptr.astype(np.int32)), shape=(len(cases), used.size))
+    return BipartiteGraph(
+        case_ids=tuple(cases.case_id),
+        providers=tuple(cases.provider_ids[j] for j in used.tolist()),
+        incidence=incidence)
 
 
 def project_one_mode(bg: BipartiteGraph) -> CoworkerGraph:
@@ -199,12 +200,12 @@ def summarize(g: CoworkerGraph, segment: Segment) -> GraphSummary:
     """Whole-graph descriptives: counts, mean team size, mean degree, density."""
     n, m = g.n_nodes, g.n_edges
     n_cases = len(segment.cases)
-    team_sizes = [len(c.providers) for c in segment.cases]
     return GraphSummary(
         node_count=n,
         edge_count=m,
         case_count=n_cases,
-        avg_team_size=(sum(team_sizes) / n_cases) if n_cases else 0.0,
+        avg_team_size=(int(segment.cases.team_sizes.sum()) / n_cases
+                       if n_cases else 0.0),
         avg_degree=(2.0 * m / n) if n else 0.0,
         density=(2.0 * m / (n * (n - 1))) if n >= 2 else 0.0,
     )

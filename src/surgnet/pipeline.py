@@ -5,17 +5,25 @@ projection -> node metrics -> team aggregation -> complication counts ->
 joined per-case table -> Spearman matrix -> OLS/VIF screening -> Poisson
 fit with goodness of fit -> negative binomial fit with the alpha=0 LR
 test. All numeric work happens before any file is created; a failing
-stage therefore aborts with the stage name and leaves no partial
-output. Given the same config and input, reruns are byte-identical.
+stage therefore aborts with the stage name and writes nothing. Given the
+same config and input, reruns are byte-identical.
+
+The cases travel as one columnar ``records.CaseTable`` and the joined
+per-case table is a dict of columns (``assemble_rows``), which the
+Spearman and regression stages read directly and the renderer formats a
+column at a time. ``RunResult.rows`` and ``Segment.cases`` read rows back
+from the columns on access.
 """
 
 import hashlib
 import json
 import math
-from collections import Counter
+import os
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -133,29 +141,13 @@ class PipelineConfig:
         return cls(**raw)
 
 
-@dataclass(frozen=True)
-class CaseRow:
-    """One joined row of the surgical network data table."""
-
-    case_id: str
-    segment: int
-    c: int
-    age: int | None
-    team_size: int
-    surgery_type: int | None
-    d_male: int
-    avg_btwn: float
-    avg_clos: float
-    avg_eigen: float
-    avg_clust: float
-    avg_deg: float
-
-
 ROW_COLUMNS = ("case_id", "segment", "C", "age", "teamSize", "typSurgery",
                "dMale", "avgBtwn", "avgClos", "avgEigen", "avgClust", "avgDeg")
-# table column -> CaseRow field; the fields are declared in table order
-_ROW_FIELD = dict(zip(ROW_COLUMNS, (f.name for f in fields(CaseRow))))
-_row_values = attrgetter(*_ROW_FIELD.values())
+# one row of the joined table read back from its columns, in ROW_COLUMNS
+# order; None where a value is missing
+CaseRow = namedtuple("CaseRow", (
+    "case_id", "segment", "c", "age", "team_size", "surgery_type", "d_male",
+    "avg_btwn", "avg_clos", "avg_eigen", "avg_clust", "avg_deg"))
 
 
 @dataclass(frozen=True)
@@ -187,12 +179,20 @@ class RunResult:
     diagnostics: list
     exclusion_report: dict
     analyses: list
-    rows: list
+    table: dict
     spearman: correlation.SpearmanResult
     estimation: EstimationResult
     manifest: dict
     outputs: dict = field(default_factory=dict)
     output_dir: str | None = None
+
+    @property
+    def rows(self):
+        """The joined table as CaseRow tuples, built on each access."""
+        columns = [self.table[name] for name in ROW_COLUMNS]
+        return list(map(CaseRow._make, zip(columns[0], *(
+            [None if m else v for v, m in zip(c.tolist(), _missing(c).tolist())]
+            for c in columns[1:]))))
 
 
 @contextmanager
@@ -216,7 +216,8 @@ def load_codeset(source: str) -> ComplicationCodeset:
 
 
 def load_cases(cfg: PipelineConfig):
-    """Parse and filter; returns (diagnostics, exclusion_report, retained)."""
+    """Parse and filter; returns (diagnostics, exclusion_report, retained
+    CaseTable)."""
     with _stage("ingest"):
         cases, diagnostics = records.parse_cases(
             cfg.input_path, delimiter=cfg.delimiter,
@@ -255,48 +256,54 @@ def analyze_segments(cfg: PipelineConfig, retained):
 
 
 def assemble_rows(cfg: PipelineConfig, analyses, codeset):
-    """Join team metrics and complication counts into per-case rows.
+    """The joined per-case table: a dict of ROW_COLUMNS columns.
 
-    Team sizes and means come from each segment's incidence matrix in one
-    product (``centrality.team_means``); rows follow the segment's cases.
+    Rows follow the segments and each segment's cases. Team sizes and
+    means come from each segment's incidence matrix in one product
+    (``centrality.team_means``), complication counts from the segment's
+    case table (``count_complications``). ``case_id`` is a list, the
+    measure means are float64 arrays and the other columns int64 arrays,
+    with ``records.MISSING`` for an empty age or surgery type.
     """
-    rows = []
+    parts = []
     with _stage("join"):
         for sa in analyses:
+            cases = sa.segment.cases
             sizes, means = centrality.team_means(
                 sa.bipartite.incidence, sa.node_metrics, sa.bipartite.providers)
-            for case, k, (btw, clo, eig, clu, deg) in zip(
-                    sa.segment.cases, sizes.tolist(), means.tolist()):
-                rows.append(CaseRow(
-                    case_id=case.case_id,
-                    segment=sa.segment.index,
-                    c=count_complications(case, codeset,
-                                          distinct=cfg.distinct_complications),
-                    age=case.age,
-                    team_size=k,
-                    surgery_type=case.surgery_type,
-                    d_male=1 if case.gender == "male" else 0,
-                    avg_btwn=btw,
-                    avg_clos=clo,
-                    avg_eigen=eig,
-                    avg_clust=clu,
-                    avg_deg=deg))
-    return rows
+            parts.append((
+                np.full(len(cases), sa.segment.index, dtype=np.int64),
+                count_complications(cases, codeset,
+                                    distinct=cfg.distinct_complications),
+                cases.age, sizes.astype(np.int64), cases.surgery_type,
+                (cases.gender == records.GENDERS.index("male")).astype(np.int64),
+                *means.T))
+        table = {"case_id": [cid for sa in analyses
+                             for cid in sa.segment.cases.case_id]}
+        table.update(zip(ROW_COLUMNS[1:], map(np.concatenate, zip(*parts))))
+    return table
 
 
-def _column(rows, name):
-    """One table column as float64; None becomes NaN."""
-    return np.array(list(map(attrgetter(_ROW_FIELD[name]), rows)),
-                    dtype=np.float64)
+def _missing(column):
+    """Where a numeric column of the joined table has no value."""
+    if column.dtype.kind == "f":
+        return np.isnan(column)
+    return column == records.MISSING
 
 
-def correlate_rows(rows) -> correlation.SpearmanResult:
+def _floats(table, name):
+    """One numeric column as float64; NaN where missing."""
+    column = table[name]
+    return np.where(_missing(column), np.nan, column.astype(np.float64))
+
+
+def correlate_rows(table) -> correlation.SpearmanResult:
     with _stage("correlate"):
-        cols = {name: _column(rows, name) for name in CORRELATION_COLUMNS}
+        cols = {name: _floats(table, name) for name in CORRELATION_COLUMNS}
         return correlation.spearman_matrix(cols)
 
 
-def estimate(cfg: PipelineConfig, rows) -> EstimationResult:
+def estimate(cfg: PipelineConfig, table) -> EstimationResult:
     """Screening plus count regressions on the joined table.
 
     Zero-variance covariates cannot enter the design (they are collinear
@@ -305,8 +312,8 @@ def estimate(cfg: PipelineConfig, rows) -> EstimationResult:
     all-zero network measures, still run to completion.
     """
     with _stage("regress"):
-        y = _column(rows, "C")
-        cols = {name: _column(rows, name) for name in cfg.regression_columns}
+        y = _floats(table, "C")
+        cols = {name: _floats(table, name) for name in cfg.regression_columns}
         complete = np.isfinite(y)
         for arr in cols.values():
             complete &= np.isfinite(arr)
@@ -336,16 +343,16 @@ def run_pipeline(cfg: PipelineConfig, write=True) -> RunResult:
     codeset = load_codeset(cfg.codeset)
     diagnostics, report, retained = load_cases(cfg)
     analyses = analyze_segments(cfg, retained)
-    rows = assemble_rows(cfg, analyses, codeset)
-    spearman = correlate_rows(rows)
-    est = estimate(cfg, rows)
+    table = assemble_rows(cfg, analyses, codeset)
+    spearman = correlate_rows(table)
+    est = estimate(cfg, table)
 
     manifest = _build_manifest(cfg, diagnostics, report, retained, analyses,
-                               rows, spearman, est)
-    outputs = _render_outputs(cfg, report, analyses, rows, spearman, est,
+                               table, spearman, est)
+    outputs = _render_outputs(cfg, report, analyses, table, spearman, est,
                               manifest)
     result = RunResult(config=cfg, diagnostics=diagnostics,
-                       exclusion_report=report, analyses=analyses, rows=rows,
+                       exclusion_report=report, analyses=analyses, table=table,
                        spearman=spearman, estimation=est, manifest=manifest,
                        outputs=outputs)
     if write:
@@ -396,30 +403,13 @@ def _json_text(obj) -> str:
                       allow_nan=False) + "\n"
 
 
-# one flat object at the depth and with the item separator of indent=2
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
-                                separators=(",\n    ", ": "))
-
-
-def _json_rows(records) -> str:
-    """``_json_text`` of a list of flat dicts of str, int, float or None,
-    byte for byte, from the C encoder: each object is encoded alone and
-    set in the indent=2 list frame. NaN becomes null."""
-    items = ["{\n    " + _ROW_ENCODER.encode(
-        {k: None if v != v else v for k, v in rec.items()})[1:-1] + "\n  }"
-        for rec in records]
-    return "[\n  " + ",\n  ".join(items) + "\n]\n" if items else "[]\n"
-
-
 def _tsv(rows_of_cells) -> str:
     return "".join("\t".join(cells) + "\n" for cells in rows_of_cells)
 
 
-def _segment_stats(analyses, rows):
-    c_sum, c_count = Counter(), Counter()
-    for r in rows:
-        c_sum[r.segment] += r.c
-        c_count[r.segment] += 1
+def _segment_stats(analyses, table):
+    c_count = np.bincount(table["segment"]).tolist()
+    c_sum = np.bincount(table["segment"], weights=table["C"]).tolist()
     stats = []
     for sa in sorted(analyses, key=lambda sa: sa.segment.index):
         nm = sa.node_metrics.values()
@@ -441,7 +431,8 @@ def _segment_stats(analyses, rows):
                 sum(m.closeness for m in nm) / n if n else 0.0,
             "avg_eigenvector":
                 sum(m.eigenvector for m in nm) / n if n else 0.0,
-            "avg_complications": c_sum[k] / c_count[k] if c_count[k] else 0.0,
+            "avg_complications":
+                c_sum[k] / c_count[k] if k < len(c_count) and c_count[k] else 0.0,
         })
     return stats
 
@@ -468,12 +459,42 @@ def render_node_metrics(sa: SegmentAnalysis):
     return _tsv(out)
 
 
-def _render_network_data(rows):
-    out = [list(ROW_COLUMNS)]
-    for r in rows:
-        values = _row_values(r)
-        out.append([r.case_id, str(r.segment)] + [_fmt(v) for v in values[2:]])
-    return _tsv(out)
+# one network_data.json row, keys sorted, at the depth and with the item
+# separator of json.dumps(..., indent=2, sort_keys=True)
+_JSON_KEYS = sorted(ROW_COLUMNS)
+_JSON_ROW = ("{\n    " + ",\n    ".join(f"{json.dumps(k)}: %s" for k in _JSON_KEYS)
+             + "\n  }")
+
+
+def _network_data_cells(table, float_text, absent):
+    """The numeric columns of the joined table as text: ``float_text`` of
+    each float, ``str`` of each integer, ``absent`` where missing."""
+    cells = {}
+    for name in ROW_COLUMNS[1:]:
+        column = table[name]
+        out = cells[name] = list(map(
+            float_text if column.dtype.kind == "f" else str, column.tolist()))
+        for i in np.flatnonzero(_missing(column)).tolist():
+            out[i] = absent
+    return cells
+
+
+def _render_network_data(table):
+    """network_data.tsv and .json, a column at a time.
+
+    Byte for byte the ``_fmt`` table and the ``_json_text`` of the row
+    dicts: six significant digits (TSV) or the repr (JSON) of a float,
+    integers as they are, ASCII-escaped case ids in the JSON, and NA or
+    null where a value is missing. The TSV's cells are dropped before the
+    JSON's are made.
+    """
+    cells = _network_data_cells(table, "{:.6g}".format, "NA")
+    tsv = "\n".join(map("\t".join, chain(
+        [ROW_COLUMNS], zip(table["case_id"], *cells.values())))) + "\n"
+    cells = _network_data_cells(table, float.__repr__, "null")
+    cells["case_id"] = list(map(encode_basestring_ascii, table["case_id"]))
+    items = list(map(_JSON_ROW.__mod__, zip(*(cells[k] for k in _JSON_KEYS))))
+    return tsv, "[\n  " + ",\n  ".join(items) + "\n]\n" if items else "[]\n"
 
 
 def render_correlation(sp: correlation.SpearmanResult):
@@ -568,7 +589,7 @@ def _fit_record(fit: regression.FitResult):
     return rec
 
 
-def _build_manifest(cfg, diagnostics, report, retained, analyses, rows,
+def _build_manifest(cfg, diagnostics, report, retained, analyses, table,
                     spearman, est):
     excluded = dict(report)
     per_segment = [{
@@ -598,7 +619,7 @@ def _build_manifest(cfg, diagnostics, report, retained, analyses, rows,
                              [sa.summary.case_count for sa in analyses]},
             "network": {"per_segment": per_segment,
                         "cases_with_isolated_providers": iso_cases},
-            "join": {"rows": len(rows)},
+            "join": {"rows": len(table["case_id"])},
             "correlate": {"n_obs": spearman.n_obs,
                           "degenerate_columns": list(spearman.degenerate)},
             "regression": {
@@ -612,8 +633,9 @@ def _build_manifest(cfg, diagnostics, report, retained, analyses, rows,
     }
 
 
-def _render_outputs(cfg, report, analyses, rows, spearman, est, manifest):
-    stats = _segment_stats(analyses, rows)
+def _render_outputs(cfg, report, analyses, table, spearman, est, manifest):
+    stats = _segment_stats(analyses, table)
+    network_tsv, network_json = _render_network_data(table)
     outputs = {
         "exclusions.tsv": _tsv([["rule", "removed"]]
                                + [[k, str(v)] for k, v in report.items()]
@@ -621,9 +643,8 @@ def _render_outputs(cfg, report, analyses, rows, spearman, est, manifest):
                                    str(sum(s["cases"] for s in stats))]]),
         "segments.tsv": _render_segments(stats),
         "segments.json": _json_text(stats),
-        "network_data.tsv": _render_network_data(rows),
-        "network_data.json": _json_rows(
-            [dict(zip(ROW_COLUMNS, _row_values(r))) for r in rows]),
+        "network_data.tsv": network_tsv,
+        "network_data.json": network_json,
         "correlation.tsv": render_correlation(spearman),
         "correlation.json": _json_text({
             "columns": list(spearman.names),
@@ -656,22 +677,30 @@ def _render_outputs(cfg, report, analyses, rows, spearman, est, manifest):
 
 
 def write_outputs(outputs, output_dir):
+    """Write every artifact into ``output_dir``: each under a temporary
+    name first, then all renamed into place. A failed write, or a
+    directory in the way, leaves the directory as it was (only a rename
+    failing part-way would not); any OSError ends in a ConfigError."""
     outdir = Path(output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output dir {outdir}: {exc}") from exc
-    written = []
+    staged = {}
     try:
         for name in sorted(outputs):
-            path = outdir / name
-            path.write_text(outputs[name], encoding="utf-8", newline="\n")
-            written.append(path)
-    except BaseException:
-        # do not leave a half-written artifact set behind
-        for path in written:
+            if (outdir / name).is_dir():
+                raise IsADirectoryError("a directory is in the way")
+            staged[name] = outdir / f".{name}.tmp"
+            staged[name].write_text(outputs[name], encoding="utf-8", newline="\n")
+        for name, tmp in list(staged.items()):
+            os.replace(tmp, outdir / name)
+            del staged[name]
+    except OSError as exc:
+        raise ConfigError(f"cannot write {outdir / name}: {exc}") from exc
+    finally:
+        for tmp in staged.values():
             try:
-                path.unlink()
+                tmp.unlink()
             except OSError:
                 pass
-        raise

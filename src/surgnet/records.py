@@ -4,6 +4,14 @@ Raw input is delimited text with a header row, one case per row ("wide" form,
 providers semicolon-joined in one column) or one provider per row ("long"
 form). Parsing never drops a malformed row silently: every skipped or
 repaired row produces a diagnostic.
+
+The parsed cases are one columnar ``CaseTable``, streamed from the file
+without keeping its rows: an array per scalar field, the providers as one
+case x provider CSR matrix over the sorted provider ids, and the dx codes
+as one case x code CSR matrix over the distinct codes. Exclusion rules are
+boolean masks over the table, and segments are runs of its rows sorted by
+(segment, day, case_id). A ``CaseRecord`` is one row read back from a
+table, and a table can be built from records.
 """
 
 import csv
@@ -11,7 +19,10 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
@@ -33,6 +44,11 @@ DEFAULT_SCHEMA = {
 
 MAX_DX_CODES = 50
 AGE_CAP = 90
+GENDERS = ("male", "female", "other")
+# An empty cell in an integer column of a CaseTable: the int64 minimum,
+# which no parsed value takes and which sorts below every age.
+MISSING = -(2 ** 63)
+_INT_MAX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -54,14 +70,175 @@ class CaseRecord:
     dx_codes: tuple[str, ...]
 
 
+def _optional(value):
+    return None if value == MISSING else value
+
+
+def _gather(ptr, values, rows):
+    """Rows ``rows`` of the CSR arrays (ptr, values), in that order."""
+    starts, ends = ptr[rows], ptr[rows + 1]
+    new_ptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(ends - starts, out=new_ptr[1:])
+    at = np.arange(new_ptr[-1]) + np.repeat(starts - new_ptr[:-1], ends - starts)
+    return new_ptr, values[at]
+
+
+@dataclass(frozen=True, eq=False)
+class CaseTable:
+    """Cases as columns, one row per case.
+
+    ``day_offset``, ``end_day_offset``, ``age`` and ``surgery_type`` are
+    int64 arrays holding MISSING for an empty cell; ``gender`` indexes
+    GENDERS. Row i's providers are ``provider_ids[j]`` for j in
+    ``team[team_ptr[i]:team_ptr[i + 1]]``, ascending, and its dx codes are
+    ``codes[k]`` for k in ``dx[dx_ptr[i]:dx_ptr[i + 1]]``, in dx column
+    order. Indexing (which raises IndexError past the end, so iteration
+    works too) gives CaseRecord views; two tables are equal when their
+    records are.
+    """
+
+    case_id: list
+    day_offset: np.ndarray
+    end_day_offset: np.ndarray
+    age: np.ndarray
+    surgery_type: np.ndarray
+    gender: np.ndarray
+    team_ptr: np.ndarray
+    team: np.ndarray
+    provider_ids: tuple
+    dx_ptr: np.ndarray
+    dx: np.ndarray
+    codes: tuple
+
+    @classmethod
+    def of(cls, cases):
+        """``cases`` if it is a table, else the table of its CaseRecords."""
+        if isinstance(cases, cls):
+            return cases
+        table = _TableBuilder()
+        for c in cases:
+            table.add(c.case_id, c.day_offset, c.end_day_offset, c.age,
+                      GENDERS.index(c.gender), c.surgery_type, c.providers,
+                      c.dx_codes)
+        return table.build()
+
+    def __len__(self):
+        return len(self.case_id)
+
+    @property
+    def team_sizes(self):
+        return np.diff(self.team_ptr)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        team = self.team[self.team_ptr[i]:self.team_ptr[i + 1]].tolist()
+        dx = self.dx[self.dx_ptr[i]:self.dx_ptr[i + 1]].tolist()
+        return CaseRecord(
+            case_id=self.case_id[i],
+            day_offset=_optional(int(self.day_offset[i])),
+            end_day_offset=_optional(int(self.end_day_offset[i])),
+            providers=frozenset(self.provider_ids[j] for j in team),
+            age=_optional(int(self.age[i])),
+            gender=GENDERS[self.gender[i]],
+            surgery_type=_optional(int(self.surgery_type[i])),
+            dx_codes=tuple(self.codes[k] for k in dx))
+
+    def __eq__(self, other):
+        return isinstance(other, CaseTable) and list(self) == list(other)
+
+    def take(self, rows):
+        """The table of rows ``rows`` (an index array), in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        team_ptr, team = _gather(self.team_ptr, self.team, rows)
+        dx_ptr, dx = _gather(self.dx_ptr, self.dx, rows)
+        return CaseTable(
+            case_id=[self.case_id[i] for i in rows.tolist()],
+            day_offset=self.day_offset[rows],
+            end_day_offset=self.end_day_offset[rows],
+            age=self.age[rows], surgery_type=self.surgery_type[rows],
+            gender=self.gender[rows], team_ptr=team_ptr, team=team,
+            provider_ids=self.provider_ids, dx_ptr=dx_ptr, dx=dx,
+            codes=self.codes)
+
+
+class _TableBuilder:
+    """Cases appended one at a time. Each distinct provider id and dx code
+    is held once (``names``); they are numbered when the table is built."""
+
+    def __init__(self):
+        self.case_id, self.day, self.end, self.age, self.styp = [], [], [], [], []
+        self.gender, self.team_case, self.team, self.dx = [], [], [], []
+        self.dx_ptr, self.names = [0], {}
+
+    def add(self, case_id, day, end, age, gender, styp, providers, dx):
+        """Append one case; returns its row."""
+        row = len(self.case_id)
+        self.case_id.append(case_id)
+        self.day.append(day)
+        self.end.append(end)
+        self.age.append(age)
+        self.gender.append(gender)
+        self.styp.append(styp)
+        self.add_providers(row, providers)
+        self.dx += map(self.names.setdefault, dx, dx)
+        self.dx_ptr.append(len(self.dx))
+        return row
+
+    def add_providers(self, row, providers):
+        self.team += map(self.names.setdefault, providers, providers)
+        self.team_case += [row] * len(providers)
+
+    def kept(self, row):
+        """Row ``row``'s scalar fields and dx codes, as first parsed."""
+        return {"day_offset": self.day[row], "end_day_offset": self.end[row],
+                "age": self.age[row], "surgery_type": self.styp[row],
+                "gender": GENDERS[self.gender[row]],
+                "dx_codes": self.dx[self.dx_ptr[row]:self.dx_ptr[row + 1]]}
+
+    def build(self) -> CaseTable:
+        provider_ids, codes = sorted(set(self.team)), list(dict.fromkeys(self.dx))
+        # one sorted, duplicate-free key per (case, provider) link
+        width = max(len(provider_ids), 1)
+        key = np.sort(np.array(self.team_case, dtype=np.int64) * width
+                      + _numbered(self.team, provider_ids))
+        key = key[np.diff(key, prepend=-1) != 0]
+        team_case, team = np.divmod(key, width)
+        return CaseTable(
+            case_id=self.case_id,
+            day_offset=_int_column(self.day), end_day_offset=_int_column(self.end),
+            age=_int_column(self.age), surgery_type=_int_column(self.styp),
+            gender=np.array(self.gender, dtype=np.int8),
+            team_ptr=np.searchsorted(team_case, np.arange(len(self.case_id) + 1)),
+            team=team, provider_ids=tuple(provider_ids),
+            dx_ptr=np.array(self.dx_ptr, dtype=np.int64),
+            dx=_numbered(self.dx, codes), codes=tuple(codes))
+
+
+def _numbered(values, names):
+    """Each value's position in ``names``."""
+    index = {name: k for k, name in enumerate(names)}
+    return np.fromiter(map(index.__getitem__, values), dtype=np.int64,
+                       count=len(values))
+
+
+def _int_column(values):
+    return np.array([MISSING if v is None else v for v in values], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class Segment:
-    """One contiguous time slice; covers days [start_day, end_day_exclusive)."""
+    """One contiguous time slice; covers days [start_day, end_day_exclusive).
+
+    ``cases`` is a CaseTable; an iterable of CaseRecords is converted.
+    """
 
     index: int
     start_day: int
     end_day_exclusive: int
-    cases: tuple[CaseRecord, ...]
+    cases: CaseTable
+
+    def __post_init__(self):
+        object.__setattr__(self, "cases", CaseTable.of(self.cases))
 
     @property
     def span_days(self) -> int:
@@ -75,17 +252,21 @@ class ParseDiagnostic:
 
 
 def _parse_int(raw: str, field: str, row: int, diagnostics, nonneg=True):
-    """Parse an optional integer cell. Returns (value, ok)."""
-    raw = raw.strip()
-    if raw == "":
-        return None, True
+    """Parse an optional integer cell. Returns (value, ok); an empty cell
+    is (None, True). Values must fit in 64 bits."""
     try:
-        value = int(raw)
+        value = int(raw)  # int() trims whitespace as str.strip() does
     except ValueError:
+        raw = raw.strip()
+        if raw == "":
+            return None, True
         diagnostics.append(ParseDiagnostic(row, f"non-numeric {field}: {raw!r}"))
         return None, False
     if nonneg and value < 0:
         diagnostics.append(ParseDiagnostic(row, f"negative {field}: {value}"))
+        return None, False
+    if not MISSING < value <= _INT_MAX:
+        diagnostics.append(ParseDiagnostic(row, f"out-of-range {field}: {value}"))
         return None, False
     return value, True
 
@@ -136,8 +317,9 @@ def parse_cases(
     Returns
     -------
     (cases, diagnostics)
-        Every syntactically valid row yields a CaseRecord; malformed rows
-        are skipped with a ParseDiagnostic.
+        ``cases`` is a CaseTable with one row per syntactically valid case,
+        in order of first appearance; malformed rows are skipped with a
+        ParseDiagnostic.
     """
     if provider_form not in ("wide", "long"):
         raise ConfigError(f"provider_form must be 'wide' or 'long', got {provider_form!r}")
@@ -168,29 +350,24 @@ def parse_cases(
             stream.close()
 
 
-def _dx_codes(row, dx_cols):
-    """The row's non-empty dx cells, trimmed, in dx column order."""
-    cells = [row[i].strip() for _, i in dx_cols if i < len(row)]
-    return [c for c in cells if c]
-
-
-def _report_discarded(kept: CaseRecord, cell, dx, row_no, diagnostics):
+def _report_discarded(case_id, kept, raw, dx, row_no, diagnostics):
     """One diagnostic per value of a long-form continuation row that the
     merge discards: a scalar that differs from the case's first row, and
-    each dx code beyond those the case already holds. Empty cells and
-    repeated values discard nothing."""
-    found = {f: _parse_int(cell(f), f, row_no, diagnostics,
+    each dx code beyond those the case already holds. ``kept`` holds the
+    case's values (``_TableBuilder.kept``), ``raw`` the row's cells by
+    field. Empty cells and repeated values discard nothing."""
+    found = {f: _parse_int(raw[f], f, row_no, diagnostics,
                            nonneg=f.endswith("offset"))[0]
              for f in ("day_offset", "end_day_offset", "age", "surgery_type")}
     if found["age"] is not None:
         found["age"] = min(found["age"], AGE_CAP)
-    if cell("gender").strip():
-        found["gender"] = _parse_gender(cell("gender"))
-    lost = [f"conflicting {f} {v!r} (kept {getattr(kept, f)!r})"
-            for f, v in found.items() if v is not None and v != getattr(kept, f)]
+    if raw["gender"].strip():
+        found["gender"] = _parse_gender(raw["gender"])
+    lost = [f"conflicting {f} {v!r} (kept {kept[f]!r})"
+            for f, v in found.items() if v is not None and v != kept[f]]
     lost += [f"dx code {code!r} beyond the kept codes"
-             for code in (Counter(dx) - Counter(kept.dx_codes)).elements()]
-    diagnostics.extend(ParseDiagnostic(row_no, f"case {kept.case_id}: "
+             for code in (Counter(dx) - Counter(kept["dx_codes"])).elements()]
+    diagnostics.extend(ParseDiagnostic(row_no, f"case {case_id}: "
                                                f"discarded {what}")
                        for what in lost)
 
@@ -204,71 +381,69 @@ def _parse_stream(stream, columns, delimiter, provider_form, placeholders):
     header = [h.strip() for h in header]
     col_index = {name: i for i, name in enumerate(header)}
 
-    provider_field = "provider" if provider_form == "long" else "providers"
+    long_form = provider_form == "long"
+    provider_field = "provider" if long_form else "providers"
     required = ["case_id", "day_offset", "end_day_offset", "age", "gender",
                 "surgery_type", provider_field]
     missing = [columns[f] for f in required if columns[f] not in col_index]
     if missing:
         raise ConfigError(f"column(s) not found in header: {missing}")
     field_idx = {f: col_index[columns[f]] for f in required}
+    i_case, i_day, i_end, i_age, i_gender, i_styp, i_prov = (
+        field_idx[f] for f in required)
 
     # dx columns: header names dx_<k>, ordered by k
-    dx_cols = sorted(
-        ((int(name[3:]), i) for name, i in col_index.items()
-         if name.startswith("dx_") and name[3:].isdigit()),
-    )
+    dx_idx = [i for _, i in sorted((int(name[3:]), i) for name, i in col_index.items()
+                                   if name.startswith("dx_") and name[3:].isdigit())]
+    dx_cells = itemgetter(*dx_idx) if len(dx_idx) > 1 else \
+        (lambda row: [row[i] for i in dx_idx])
 
     placeholders = {p.lower() for p in placeholders}
     diagnostics: list[ParseDiagnostic] = []
-    cases: list[CaseRecord] = []
-    by_id: dict[str, int] = {}  # case_id -> index in cases (long-form merge)
+    table = _TableBuilder()
+    by_id: dict[str, int] = {}  # case_id -> row (long-form merge)
+    gender_code: dict[str, int] = {}  # raw gender cell -> index in GENDERS
+    width = len(header)
 
     for row_no, row in enumerate(reader, start=2):
         if not any(cell.strip() for cell in row):
             continue
+        if len(row) < width:  # absent trailing cells read as empty
+            row += [""] * (width - len(row))
 
-        def cell(field):
-            i = field_idx[field]
-            return row[i] if i < len(row) else ""
-
-        case_id = cell("case_id").strip()
+        case_id = row[i_case].strip()
         if not case_id:
             diagnostics.append(ParseDiagnostic(row_no, "empty case_id"))
             continue
+        dx = [c.strip() for c in dx_cells(row) if c and not c.isspace()]
 
-        if provider_form == "long" and case_id in by_id:
+        seen = by_id.get(case_id)
+        if long_form and seen is not None:
             # merge: providers add up; other values stay from the first row
-            pids, dropped = _split_providers(cell("provider"), placeholders)
+            pids, dropped = _split_providers(row[i_prov], placeholders)
             if dropped:
                 diagnostics.append(ParseDiagnostic(
                     row_no, f"dropped {dropped} invalid provider id(s) for case {case_id}"))
-            idx = by_id[case_id]
-            prev = cases[idx]
-            _report_discarded(prev, cell, _dx_codes(row, dx_cols), row_no,
-                              diagnostics)
-            cases[idx] = CaseRecord(
-                case_id=prev.case_id, day_offset=prev.day_offset,
-                end_day_offset=prev.end_day_offset,
-                providers=prev.providers | pids,
-                age=prev.age, gender=prev.gender,
-                surgery_type=prev.surgery_type, dx_codes=prev.dx_codes)
+            _report_discarded(case_id, table.kept(seen),
+                              {f: row[i] for f, i in field_idx.items()},
+                              dx, row_no, diagnostics)
+            table.add_providers(seen, pids)
             continue
-
-        if provider_form == "wide" and case_id in by_id:
+        if seen is not None:
             diagnostics.append(ParseDiagnostic(row_no, f"duplicate case_id {case_id}"))
             continue
 
-        day, ok1 = _parse_int(cell("day_offset"), "day_offset", row_no, diagnostics)
-        end_day, ok2 = _parse_int(cell("end_day_offset"), "end_day_offset", row_no, diagnostics)
-        age, ok3 = _parse_int(cell("age"), "age", row_no, diagnostics, nonneg=False)
-        styp, ok4 = _parse_int(cell("surgery_type"), "surgery_type", row_no,
+        day, ok1 = _parse_int(row[i_day], "day_offset", row_no, diagnostics)
+        end_day, ok2 = _parse_int(row[i_end], "end_day_offset", row_no, diagnostics)
+        age, ok3 = _parse_int(row[i_age], "age", row_no, diagnostics, nonneg=False)
+        styp, ok4 = _parse_int(row[i_styp], "surgery_type", row_no,
                                diagnostics, nonneg=False)
         if not (ok1 and ok2 and ok3 and ok4):
             continue
         if age is not None and age > AGE_CAP:
             age = AGE_CAP
 
-        pids, dropped = _split_providers(cell(provider_field), placeholders)
+        pids, dropped = _split_providers(row[i_prov], placeholders)
         if dropped:
             diagnostics.append(ParseDiagnostic(
                 row_no, f"dropped {dropped} invalid provider id(s) for case {case_id}"))
@@ -276,29 +451,30 @@ def _parse_stream(stream, columns, delimiter, provider_form, placeholders):
             diagnostics.append(ParseDiagnostic(
                 row_no, f"case {case_id} has no valid providers"))
 
-        dx = _dx_codes(row, dx_cols)
         if len(dx) > MAX_DX_CODES:
             diagnostics.append(ParseDiagnostic(
                 row_no, f"case {case_id}: {len(dx)} dx codes, keeping first {MAX_DX_CODES}"))
             dx = dx[:MAX_DX_CODES]
 
-        record = CaseRecord(
-            case_id=case_id, day_offset=day, end_day_offset=end_day,
-            providers=pids, age=age, gender=_parse_gender(cell("gender")),
-            surgery_type=styp, dx_codes=tuple(dx))
-        by_id[case_id] = len(cases)
-        cases.append(record)
+        gender = gender_code.get(row[i_gender])
+        if gender is None:
+            gender = gender_code[row[i_gender]] = GENDERS.index(
+                _parse_gender(row[i_gender]))
+        by_id[case_id] = table.add(case_id, day, end_day, age, gender, styp,
+                                   pids, dx)
 
-    return cases, diagnostics
+    return table.build(), diagnostics
 
 
-# Exclusion rules, applied in order; a removed case is attributed to the
-# first rule that rejects it.
+# Exclusion rules over a CaseTable, applied in order; a removed case is
+# attributed to the first rule that rejects it. An empty age is MISSING,
+# which is below 21.
 EXCLUSION_RULES = (
-    ("age", lambda c: c.age is None or c.age < 21),
-    ("missing dates", lambda c: c.day_offset is None or c.end_day_offset is None),
-    ("same-day discharge", lambda c: c.end_day_offset <= c.day_offset),
-    ("providers", lambda c: len(c.providers) == 0),
+    ("age", lambda t: t.age < 21),
+    ("missing dates", lambda t: (t.day_offset == MISSING)
+                                | (t.end_day_offset == MISSING)),
+    ("same-day discharge", lambda t: t.end_day_offset <= t.day_offset),
+    ("providers", lambda t: t.team_sizes == 0),
 )
 
 
@@ -311,19 +487,18 @@ def apply_exclusions(cases):
     negative stay and goes under the same rule), and cases with no valid
     providers.
 
-    Returns (retained_cases, report) where report maps rule name ->
-    removed count. Idempotent.
+    ``cases`` is a CaseTable or an iterable of CaseRecords. Each rule is a
+    mask over the table and its count is the mask minus the masks of the
+    rules before it. Returns (retained CaseTable, report) where report maps
+    rule name -> removed count. Idempotent.
     """
-    report = {name: 0 for name, _ in EXCLUSION_RULES}
-    retained = []
-    for case in cases:
-        for name, rejects in EXCLUSION_RULES:
-            if rejects(case):
-                report[name] += 1
-                break
-        else:
-            retained.append(case)
-    return retained, report
+    table = CaseTable.of(cases)
+    report, removed = {}, np.zeros(len(table), dtype=bool)
+    for name, rejects in EXCLUSION_RULES:
+        hit = rejects(table) & ~removed
+        report[name] = int(hit.sum())
+        removed |= hit
+    return table.take(np.flatnonzero(~removed)), report
 
 
 def segment_cases(cases, window_days=365):
@@ -333,33 +508,37 @@ def segment_cases(cases, window_days=365):
     [min_day + (k-1)*window_days, min_day + k*window_days); the last
     segment ends at max observed day + 1 and may span fewer days. Cases
     are assigned by day_offset, so the segments partition the input.
-    Output is independent of input order.
+    Each segment's cases are a run of the rows stably sorted by (segment,
+    day_offset, case_id), so the output is independent of input order.
     """
     if window_days < 1:
         raise ConfigError(f"window_days must be >= 1, got {window_days}")
-    if not cases:
+    table = CaseTable.of(cases)
+    if not len(table):
         raise DataError("no cases to segment")
-    undated = [c.case_id for c in cases if c.day_offset is None]
-    if undated:
+    day = table.day_offset
+    undated = np.flatnonzero(day == MISSING)
+    if undated.size:
         raise DataError(
-            f"cannot segment cases with missing day_offset (e.g. {undated[0]}); "
-            "run apply_exclusions first")
+            f"cannot segment cases with missing day_offset "
+            f"(e.g. {table.case_id[undated[0]]}); run apply_exclusions first")
 
-    min_day = min(c.day_offset for c in cases)
-    max_day = max(c.day_offset for c in cases)
+    min_day, max_day = int(day.min()), int(day.max())
     n_segments = math.ceil((max_day + 1 - min_day) / window_days)
-
-    buckets: list[list[CaseRecord]] = [[] for _ in range(n_segments)]
-    for case in cases:
-        buckets[(case.day_offset - min_day) // window_days].append(case)
+    segment = (day - min_day) // window_days
+    id_rank = np.empty(len(table), dtype=np.int64)
+    id_rank[sorted(range(len(table)), key=table.case_id.__getitem__)] = \
+        np.arange(len(table))
+    order = np.lexsort((id_rank, day, segment))
+    bounds = np.searchsorted(segment[order], np.arange(n_segments + 1)).tolist()
 
     segments = []
     for k in range(n_segments):
         start = min_day + k * window_days
         end = min(start + window_days, max_day + 1)
-        ordered = tuple(sorted(buckets[k], key=lambda c: (c.day_offset, c.case_id)))
-        segments.append(Segment(index=k + 1, start_day=start,
-                                end_day_exclusive=end, cases=ordered))
+        segments.append(Segment(
+            index=k + 1, start_day=start, end_day_exclusive=end,
+            cases=table.take(order[bounds[k]:bounds[k + 1]])))
     return segments
 
 

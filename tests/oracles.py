@@ -4,11 +4,14 @@ Everything here is deliberately written with different algorithms and data
 structures than the library code: brute-force geodesic enumeration instead
 of Brandes accumulation, Floyd-Warshall instead of per-source BFS, dense
 eigendecomposition instead of power iteration, scipy's rank machinery
-instead of the library's own, and a literal prefix scan for ICD-9 matching.
-Agreement between the two routes is the evidence the tests rely on.
+instead of the library's own, a literal prefix scan for ICD-9 matching,
+and a cell-by-cell renderer for the joined table. Agreement between the
+two routes is the evidence the tests rely on.
 """
 
 import itertools
+import json
+import math
 
 import numpy as np
 from scipy import stats
@@ -227,6 +230,35 @@ def count_by_prefix_scan(dx_codes, prefixes):
                 break
         hits += int(matched)
     return hits
+
+
+# ---------------------------------------------------------------------------
+# network_data.tsv / .json, one cell at a time
+
+
+def format_cell(v):
+    """Six significant digits for a float, an int as it is, NA for None
+    or NaN."""
+    if v is None or (isinstance(v, float) and math.isnan(v)):
+        return "NA"
+    if isinstance(v, int):
+        return str(v)
+    return f"{v:.6g}"
+
+
+def network_data_by_cells(rows, columns):
+    """(tsv, json) of the joined table from its rows, tuples in ``columns``
+    order holding None or NaN where a value is missing. The first column
+    is the case id. The TSV formats each cell with ``format_cell``; the
+    JSON is ``json.dumps`` with indent=2 and sorted keys of one dict per
+    row, NaN written as null."""
+    lines = [list(columns)] + [[r[0]] + [format_cell(v) for v in r[1:]]
+                               for r in rows]
+    tsv = "".join("\t".join(cells) + "\n" for cells in lines)
+    records = [{k: None if isinstance(v, float) and math.isnan(v) else v
+                for k, v in zip(columns, r)} for r in rows]
+    return tsv, json.dumps(records, indent=2, sort_keys=True,
+                           allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

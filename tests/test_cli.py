@@ -137,6 +137,20 @@ def test_run_full_pipeline(dataset, tmp_path, capsys):
     assert (outdir / "regression.tsv").is_file()
 
 
+def test_run_with_a_directory_in_the_way_is_config_error(dataset, tmp_path,
+                                                         capsys):
+    outdir = tmp_path / "out"
+    (outdir / "manifest.json").mkdir(parents=True)
+    rc = cli.main(["run", "--input", str(dataset), "--window-days", "80",
+                   "--output-dir", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: stage emit: cannot write {outdir}")
+    assert err.count("\n") == 1
+    # nothing written beside it, and no temporary file left behind
+    assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
+
+
 def test_run_without_input_is_config_error(capsys):
     rc = cli.main(["run"])
     assert rc == 2

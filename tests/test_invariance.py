@@ -1,0 +1,141 @@
+"""Whole-pipeline properties over random case files: row order and the
+provider form do not change the artifacts."""
+
+import json
+from collections import Counter
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from surgnet.errors import SurgnetError
+from surgnet.pipeline import PipelineConfig, run_pipeline
+
+FIELDS = ["case_id", "day_offset", "end_day_offset", "age", "gender",
+          "surgery_type"]
+DX_COLUMNS = ["dx_1", "dx_2", "dx_3"]
+POOL = [f"p{i}" for i in range(7)]
+PLACEHOLDERS = ["NULL", "unknown", "na", ""]
+DX = ["998.5", "997.1", "99652", "996", "998.59", "250.00", "401.9", "E878.1"]
+
+# a case that parses: day, stay, age, gender, surgery type, team, dx
+GOOD = st.tuples(
+    st.integers(0, 89), st.integers(1, 6), st.integers(21, 95),
+    st.sampled_from(["M", "F", "x", ""]), st.integers(1, 3),
+    st.lists(st.sampled_from(POOL), min_size=1, max_size=4, unique=True),
+    st.lists(st.sampled_from(DX), max_size=3))
+
+# the cells that make a good row one the parser skips, or one an
+# exclusion rule removes ("same" stands for the row's start day)
+SKIPPED = st.sampled_from([{"day_offset": "x"}, {"end_day_offset": "-3"},
+                           {"age": "old"}, {"case_id": ""}])
+EXCLUDED = st.sampled_from([{"age": "17"}, {"age": ""}, {"day_offset": ""},
+                            {"end_day_offset": ""}, {"end_day_offset": "same"}])
+
+
+@st.composite
+def case_rows(draw, repeats):
+    """Rows of a wide-form case file as (cells by field, team, extra
+    provider tokens, dx, skipped); case ids are unique. Each case is good,
+    skipped by the parser, excluded, a solo case of a provider seen
+    nowhere else, or a case whose only provider token is a placeholder.
+    With ``repeats`` a team may carry several placeholders and a repeated
+    id; without, at most one placeholder, as the long form can express it
+    with the same diagnostics."""
+    rows = []
+    for i in range(draw(st.integers(15, 40))):
+        day, stay, age, gender, styp, team, dx = draw(GOOD)
+        cells = {"case_id": f"c{i}", "day_offset": str(day),
+                 "end_day_offset": str(day + stay), "age": str(age),
+                 "gender": gender, "surgery_type": str(styp)}
+        extra = draw(st.lists(st.sampled_from(PLACEHOLDERS),
+                              max_size=2 if repeats else 1))
+        if repeats and draw(st.booleans()):
+            extra.append(team[0])
+        kind = draw(st.sampled_from(
+            ["good"] * 6 + ["skipped", "excluded", "solo", "none"]))
+        if kind == "skipped":
+            cells.update(draw(SKIPPED))
+        elif kind == "excluded":
+            fault = draw(EXCLUDED)
+            if fault.get("end_day_offset") == "same":
+                fault = {"end_day_offset": cells["day_offset"]}
+            cells.update(fault)
+        elif kind == "solo":
+            team = [f"solo{i}"]
+        elif kind == "none":
+            team, extra = [], [draw(st.sampled_from(PLACEHOLDERS))]
+        rows.append((cells, team, extra, dx, kind == "skipped"))
+    return rows
+
+
+def _wide(rows):
+    lines = [",".join(FIELDS + ["providers"] + DX_COLUMNS)]
+    for cells, team, extra, dx, _ in rows:
+        dx = dx + [""] * (len(DX_COLUMNS) - len(dx))
+        lines.append(",".join([cells[f] for f in FIELDS]
+                              + [";".join(team + extra)] + dx))
+    return "\n".join(lines) + "\n"
+
+
+def _long(rows):
+    """The same cases one provider token per row: a case's valid ids
+    first, then its placeholders; every row repeats the case's cells. A
+    row the parser skips is written once."""
+    lines = [",".join(FIELDS + ["provider"] + DX_COLUMNS)]
+    for cells, team, extra, dx, skipped in rows:
+        dx = dx + [""] * (len(DX_COLUMNS) - len(dx))
+        tokens = team + extra
+        for token in tokens[:1] if skipped else tokens:
+            lines.append(",".join([cells[f] for f in FIELDS] + [token] + dx))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(path, text, provider_form="wide"):
+    """Every artifact and the diagnostics' messages of a run on ``text``,
+    or the error it ends in."""
+    path.write_text(text, encoding="utf-8")
+    cfg = PipelineConfig(input_path=str(path), output_dir="unused",
+                         window_days=30, provider_form=provider_form)
+    try:
+        result = run_pipeline(cfg, write=False)
+    except SurgnetError as exc:
+        return type(exc).__name__, str(exc)
+    return result.outputs, Counter(d.message for d in result.diagnostics)
+
+
+@pytest.fixture(scope="module")
+def case_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("invariance") / "cases.csv"
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rows=case_rows(repeats=True), data=st.data())
+def test_row_order_does_not_change_the_artifacts(case_path, rows, data):
+    shuffled = data.draw(st.permutations(rows))
+    # diagnostics carry row numbers, so they compare as a multiset of
+    # messages
+    assert _outcome(case_path, _wide(shuffled)) == \
+        _outcome(case_path, _wide(rows))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rows=case_rows(repeats=False))
+def test_long_form_gives_the_wide_form_artifacts(case_path, rows):
+    wide = _outcome(case_path, _wide(rows))
+    long = _outcome(case_path, _long(rows), provider_form="long")
+    if isinstance(wide[0], str):  # both end in the same error
+        assert long == wide
+        return
+    (wide_out, _), (long_out, _) = wide, long
+    assert set(long_out) == set(wide_out)
+    for name in wide_out:
+        if name != "manifest.json":
+            assert long_out[name] == wide_out[name], name
+    # the manifest differs only in the provider form and the config hash
+    manifests = [json.loads(out["manifest.json"]) for out in (wide_out, long_out)]
+    for m in manifests:
+        del m["config"]["provider_form"], m["config_hash"]
+    assert manifests[0] == manifests[1]

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from surgnet import pipeline
 from surgnet.errors import ConfigError, ConvergenceError, DataError
+from surgnet.records import MISSING
 from surgnet.pipeline import (
     CORRELATION_COLUMNS,
     REGRESSION_COLUMNS,
@@ -180,6 +182,9 @@ def test_network_data_table(run):
     data = json.loads(run.outputs["network_data.json"])
     assert len(data) == 300
     assert set(data[0]) == set(ROW_COLUMNS)
+    # the row views, rendered cell by cell, give the same bytes
+    assert oracles.network_data_by_cells(run.rows, ROW_COLUMNS) == (
+        run.outputs["network_data.tsv"], run.outputs["network_data.json"])
 
 
 def test_segments_table(run):
@@ -293,6 +298,27 @@ def test_rerun_is_byte_identical(run, dataset):
         assert (Path(run.output_dir) / name).read_text() == text
 
 
+def test_failed_rewrite_keeps_the_old_artifact_set(run, tmp_path,
+                                                  monkeypatch):
+    outdir = tmp_path / "out"
+    pipeline.write_outputs(run.outputs, outdir)
+    old = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    changed = {name: text + "changed\n" for name, text in run.outputs.items()}
+    real_write, calls = Path.write_text, []
+
+    def write_until_disk_full(path, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == 5:
+            raise OSError(28, "No space left on device")
+        return real_write(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_until_disk_full)
+    with pytest.raises(ConfigError, match="No space left on device"):
+        pipeline.write_outputs(changed, outdir)
+    # every old file whole, and no temporary file left behind
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == old
+
+
 def test_write_false_renders_without_files(dataset, tmp_path):
     cfg = PipelineConfig(input_path=str(dataset["cases"]),
                          output_dir=str(tmp_path / "never"), window_days=90)
@@ -334,29 +360,52 @@ def test_distinct_complications_flag_reduces_counts(dataset, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# network_data.json row encoder
+# network_data.tsv / .json rendered a column at a time
 
 
 def _row(**values):
+    """One joined row in ROW_COLUMNS order, None where a value is missing."""
     rec = {"case_id": "c1", "segment": 1, "C": 0, "age": 50, "teamSize": 2,
            "typSurgery": 1, "dMale": 1, "avgBtwn": 0.1, "avgClos": 0.25,
            "avgEigen": 1.0, "avgClust": 0.0, "avgDeg": 1 / 3}
     rec.update(values)
-    return rec
+    return tuple(rec[name] for name in ROW_COLUMNS)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.fixed_dictionaries({
-    "case_id": st.text(max_size=8),
-    "age": st.none() | st.integers(-5, 200),
-    "avgBtwn": st.floats(allow_infinity=False),
-    "C": st.integers(0, 60),
-}), max_size=5))
+def _table(rows):
+    """The joined table's columns holding ``rows``."""
+    columns = list(zip(*rows)) or [()] * len(ROW_COLUMNS)
+    table = {"case_id": list(columns[0])}
+    for name, values in zip(ROW_COLUMNS[1:], columns[1:]):
+        if name.startswith("avg"):
+            table[name] = np.array(values, dtype=np.float64)
+        else:
+            table[name] = np.array([MISSING if v is None else v
+                                    for v in values], dtype=np.int64)
+    return table
+
+
+INT64 = st.integers(MISSING + 1, 2 ** 63 - 1)
+MEAN = st.floats(allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0000001e-300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.text(max_size=8), st.integers(1, 40),
+    st.integers(0, 60) | st.just(2 ** 63 - 1),
+    st.none() | st.integers(-5, 200) | INT64, st.integers(1, 20),
+    st.none() | INT64, st.integers(0, 1), MEAN, MEAN, MEAN, MEAN, MEAN),
+    max_size=6))
 @example([])
 @example([_row(), _row(age=None, typSurgery=None),
           _row(avgBtwn=float("nan"), avgDeg=np.float64("nan")),
           _row(case_id='q"uo\\te\n'),
           _row(case_id="ca\u00efs\u00e9-\u2713-\U0001f600"),
-          _row(avgClos=1e-300, avgEigen=-0.0, C=10 ** 20)])
-def test_row_encoder_equals_json_text(rows):
-    assert pipeline._json_rows(rows) == pipeline._json_text(rows)
+          _row(avgClos=1e-300, avgEigen=-0.0, C=2 ** 63 - 1),
+          _row(avgBtwn=5e-324, avgClust=1.0, avgDeg=0.0)])
+def test_network_data_columns_render_like_the_per_cell_reference(rows):
+    tsv, json_text = oracles.network_data_by_cells(rows, ROW_COLUMNS)
+    assert pipeline._render_network_data(_table(rows)) == (tsv, json_text)
+    assert json_text == pipeline._json_text(
+        [dict(zip(ROW_COLUMNS, r)) for r in rows])

@@ -7,6 +7,7 @@ from conftest import make_case
 from surgnet.errors import ConfigError, DataError
 from surgnet.records import (
     EXCLUSION_RULES,
+    CaseTable,
     apply_exclusions,
     parse_cases,
     read_cases_text,
@@ -88,6 +89,47 @@ def test_malformed_numeric_rows_skipped_with_diagnostics():
     assert "non-numeric day_offset" in messages
     assert "negative day_offset" in messages
     assert "non-numeric surgery_type" in messages
+
+
+def test_integers_beyond_64_bits_skipped_with_diagnostics():
+    big = 2 ** 63
+    text = (HEADER + "\n"
+            f"c1,{big},{big + 1},50,M,1,a\n"
+            f"c2,0,1,50,M,{-big - 1},a\n"
+            f"c3,0,1,{-big},M,1,a\n"
+            f"c4,{big - 1},{big - 1},{2 ** 80},M,{-big + 1},a\n")
+    cases, diags = read_cases_text(text)
+    assert [(d.row, d.message) for d in diags] == [
+        (2, f"out-of-range day_offset: {big}"),
+        (2, f"out-of-range end_day_offset: {big + 1}"),
+        (3, f"out-of-range surgery_type: {-big - 1}"),
+        (4, f"out-of-range age: {-big}"),
+        (5, f"out-of-range age: {2 ** 80}"),
+    ]
+    assert len(cases) == 0
+    cases, _ = read_cases_text(HEADER + f"\nc4,{big - 1},{big - 1},95,M,"
+                               f"{-big + 1},a\n")
+    assert (cases[0].day_offset, cases[0].age, cases[0].surgery_type) == (
+        big - 1, 90, -big + 1)
+
+
+def test_case_table_round_trips_its_records():
+    text = (HEADER + ",dx_1,dx_2\n"
+            "c2,4,,,F,,b;a,998.5,998.5\n"
+            "c1,0,3,95,x,7,c,,250.00\n"
+            "c3,1,2,30,M,1,null,,\n")
+    cases, _ = read_cases_text(text)
+    records = list(cases)
+    assert [c.case_id for c in records] == ["c2", "c1", "c3"]
+    assert records[0] == make_case("c2", day=4, end=None, age=None,
+                                   gender="female", surgery_type=None,
+                                   providers=("a", "b"), dx=("998.5", "998.5"))
+    assert cases[-1] == records[2] and cases[-1].providers == frozenset()
+    assert CaseTable.of(records) == cases
+    assert list(cases.take([2, 0])) == [records[2], records[0]]
+    assert cases.provider_ids == ("a", "b", "c")
+    with pytest.raises(IndexError):
+        cases[3]
 
 
 def test_empty_cells_become_none_not_errors():
