@@ -18,12 +18,16 @@ Every measure derives from the graph's sparse adjacency matrix A
 from one pass, the algebraic form of Brandes' algorithm (Brandes 2001;
 Kepner & Gilbert 2011): a BFS from a block of sources at once is a
 sequence of sparse products with A, and the dependency sweep runs the
-same products backwards level by level. The pass's level-2 product,
-read at the sources' neighbors, is the masked A^2 column block of
-SpGEMM triangle counting (Azad, Buluc & Gilbert 2015), so triangles
-need no product of their own. Components come from
-``scipy.sparse.csgraph`` and the eigenvector iteration multiplies by A
-restricted to the largest component.
+same products backwards level by level. Level 1 is read from the
+sources' own rows of A, and a block stops as soon as every source has
+reached every node of its component, so a block whose sources all sit
+at eccentricity 2 makes 2 products, one each way. The pass's level-2
+product, read at the sources' neighbors, is the masked A^2 column block
+of SpGEMM triangle counting (Azad, Buluc & Gilbert 2015), so triangles
+need no product of their own. Components come from one
+``scipy.sparse.csgraph`` labelling per graph, which gives the pass its
+component sizes and the eigenvector iteration its largest component,
+where it multiplies by A restricted to that component.
 
 Team averages take every case of a segment at once from the case x
 provider incidence matrix B of ``network.build_bipartite``: team sizes
@@ -76,51 +80,63 @@ class TeamMetrics:
 _BLOCK_CELLS = 1 << 17
 
 
-def _geodesic_measures(a):
+def _geodesic_measures(a, labels):
     """Betweenness, closeness and clustering arrays from one BFS pass.
 
-    ``a`` is the symmetric sparse adjacency matrix. The search runs from
-    a block of sources at a time; column j of the (n, len(sources))
-    arrays belongs to ``sources[j]``: ``dist`` is the hop distance (-1
-    where unreachable) and ``sigma`` the number of shortest paths. Each
-    level multiplies the frontier's path counts by the adjacency (``a @
-    frontier``, the transpose of frontier @ A since A is symmetric) and
-    keeps the entries of unvisited nodes, so path counts are summed over
-    all predecessors and ties need no breaking. The level-2 product, read
-    before that mask at the source's neighbors, is A^2 there: twice the
-    source's triangles. A backward sweep then pushes pair dependencies
-    down the shortest-path DAG: with W = (1 + delta) / sigma on level k,
-    the nodes on level k - 1 gain sigma * (A @ W).
+    ``a`` is the symmetric sparse 0/1 adjacency matrix and ``labels`` its
+    connected-component labels. The search runs from a block of sources
+    at a time; column j of the (n, len(sources)) arrays belongs to
+    ``sources[j]``: ``dist`` is the hop distance (-1 where unreachable)
+    and ``sigma`` the number of shortest paths. Level 1 is read from the
+    sources' own rows of A. Each further level multiplies the frontier's
+    path counts by the adjacency (``a @ frontier``, the transpose of
+    frontier @ A since A is symmetric) and keeps the entries of unvisited
+    nodes, so path counts are summed over all predecessors and ties need
+    no breaking. The level-2 product, read before that mask at the
+    source's neighbors, is A^2 there: twice the source's triangles; it
+    runs whenever a source has a neighbor. The search stops once every
+    source has reached every node of its component, so a block whose
+    sources reach depth 2 makes 2 products: one forward and one back. A
+    backward sweep then pushes pair dependencies down the shortest-path
+    DAG: with W = (1 + delta) / sigma on level k, the nodes on level
+    k - 1 gain sigma * (A @ W).
     """
     n = a.shape[0]
     dependency = np.zeros(n)
     twice_triangles = np.zeros(n)
-    reach = np.zeros(n, dtype=np.int64)
     dist_sum = np.zeros(n, dtype=np.int64)
+    # a source reaches exactly the nodes of its component
+    reach = np.bincount(labels)[labels]
     height = max(1, _BLOCK_CELLS // max(n, 1))
     for start in range(0, n, height):
-        sources = np.arange(start, min(start + height, n))
-        cols = np.arange(sources.size)
-        dist = np.full((n, sources.size), -1, dtype=np.int32)
-        sigma = np.zeros((n, sources.size))
+        stop = min(start + height, n)
+        sources, cols = np.arange(start, stop), np.arange(stop - start)
+        dist = np.full((n, cols.size), -1, dtype=np.int32)
+        sigma = np.zeros((n, cols.size))
         dist[sources, cols] = 0
         sigma[sources, cols] = 1.0
-        frontier, level = sigma, 0
+        unreached = reach[start:stop] - 1
+        # level 1 is the sources' own rows of the symmetric A
+        frontier, level = np.ascontiguousarray(a[start:stop].toarray().T), 0
         while True:
-            frontier = a @ frontier
-            if level == 1:
-                twice_triangles[sources] = (frontier * (dist == 1)).sum(axis=0)
-            frontier[dist >= 0] = 0.0
             fresh = frontier > 0
             if not fresh.any():
                 break
             level += 1
             dist[fresh] = level
             sigma += frontier
+            count = np.count_nonzero(fresh, axis=0)
+            unreached -= count
+            dist_sum[start:stop] += level * count
+            # never at level 1: the level-2 product also gives the triangles
+            if level > 1 and not unreached.any():
+                break
+            frontier = a @ frontier
+            if level == 1:
+                twice_triangles[start:stop] = (
+                    frontier * (dist == 1)).sum(axis=0)
+            frontier[dist >= 0] = 0.0
 
-        reached = dist >= 0
-        reach[sources] = reached.sum(axis=0)
-        dist_sum[sources] = np.where(reached, dist, 0).sum(axis=0)
         delta = np.zeros_like(sigma)
         # the sweep stops at level 1: a source gains no dependency
         for k in range(level, 1, -1):
@@ -145,7 +161,7 @@ def _geodesic_measures(a):
     return betweenness, closeness, clustering
 
 
-def _eigenvector(a, tol, max_iter):
+def _eigenvector(a, labels, tol, max_iter):
     """Principal-eigenvector centrality of the largest connected component.
 
     Power iteration with L2 renormalization on the shifted matrix A + I:
@@ -164,7 +180,6 @@ def _eigenvector(a, tol, max_iter):
     if n == 0:
         return values
 
-    _, labels = csgraph.connected_components(a, directed=False)
     sizes = np.bincount(labels)
     lcc = int(np.argmax(sizes))  # ties: smallest label = earliest node
     members = np.flatnonzero(labels == lcc)
@@ -190,10 +205,16 @@ def _eigenvector(a, tol, max_iter):
     return values
 
 
+def _labelled(g):
+    """The adjacency of ``g`` and its connected-component labels."""
+    a = g.adjacency()
+    return a, csgraph.connected_components(a, directed=False)[1]
+
+
 def connected_components(g: CoworkerGraph):
     """Components as frozensets of ids, largest first (ties: earliest node)."""
     # labels increase with the smallest node index in the component
-    _, labels = csgraph.connected_components(g.adjacency(), directed=False)
+    _, labels = _labelled(g)
     comps = {}
     for i, lab in enumerate(labels):
         comps.setdefault(int(lab), []).append(g.nodes[i])
@@ -223,12 +244,12 @@ def degree_centrality(g: CoworkerGraph):
 
 def betweenness_centrality(g: CoworkerGraph):
     """Exact normalized betweenness by Brandes dependency accumulation."""
-    return _by_node(g, _geodesic_measures(g.adjacency())[0])
+    return _by_node(g, _geodesic_measures(*_labelled(g))[0])
 
 
 def closeness_centrality(g: CoworkerGraph):
     """Component-corrected closeness from BFS distances."""
-    return _by_node(g, _geodesic_measures(g.adjacency())[1])
+    return _by_node(g, _geodesic_measures(*_labelled(g))[1])
 
 
 def eigenvector_centrality(g: CoworkerGraph, tol=1e-10, max_iter=10000):
@@ -237,23 +258,24 @@ def eigenvector_centrality(g: CoworkerGraph, tol=1e-10, max_iter=10000):
     Raises ConvergenceError with the last residual if ``max_iter`` is
     exhausted.
     """
-    return _by_node(g, _eigenvector(g.adjacency(), tol, max_iter))
+    return _by_node(g, _eigenvector(*_labelled(g), tol, max_iter))
 
 
 def clustering_coefficient(g: CoworkerGraph):
     """Local clustering: realized neighbor-pair edges over possible ones."""
-    return _by_node(g, _geodesic_measures(g.adjacency())[2])
+    return _by_node(g, _geodesic_measures(*_labelled(g))[2])
 
 
 def compute_all(g: CoworkerGraph, eig_tol=1e-10, eig_max_iter=10000):
     """All five measures per provider, keyed by provider id.
 
-    Runs the BFS pass once for betweenness, closeness and clustering.
+    Labels the components once and runs the BFS pass once for
+    betweenness, closeness and clustering.
     """
-    a = g.adjacency()
-    betweenness, closeness, clustering = _geodesic_measures(a)
+    a, labels = _labelled(g)
+    betweenness, closeness, clustering = _geodesic_measures(a, labels)
     columns = (*_degrees(g), betweenness, closeness,
-               _eigenvector(a, eig_tol, eig_max_iter), clustering)
+               _eigenvector(a, labels, eig_tol, eig_max_iter), clustering)
     return {u: NodeMetrics(u, *values)
             for u, values in zip(g.nodes, zip(*(c.tolist() for c in columns)))}
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import sparse
 
 import oracles
 from conftest import make_case
@@ -256,6 +257,102 @@ def test_compute_all_equals_standalone_measures(seed, max_nodes, shape,
         [(*dg[v], bc[v], cl[v], ev[v], cc[v]) for v in g.nodes]
     cc_ref = oracles.clustering_by_triples(nodes, edges)
     assert [cc[v] for v in g.nodes] == [cc_ref[v] for v in g.nodes]
+
+
+# one component of a generated graph: its kind and size (or, for a random
+# component, the seed of oracles.random_edge_set)
+_COMPONENT = st.one_of(
+    st.tuples(st.just("complete"), st.integers(2, 6)),
+    st.tuples(st.just("path"), st.integers(2, 9)),
+    st.tuples(st.just("isolated"), st.integers(1, 3)),
+    st.tuples(st.just("random"), st.integers(0, 2**32 - 1)),
+)
+
+
+def _disjoint_union(components, order_seed):
+    """Nodes and edges of the components side by side, with node labels
+    shuffled so that components interleave in the graph's node order."""
+    parts = []
+    for kind, arg in components:
+        if kind == "random":
+            sub_nodes, sub_edges = oracles.random_edge_set(
+                np.random.default_rng(arg), max_nodes=7)
+            where = {u: i for i, u in enumerate(sub_nodes)}
+            parts.append((len(sub_nodes),
+                          [(where[u], where[v]) for u, v in sub_edges]))
+        elif kind == "complete":
+            parts.append((arg, list(itertools.combinations(range(arg), 2))))
+        elif kind == "path":
+            parts.append((arg, [(i, i + 1) for i in range(arg - 1)]))
+        else:
+            parts.extend((1, []) for _ in range(arg))
+    total = sum(size for size, _ in parts)
+    labels = [f"v{i:03d}" for i in np.random.default_rng(order_seed)
+              .permutation(total)]
+    nodes, edges, offset = [], [], 0
+    for size, local in parts:
+        nodes += labels[offset:offset + size]
+        edges += [(labels[offset + i], labels[offset + j]) for i, j in local]
+        offset += size
+    return nodes, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(components=st.lists(_COMPONENT, min_size=1, max_size=5),
+       order_seed=st.integers(0, 2**32 - 1), block_cells=st.integers(1, 64))
+# a diameter-1 and a diameter-4 component sharing one block
+@example(components=[("complete", 3), ("path", 5)], order_seed=0,
+         block_cells=64)
+@example(components=[("complete", 6)], order_seed=0, block_cells=64)
+@example(components=[("isolated", 3)], order_seed=0, block_cells=1)
+@example(components=[("path", 9), ("isolated", 2), ("complete", 2)],
+         order_seed=3, block_cells=30)
+def test_block_stop_rule_matches_oracles(components, order_seed, block_cells):
+    # a block stops once its sources have covered their components, so
+    # components of different diameters in one block must all finish
+    nodes, edges = _disjoint_union(components, order_seed)
+    g = CoworkerGraph(nodes, edges)
+    with mock.patch.object(centrality, "_BLOCK_CELLS", block_cells):
+        m = compute_all(g)
+    bc = oracles.betweenness_by_enumeration(nodes, edges)
+    cl = oracles.closeness_by_floyd_warshall(nodes, edges)
+    cc = oracles.clustering_by_triples(nodes, edges)
+    assert_allclose([m[v].betweenness for v in g.nodes],
+                    [bc[v] for v in g.nodes], rtol=0, atol=1e-12)
+    assert_allclose([m[v].closeness for v in g.nodes],
+                    [cl[v] for v in g.nodes], rtol=0, atol=1e-12)
+    assert [m[v].clustering for v in g.nodes] == [cc[v] for v in g.nodes]
+
+
+def _products_per_pass(g, block_cells):
+    """Sparse products one BFS pass over ``g`` makes."""
+    products = []
+
+    class CountingCSR(sparse.csr_matrix):
+        def __matmul__(self, other):
+            products.append(other.shape)
+            return super().__matmul__(other)
+
+    a, labels = centrality._labelled(g)
+    with mock.patch.object(centrality, "_BLOCK_CELLS", block_cells):
+        centrality._geodesic_measures(CountingCSR(a), labels)
+    return len(products)
+
+
+def test_bfs_pass_makes_only_the_products_it_uses():
+    # complete tripartite K(3,3,3): connected, every node at eccentricity
+    # 2, with triangles; 9 nodes in blocks of 2 sources make 5 blocks
+    parts = [[f"{side}{i}" for i in range(3)] for side in "abc"]
+    tripartite = graph([(u, v) for p, q in itertools.combinations(parts, 2)
+                        for u in p for v in q])
+    assert _products_per_pass(tripartite, 2 * 9) == 2 * 5
+    # level 1 is read from A and isolated sources have nothing to extend
+    assert _products_per_pass(graph([], extra_nodes="xyz"), 1) == 0
+    # a complete graph still makes the level-2 product, for its triangles
+    assert _products_per_pass(K4, 4 * 4) == 1
+    # one block of a 7-node path: an end reaches depth L = 6
+    path = graph([(f"p{i}", f"p{i + 1}") for i in range(6)])
+    assert _products_per_pass(path, 1 << 17) == 2 * (6 - 1)
 
 
 def test_sparse_clustering_path_agrees_with_dense():
