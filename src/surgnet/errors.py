@@ -10,7 +10,7 @@ class SurgnetError(Exception):
 
 
 class ConfigError(SurgnetError):
-    """Invalid configuration: unknown columns, bad schema mapping, bad flags."""
+    """Invalid configuration: unknown columns, bad flags."""
 
 
 class DataError(SurgnetError):

@@ -132,12 +132,6 @@ class CoworkerGraph:
         i = self._index[node]
         return tuple(self.nodes[j] for j in self.indices[self.indptr[i]:self.indptr[i + 1]])
 
-    def has_edge(self, u, v):
-        i, j = self._index[u], self._index[v]
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        k = np.searchsorted(self.indices[lo:hi], j)
-        return k < hi - lo and self.indices[lo + k] == j
-
     def edges(self):
         """Edges as sorted (u, v) id pairs, u < v, in lexicographic order."""
         rows, cols, _ = self._upper()

@@ -280,29 +280,24 @@ def _parse_gender(raw: str) -> str:
     return "other"
 
 
-def _split_providers(raw: str, placeholders) -> tuple[frozenset, int]:
+def _split_providers(raw: str) -> tuple[frozenset, int]:
     """Split a semicolon-joined provider cell; returns (ids, dropped_count)."""
     tokens = [t.strip() for t in raw.split(";")]
-    kept = {t for t in tokens if t.lower() not in placeholders}
+    kept = {t for t in tokens if t.lower() not in PLACEHOLDER_IDS}
     return frozenset(kept), len(tokens) - len(kept)
 
 
-def parse_cases(
-    source,
-    schema=None,
-    delimiter=",",
-    provider_form="wide",
-    placeholder_ids=PLACEHOLDER_IDS,
-):
+def parse_cases(source, delimiter=",", provider_form="wide"):
     """Parse case records from delimited text.
+
+    Provider tokens in ``PLACEHOLDER_IDS`` (compared lower-cased) are
+    dropped as invalid/generic entries.
 
     Parameters
     ----------
     source : path or text stream
-        Delimited text with a header row.
-    schema : dict, optional
-        Overrides for logical-field -> column-header names. Unknown logical
-        fields, or mapped headers absent from the file, raise ConfigError.
+        Delimited text with a header row naming the ``DEFAULT_SCHEMA``
+        columns; a missing one raises ConfigError.
     delimiter : str
         Field delimiter, default comma.
     provider_form : {"wide", "long"}
@@ -311,8 +306,6 @@ def parse_cases(
         are taken from the first row seen for each case, and every value
         a later row of the case would change or add is reported as a
         diagnostic.
-    placeholder_ids : set of str
-        Lower-cased provider tokens dropped as invalid/generic entries.
 
     Returns
     -------
@@ -323,13 +316,6 @@ def parse_cases(
     """
     if provider_form not in ("wide", "long"):
         raise ConfigError(f"provider_form must be 'wide' or 'long', got {provider_form!r}")
-
-    columns = dict(DEFAULT_SCHEMA)
-    if schema:
-        unknown = set(schema) - set(DEFAULT_SCHEMA)
-        if unknown:
-            raise ConfigError(f"unknown schema field(s): {sorted(unknown)}")
-        columns.update(schema)
 
     close_after = False
     if isinstance(source, (str, Path)):
@@ -342,7 +328,7 @@ def parse_cases(
         stream = source
 
     try:
-        return _parse_stream(stream, columns, delimiter, provider_form, placeholder_ids)
+        return _parse_stream(stream, delimiter, provider_form)
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read case file {source}: {exc}") from exc
     finally:
@@ -372,7 +358,7 @@ def _report_discarded(case_id, kept, raw, dx, row_no, diagnostics):
                        for what in lost)
 
 
-def _parse_stream(stream, columns, delimiter, provider_form, placeholders):
+def _parse_stream(stream, delimiter, provider_form):
     reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader)
@@ -385,10 +371,11 @@ def _parse_stream(stream, columns, delimiter, provider_form, placeholders):
     provider_field = "provider" if long_form else "providers"
     required = ["case_id", "day_offset", "end_day_offset", "age", "gender",
                 "surgery_type", provider_field]
-    missing = [columns[f] for f in required if columns[f] not in col_index]
+    missing = [DEFAULT_SCHEMA[f] for f in required
+               if DEFAULT_SCHEMA[f] not in col_index]
     if missing:
         raise ConfigError(f"column(s) not found in header: {missing}")
-    field_idx = {f: col_index[columns[f]] for f in required}
+    field_idx = {f: col_index[DEFAULT_SCHEMA[f]] for f in required}
     i_case, i_day, i_end, i_age, i_gender, i_styp, i_prov = (
         field_idx[f] for f in required)
 
@@ -398,7 +385,6 @@ def _parse_stream(stream, columns, delimiter, provider_form, placeholders):
     dx_cells = itemgetter(*dx_idx) if len(dx_idx) > 1 else \
         (lambda row: [row[i] for i in dx_idx])
 
-    placeholders = {p.lower() for p in placeholders}
     diagnostics: list[ParseDiagnostic] = []
     table = _TableBuilder()
     by_id: dict[str, int] = {}  # case_id -> row (long-form merge)
@@ -420,7 +406,7 @@ def _parse_stream(stream, columns, delimiter, provider_form, placeholders):
         seen = by_id.get(case_id)
         if long_form and seen is not None:
             # merge: providers add up; other values stay from the first row
-            pids, dropped = _split_providers(row[i_prov], placeholders)
+            pids, dropped = _split_providers(row[i_prov])
             if dropped:
                 diagnostics.append(ParseDiagnostic(
                     row_no, f"dropped {dropped} invalid provider id(s) for case {case_id}"))
@@ -443,7 +429,7 @@ def _parse_stream(stream, columns, delimiter, provider_form, placeholders):
         if age is not None and age > AGE_CAP:
             age = AGE_CAP
 
-        pids, dropped = _split_providers(row[i_prov], placeholders)
+        pids, dropped = _split_providers(row[i_prov])
         if dropped:
             diagnostics.append(ParseDiagnostic(
                 row_no, f"dropped {dropped} invalid provider id(s) for case {case_id}"))

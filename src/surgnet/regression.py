@@ -310,9 +310,8 @@ def poisson_fit(dm: DesignMatrix) -> FitResult:
         label="poisson")
 
     beta = scaler.to_original(theta)
-    cov = scaler.cov_original(_invert_information(-poisson_hessian(theta, xs, y),
-                                                  "poisson"))
-    se = _diag_se(cov, "poisson")
+    se = _diag_se(scaler.cov_original(_invert_information(
+        -poisson_hessian(theta, xs, y), "poisson")), "poisson")
     z, pv, lo, hi = _wald(beta, se)
     return FitResult(
         model="poisson", columns=dm.columns, coef=beta, std_err=se, z=z, p=pv,
@@ -438,13 +437,16 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
     default it is ``negbin_start`` of a Poisson fit made here, so a caller
     that already holds that fit passes its ``negbin_start``. When the
     data are equidispersed the iteration drives alpha toward zero, where
-    the likelihood flattens; whether a step crosses the clamp or the
-    gradient dies out above it, any estimate below 1e-6 is reported the
-    same way: alpha frozen at the floor, beta re-optimized there,
-    ``alpha_boundary=True``, and NaN alpha standard errors (the
-    information in ln alpha vanishes, so an interior-style interval would
-    be meaningless). Interior optima report ln-alpha and alpha with
-    delta-method standard errors and intervals.
+    the likelihood flattens. Two exits reach the boundary: the clamp stop
+    (a step takes ln alpha below ``LN_ALPHA_FLOOR``, where it is pinned,
+    and the ln-alpha score there is <= 0) and the flat-tail relabel
+    (converged with alpha below 1e-6). Both report alpha frozen at the
+    floor, beta re-optimized there by a profile run whose iterations add
+    to the main run's, ``alpha_boundary=True``, and NaN alpha standard
+    errors (the information in ln alpha vanishes, so an interior-style
+    interval would be meaningless). Interior optima report ln-alpha and
+    alpha with delta-method standard errors and intervals. ``trace`` is
+    ``{"iterations": k}``, plus ``"boundary": True`` at the boundary.
     """
     x, y = dm.x, dm.y
     n, p = x.shape
@@ -462,39 +464,21 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
 
     ll_fn = lambda th: negbin_loglik(th, xs, y)
     g_fn = lambda th: negbin_score(th, xs, y)
-    h_fn = lambda th: negbin_hessian(th, xs, y)
 
     def conv_grad(th):
         orig = np.append(scaler.to_original(th[:-1]), th[-1])
         return negbin_score(orig, x, y)
 
-    boundary = False
-    ll_prev = ll_fn(theta)
-    ll_change = np.inf
-    total_iter = 0
-    for _ in range(MAX_ITER):
-        g = g_fn(theta)
-        gmax = float(np.max(np.abs(conv_grad(theta))))
-        if gmax < GRAD_TOL and ll_change <= LL_RTOL * max(1.0, abs(ll_prev)):
-            break
-        total_iter += 1
-        theta_new, ll_new = _line_step(theta, ll_prev, g, h_fn(theta), ll_fn,
-                                       "negbin")
-        if theta_new[-1] < LN_ALPHA_FLOOR:
-            theta_new[-1] = LN_ALPHA_FLOOR
-            ll_new = ll_fn(theta_new)
-            if g_fn(theta_new)[-1] <= 0.0:
-                boundary = True
-                theta, ll_prev = theta_new, ll_new
-                break
-        ll_change = abs(ll_new - ll_prev)
-        theta, ll_prev = theta_new, ll_new
-    else:
-        raise ConvergenceError(
-            f"negative binomial fit did not converge in {MAX_ITER} iterations",
-            trace={"iterations": total_iter, "ll": ll_prev,
-                   "grad_max_abs": float(np.max(np.abs(conv_grad(theta))))})
+    def clamp(th, ll):
+        if th[-1] >= LN_ALPHA_FLOOR:
+            return th, ll, False
+        th[-1] = LN_ALPHA_FLOOR
+        return th, ll_fn(th), g_fn(th)[-1] <= 0.0
 
+    theta, ll, it, gmax, trace = _newton(
+        theta, ll_fn, g_fn, lambda th: negbin_hessian(th, xs, y),
+        conv_grad=conv_grad, label="negbin", project=clamp)
+    boundary = trace.get("boundary", False)
     if not boundary and theta[-1] < LN_ALPHA_BOUNDARY:
         # converged in the flat tail: alpha is indistinguishable from zero
         # at this sample size, so report the boundary convention
@@ -503,33 +487,24 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
 
     if boundary:
         # alpha pinned at the floor: finish the beta profile
-        beta_s, ll, it, gmax, trace = _newton(
+        pin = lambda b: np.append(b, LN_ALPHA_FLOOR)
+        beta_s, ll, it_profile, gmax, _ = _newton(
             theta[:-1],
-            lambda b: negbin_loglik(np.append(b, LN_ALPHA_FLOOR), xs, y),
-            lambda b: negbin_score(np.append(b, LN_ALPHA_FLOOR), xs, y)[:-1],
-            lambda b: negbin_hessian(np.append(b, LN_ALPHA_FLOOR),
-                                     xs, y)[:-1, :-1],
-            conv_grad=lambda b: negbin_score(
-                np.append(scaler.to_original(b), LN_ALPHA_FLOOR), x, y)[:-1],
+            lambda b: negbin_loglik(pin(b), xs, y),
+            lambda b: negbin_score(pin(b), xs, y)[:-1],
+            lambda b: negbin_hessian(pin(b), xs, y)[:-1, :-1],
+            conv_grad=lambda b: conv_grad(pin(b))[:-1],
             label="negbin (boundary)")
         theta = np.append(beta_s, LN_ALPHA_FLOOR)
-        info_bb = -negbin_hessian(theta, xs, y)[:-1, :-1]
-        cov = scaler.cov_original(_invert_information(info_bb, "negbin"))
-        se = _diag_se(cov, "negbin")
-        t_se = float("nan")
-        trace = dict(trace, boundary=True)
-        total_iter += it
+        info = -negbin_hessian(theta, xs, y)[:-1, :-1]
+        it += it_profile
+        trace = {"iterations": it, "boundary": True}
     else:
-        ll = ll_fn(theta)
-        gmax = float(np.max(np.abs(conv_grad(theta))))
-        cov_s = _invert_information(-h_fn(theta), "negbin")
-        jac = np.zeros((p + 1, p + 1))
-        jac[:p, :p] = scaler.jacobian()
-        jac[p, p] = 1.0
-        cov = jac @ cov_s @ jac.T
-        se_all = _diag_se(cov, "negbin")
-        se, t_se = se_all[:-1], float(se_all[-1])
-        trace = {}
+        info = -negbin_hessian(theta, xs, y)
+    se_all = _diag_se(scaler.cov_original(_invert_information(info, "negbin")),
+                      "negbin")
+    se = se_all[:p]
+    t_se = float("nan") if boundary else float(se_all[p])
 
     beta = scaler.to_original(theta[:-1])
     t = float(theta[-1])
@@ -538,7 +513,7 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
     return FitResult(
         model="negbin", columns=dm.columns, coef=beta, std_err=se, z=z, p=pv,
         ci_low=lo, ci_high=hi, log_likelihood=ll, n_obs=n,
-        iterations=total_iter, grad_max_abs=gmax, design_key=dm.fingerprint(),
+        iterations=it, grad_max_abs=gmax, design_key=dm.fingerprint(),
         alpha=alpha, ln_alpha=t,
         alpha_std_err=alpha * t_se, ln_alpha_std_err=t_se,
         alpha_ci=(float(np.exp(t - Z95 * t_se)), float(np.exp(t + Z95 * t_se))),
@@ -594,17 +569,17 @@ class _Scaler:
                 float(np.sum(self.center * beta))
         return beta_scaled
 
-    def jacobian(self):
+    def cov_original(self, cov_scaled):
+        """Map a covariance back to the original scale. Trailing
+        parameters past the covariates (NB2's ln alpha) are not
+        reparametrized: their Jacobian entries are the identity."""
         p = self.scale.size
-        jac = np.diag(1.0 / self.scale)
+        jac = np.eye(cov_scaled.shape[0])
+        jac[:p, :p] = np.diag(1.0 / self.scale)
         if self.intercept_idx is not None:
             i = self.intercept_idx
-            jac[i, :] = -self.center / self.scale
+            jac[i, :p] = -self.center / self.scale
             jac[i, i] = 1.0
-        return jac
-
-    def cov_original(self, cov_scaled):
-        jac = self.jacobian()
         return jac @ cov_scaled @ jac.T
 
 
@@ -660,30 +635,38 @@ def _line_step(theta, ll_cur, g, h, ll_fn, label):
         trace={"ll": ll_cur, "grad_max_abs": float(np.max(np.abs(g)))})
 
 
-def _newton(theta, ll_fn, g_fn, h_fn, label, conv_grad=None):
+def _newton(theta, ll_fn, g_fn, h_fn, label, conv_grad=None, project=None):
     """Maximize ll_fn by damped Newton iteration.
 
-    Returns (theta, ll, iterations, grad_max_abs, trace). Convergence
-    needs both a small relative log-likelihood change and a small
-    gradient; ``conv_grad``, when given, supplies the gradient used for
-    that check (and for reporting) in place of ``g_fn``.
+    Returns (theta, ll, iterations, grad_max_abs, trace); the trace is
+    ``{"iterations": k}``. Convergence needs both a small relative
+    log-likelihood change and a small gradient; ``conv_grad``, when
+    given, supplies the gradient used for that check (and for reporting)
+    in place of ``g_fn``. ``project``, when given, maps each accepted
+    step ``(theta, ll)`` to ``(theta, ll, stop)`` before the check; a
+    true ``stop`` ends the iteration at the projected point and adds
+    ``"boundary": True`` to the trace. Raises ConvergenceError, with
+    ``iterations``, ``ll`` and ``grad_max_abs`` in its trace, after
+    MAX_ITER steps or when the start's log-likelihood is not finite.
     """
     if conv_grad is None:
         conv_grad = g_fn
+    if project is None:
+        project = lambda th, ll_th: (th, ll_th, False)
     ll = ll_fn(theta)
     if not np.isfinite(ll):
         raise ConvergenceError(f"{label}: log-likelihood not finite at start")
     for it in range(1, MAX_ITER + 1):
-        g = g_fn(theta)
-        theta_new, ll_new = _line_step(theta, ll, g, h_fn(theta), ll_fn, label)
+        step = _line_step(theta, ll, g_fn(theta), h_fn(theta), ll_fn, label)
+        theta_new, ll_new, stop = project(*step)
         rel = abs(ll_new - ll) / max(1.0, abs(ll))
         theta, ll = theta_new, ll_new
         gmax = float(np.max(np.abs(conv_grad(theta))))
+        if stop:
+            return theta, ll, it, gmax, {"iterations": it, "boundary": True}
         if rel < LL_RTOL and gmax < GRAD_TOL:
             return theta, ll, it, gmax, {"iterations": it}
     raise ConvergenceError(
         f"{label}: no convergence in {MAX_ITER} iterations "
-        f"(ll={ll:.6f}, "
-        f"grad_max_abs={float(np.max(np.abs(conv_grad(theta)))):.3e})",
-        trace={"iterations": MAX_ITER, "ll": ll,
-               "grad_max_abs": float(np.max(np.abs(conv_grad(theta))))})
+        f"(ll={ll:.6f}, grad_max_abs={gmax:.3e})",
+        trace={"iterations": MAX_ITER, "ll": ll, "grad_max_abs": gmax})

@@ -167,18 +167,9 @@ def test_missing_column_raises_config_error():
         read_cases_text("case_id,day_offset\nc1,0\n")
 
 
-def test_unknown_schema_field_raises_config_error():
-    with pytest.raises(ConfigError, match="unknown schema"):
-        read_cases_text(HEADER + "\nc1,0,1,50,M,1,a\n", schema={"bogus": "x"})
-
-
 def test_schema_override_and_delimiter():
-    text = ("id|start|stop|age|gender|surgery_type|providers\n"
-            "c1|0|1|50|M|1|a;b\n")
-    cases, diags = read_cases_text(
-        text,
-        schema={"case_id": "id", "day_offset": "start", "end_day_offset": "stop"},
-        delimiter="|")
+    text = HEADER.replace(",", "|") + "\nc1|0|1|50|M|1|a;b\n"
+    cases, diags = read_cases_text(text, delimiter="|")
     assert diags == []
     assert cases[0].case_id == "c1" and cases[0].providers == {"a", "b"}
 

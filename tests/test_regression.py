@@ -377,6 +377,90 @@ def test_negbin_boundary_on_equidispersed_data():
     assert lr.p_value >= 0.5 * 0.0455 - 1e-9  # chi2(1) tail at 4
 
 
+def test_fit_trace_counts_every_iteration():
+    rng = np.random.default_rng(16)
+    n = 2000
+    x1 = rng.normal(size=n)
+    y = rng.poisson(np.exp(0.3 * x1 + 0.5))
+    boundary = negbin_fit(DesignMatrix.build(y, {"x1": x1}))
+    dm = simulated_design(np.random.default_rng(9), 600)
+    pois, interior = poisson_fit(dm), negbin_fit(dm)
+    assert boundary.alpha_boundary and not interior.alpha_boundary
+    assert pois.trace == {"iterations": pois.iterations}
+    assert interior.trace == {"iterations": interior.iterations}
+    assert boundary.trace == {"iterations": boundary.iterations,
+                              "boundary": True}
+
+
+def equidispersed_design(seed, n=200):
+    rng = np.random.default_rng(seed)
+    x1 = rng.normal(size=n)
+    return DesignMatrix.build(rng.poisson(np.exp(0.4 * x1 + 0.2)), {"x1": x1})
+
+
+def boundary_fit_runs(monkeypatch, dm):
+    """NB2 fit of ``dm`` with every ``_newton`` run recorded as (label,
+    stopped by its projection, final last parameter, iterations)."""
+    start = reg.negbin_start(poisson_fit(dm), dm)
+    runs = []
+    newton = reg._newton
+
+    def recording(*args, **kwargs):
+        theta, ll, it, gmax, trace = newton(*args, **kwargs)
+        runs.append((kwargs["label"], trace.get("boundary", False),
+                     float(theta[-1]), it))
+        return theta, ll, it, gmax, trace
+
+    monkeypatch.setattr(reg, "_newton", recording)
+    fit = negbin_fit(dm, start=start)
+    assert [r[0] for r in runs] == ["negbin", "negbin (boundary)"]
+    assert not runs[1][1]
+    assert fit.alpha_boundary
+    assert fit.alpha == pytest.approx(1e-8, rel=1e-12)
+    assert np.isnan(fit.alpha_std_err) and np.isnan(fit.ln_alpha_std_err)
+    assert fit.iterations == runs[0][3] + runs[1][3]
+    assert fit.trace == {"iterations": fit.iterations, "boundary": True}
+    return runs[0]
+
+
+def test_negbin_boundary_exit_by_clamp_stop(monkeypatch):
+    _, stopped, ln_alpha, _ = boundary_fit_runs(monkeypatch,
+                                                equidispersed_design(7))
+    assert stopped
+    assert ln_alpha == reg.LN_ALPHA_FLOOR
+
+
+def test_negbin_boundary_exit_by_flat_tail_relabel(monkeypatch):
+    _, stopped, ln_alpha, _ = boundary_fit_runs(monkeypatch,
+                                                equidispersed_design(4))
+    assert not stopped
+    assert reg.LN_ALPHA_FLOOR < ln_alpha < reg.LN_ALPHA_BOUNDARY
+
+
+def test_fits_raise_labelled_non_convergence(monkeypatch):
+    dm = simulated_design(np.random.default_rng(9), 600)
+    start = reg.negbin_start(poisson_fit(dm), dm)
+    monkeypatch.setattr(reg, "MAX_ITER", 1)
+    for label, fit in (("poisson", lambda: poisson_fit(dm)),
+                       ("negbin", lambda: negbin_fit(dm, start=start))):
+        with pytest.raises(ConvergenceError,
+                           match=f"^{label}: no convergence in 1 iter"
+                           ) as exc_info:
+            fit()
+        trace = exc_info.value.trace
+        assert set(trace) == {"iterations", "ll", "grad_max_abs"}
+        assert trace["iterations"] == 1 and np.isfinite(trace["ll"])
+        assert trace["grad_max_abs"] >= reg.GRAD_TOL
+
+
+def test_negbin_non_finite_start_fails_at_start():
+    dm = simulated_design(np.random.default_rng(9), 200)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(ConvergenceError,
+                          match="^negbin: log-likelihood not finite at start"):
+        negbin_fit(dm, start=np.append(np.zeros(3), 1000.0))
+
+
 def test_negbin_explicit_start_agrees_with_warm_start():
     rng = np.random.default_rng(17)
     dm = simulated_design(rng, 800, alpha=0.8)
@@ -435,6 +519,18 @@ def test_scaler_round_trip_is_exact_reparametrization():
     assert_allclose(eta_scaled, eta_orig, rtol=1e-12)
     back = scaler.to_original(scaler.from_original(beta.copy()))
     assert_allclose(back, beta, rtol=1e-12)
+    # covariance mapping: trailing parameters (NB2's ln alpha) pass through
+    jac = np.diag(1.0 / scaler.scale)
+    jac[2, :] = -scaler.center / scaler.scale
+    jac[2, 2] = 1.0
+    jac_t = np.zeros((4, 4))
+    jac_t[:3, :3] = jac
+    jac_t[3, 3] = 1.0
+    root = rng.normal(size=(4, 4))
+    cov = root @ root.T
+    assert np.array_equal(scaler.cov_original(cov), jac_t @ cov @ jac_t.T)
+    cov_b = np.ascontiguousarray(cov[:3, :3])
+    assert np.array_equal(scaler.cov_original(cov_b), jac @ cov_b @ jac.T)
 
 
 def test_ill_conditioned_design_still_converges():
