@@ -24,8 +24,8 @@ reached every node of its component, so a block whose sources all sit
 at eccentricity 2 makes 2 products, one each way. The pass's level-2
 product, read at the sources' neighbors, is the masked A^2 column block
 of SpGEMM triangle counting (Azad, Buluc & Gilbert 2015), so triangles
-need no product of their own. Components come from one
-``scipy.sparse.csgraph`` labelling per graph, which gives the pass its
+need no product of their own. Components come from the graph's one
+labelling (``CoworkerGraph.component_labels``), which gives the pass its
 component sizes and the eigenvector iteration its largest component,
 where it multiplies by A restricted to that component.
 
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import ConvergenceError, DataError
 from .network import CoworkerGraph
@@ -207,14 +206,13 @@ def _eigenvector(a, labels, tol, max_iter):
 
 def _labelled(g):
     """The adjacency of ``g`` and its connected-component labels."""
-    a = g.adjacency()
-    return a, csgraph.connected_components(a, directed=False)[1]
+    return g.adjacency(), g.component_labels()
 
 
 def connected_components(g: CoworkerGraph):
     """Components as frozensets of ids, largest first (ties: earliest node)."""
     # labels increase with the smallest node index in the component
-    _, labels = _labelled(g)
+    labels = g.component_labels()
     comps = {}
     for i, lab in enumerate(labels):
         comps.setdefault(int(lab), []).append(g.nodes[i])

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .records import Segment
 
@@ -87,6 +88,7 @@ class CoworkerGraph:
         self.indptr = counts.indptr.astype(np.int32, copy=False)
         self.indices = counts.indices.astype(np.int32, copy=False)
         self._counts = counts.data
+        self._labels = None
 
     @property
     def pair_counts(self):
@@ -127,6 +129,18 @@ class CoworkerGraph:
         n = self.n_nodes
         return sparse.csr_matrix(
             (np.ones(self.indices.size), self.indices, self.indptr), shape=(n, n))
+
+    def component_labels(self):
+        """Connected-component label per node, aligned with ``self.nodes``.
+
+        Labels increase with the smallest node index in the component. The
+        graph is labelled on the first call only; every later call, from
+        any measure, returns the same array, so callers must not modify it.
+        """
+        if self._labels is None:
+            self._labels = csgraph.connected_components(
+                self.adjacency(), directed=False)[1]
+        return self._labels
 
     def neighbors(self, node):
         i = self._index[node]

@@ -13,15 +13,26 @@ per-case table is a dict of columns (``assemble_rows``), which the
 Spearman and regression stages read directly and the renderer formats a
 column at a time. ``RunResult.rows`` and ``Segment.cases`` read rows back
 from the columns on access.
+
+The process's parallelism is across segments, not inside BLAS. Each
+segment's network and measures are one task on a thread pool with a
+worker per CPU the process may run on (its affinity mask); results and
+the first error come back in segment order. BLAS runs on one thread for
+the whole of ``run_pipeline`` and the caller's thread counts are restored
+afterwards, so the artifacts do not depend on ``OPENBLAS_NUM_THREADS``.
 """
 
+import ctypes
 import hashlib
+import importlib
 import json
 import math
 import os
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import cache, partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -231,28 +242,61 @@ def load_cases(cfg: PipelineConfig):
     return diagnostics, report, retained
 
 
+def _analyze_segment(cfg: PipelineConfig, seg):
+    """Build, project, and measure one segment's network."""
+    with _stage(f"network (segment {seg.index})"):
+        bipartite = network.build_bipartite(seg)
+        graph = network.project_one_mode(bipartite)
+        summary = network.summarize(graph, seg)
+    with _stage(f"metrics (segment {seg.index})"):
+        nm = centrality.compute_all(graph, eig_tol=cfg.eig_tol,
+                                    eig_max_iter=cfg.eig_max_iter)
+        # the labels compute_all made; a graph is labelled only once
+        sizes = np.bincount(graph.component_labels(), minlength=1)
+    return SegmentAnalysis(
+        segment=seg, bipartite=bipartite, graph=graph, summary=summary,
+        node_metrics=nm,
+        isolated_nodes=int(np.count_nonzero(sizes == 1)),
+        outside_largest_component=graph.n_nodes - int(sizes.max()))
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def analyze_segments(cfg: PipelineConfig, retained):
-    """Segment, build, project, and measure each segment's network."""
+    """Segment, then build, project, and measure each segment's network.
+
+    Segments are independent, so each is one task on a thread pool with a
+    worker per usable CPU; the sparse products and array work of the
+    measures release the GIL. Results, and the first error, come back in
+    segment order, as from a serial loop.
+    """
     with _stage("segment"):
         segments = records.segment_cases(retained, window_days=cfg.window_days)
-    analyses = []
-    for seg in segments:
-        with _stage(f"network (segment {seg.index})"):
-            bipartite = network.build_bipartite(seg)
-            graph = network.project_one_mode(bipartite)
-            summary = network.summarize(graph, seg)
-        with _stage(f"metrics (segment {seg.index})"):
-            nm = centrality.compute_all(graph, eig_tol=cfg.eig_tol,
-                                        eig_max_iter=cfg.eig_max_iter)
-            comps = centrality.connected_components(graph)
-            isolated = sum(1 for c in comps if len(c) == 1)
-            largest = max((len(c) for c in comps), default=0)
-        analyses.append(SegmentAnalysis(
-            segment=seg, bipartite=bipartite, graph=graph, summary=summary,
-            node_metrics=nm,
-            isolated_nodes=isolated,
-            outside_largest_component=graph.n_nodes - largest))
+    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+        analyses = list(pool.map(partial(_analyze_segment, cfg), segments))
+    _release_freed_memory()
     return analyses
+
+
+def _release_freed_memory():
+    """Return the free pages of every malloc arena to the system.
+
+    The pool's threads allocate from arenas of their own, which keep the
+    measures' freed block arrays where the later stages, on this thread,
+    cannot reuse them. glibc's ``malloc_trim`` releases them; elsewhere
+    this does nothing.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 def assemble_rows(cfg: PipelineConfig, analyses, codeset):
@@ -336,9 +380,65 @@ def estimate(cfg: PipelineConfig, table) -> EstimationResult:
                             lr_alpha=lr)
 
 
+# (extension module, OpenBLAS thread-count symbols) for numpy's and scipy's
+# copies of OpenBLAS; dlsym on an extension also searches the libraries it
+# links. The wheels rename the symbols; a system OpenBLAS keeps the plain
+# names.
+_BLAS_LIBRARIES = ("numpy._core._multiarray_umath", "scipy.linalg._fblas")
+_BLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_",
+                  "scipy_openblas_set_num_threads64_"),
+                 ("scipy_openblas_get_num_threads",
+                  "scipy_openblas_set_num_threads"),
+                 ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+@cache
+def _blas_thread_controls():
+    """(get, set) thread-count functions of each OpenBLAS found."""
+    controls = []
+    for module in _BLAS_LIBRARIES:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError):
+            continue
+        for get, set_ in _BLAS_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                get, set_ = getattr(lib, get), getattr(lib, set_)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread, then restore the caller's thread counts.
+
+    The fits' BLAS calls are small-vector products: a thread pool makes
+    them slower and makes their sums depend on the thread count.
+    """
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+
 def run_pipeline(cfg: PipelineConfig, write=True) -> RunResult:
     """Execute every stage and, unless ``write`` is false, emit all
-    artifacts into ``cfg.output_dir``."""
+    artifacts into ``cfg.output_dir``. BLAS runs on one thread meanwhile
+    (``_one_blas_thread``), so the artifacts do not depend on the BLAS
+    thread count."""
+    with _one_blas_thread():
+        return _run(cfg, write)
+
+
+def _run(cfg: PipelineConfig, write):
     cfg.validate()
     codeset = load_codeset(cfg.codeset)
     diagnostics, report, retained = load_cases(cfg)

@@ -369,7 +369,9 @@ def negbin_loglik(params, x, y) -> float:
     beta, t = params[:-1], params[-1]
     r = np.exp(-t)
     eta = x @ beta
-    with np.errstate(over="ignore"):
+    # a huge ln alpha underflows r to 0: log(0) and 0 * inf give a
+    # non-finite ll, which the line search rejects
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         amu = np.exp(t + eta)
         lng, _, _ = _gamma_ratio_sums(y, r)
         ll = lng - gammaln(y + 1.0) - r * np.log1p(amu) \

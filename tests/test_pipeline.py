@@ -1,15 +1,20 @@
 """End-to-end pipeline: config handling, stage wiring, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 import oracles
-from surgnet import pipeline
+from surgnet import network, pipeline
 from surgnet.errors import ConfigError, ConvergenceError, DataError
 from surgnet.records import MISSING
 from surgnet.pipeline import (
@@ -137,6 +142,90 @@ def test_all_zero_outcome_is_a_convergence_error(tmp_path):
     with pytest.raises(ConvergenceError, match="stage regress") as exc_info:
         run_pipeline(cfg)
     assert exc_info.value.trace == {"boundary": "all-zero response"}
+
+
+def test_segment_pool_size_does_not_change_the_artifacts(dataset, tmp_path,
+                                                        monkeypatch):
+    cfg = PipelineConfig(input_path=str(dataset["cases"]),
+                         output_dir=str(tmp_path / "out"), window_days=90)
+    outputs = []
+    # one worker runs the segments in turn; four run all four at once
+    for workers in (1, 4):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
+        outputs.append(run_pipeline(cfg, write=False).outputs)
+    assert outputs[0] == outputs[1]
+
+
+def test_first_segment_error_wins_whatever_finishes_first(dataset, tmp_path,
+                                                          monkeypatch):
+    # every segment fails its eigenvector iteration; segment 1 is held back
+    # so a pooled later segment fails first in time
+    real_summarize = network.summarize
+
+    def slow_first_segment(graph, segment):
+        if segment.index == 1:
+            time.sleep(0.2)
+        return real_summarize(graph, segment)
+
+    monkeypatch.setattr(network, "summarize", slow_first_segment)
+    cfg = PipelineConfig(input_path=str(dataset["cases"]),
+                         output_dir=str(tmp_path / "out"), window_days=90,
+                         eig_max_iter=1)
+    with pytest.raises(ConvergenceError,
+                       match=r"^stage metrics \(segment 1\): eigenvector power "
+                             r"iteration did not converge in 1 iterations"):
+        run_pipeline(cfg, write=False)
+
+
+_RUN_AND_PRINT_OUTPUTS = """
+import json, sys
+from surgnet.pipeline import PipelineConfig, run_pipeline
+cfg = PipelineConfig(input_path=sys.argv[1], output_dir="unused")
+json.dump(run_pipeline(cfg, write=False).outputs, sys.stdout)
+"""
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    cases, _ = synth_generate(seed=7, n_cases=12000, n_providers=200,
+                              n_segments=2, out_path=tmp_path / "cases.csv")
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_AND_PRINT_OUTPUTS, str(cases)],
+            env=env, capture_output=True, text=True, check=True)
+        outputs[threads] = json.loads(proc.stdout)
+    assert outputs["1"].keys() == outputs["2"].keys()
+    for name, text in outputs["1"].items():
+        assert outputs["2"][name] == text, f"{name} depends on BLAS threads"
+
+
+def test_run_pins_one_blas_thread_and_restores_the_callers(dataset, tmp_path,
+                                                          monkeypatch):
+    controls = pipeline._blas_thread_controls()
+    assert controls, "no OpenBLAS thread control found"
+    saved = [get() for get, _ in controls]
+    real_estimate, seen = pipeline.estimate, []
+
+    def estimate_noting_threads(*args):
+        seen.append([get() for get, _ in controls])
+        return real_estimate(*args)
+
+    monkeypatch.setattr(pipeline, "estimate", estimate_noting_threads)
+    cfg = PipelineConfig(input_path=str(dataset["cases"]),
+                         output_dir=str(tmp_path / "out"), window_days=90)
+    try:
+        # a caller's count of 1 and of 2 both come back as they were
+        for callers in (1, 2):
+            for _, set_threads in controls:
+                set_threads(callers)
+            run_pipeline(cfg, write=False)
+            assert seen.pop() == [1] * len(controls)
+            assert [get() for get, _ in controls] == [callers] * len(controls)
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +376,21 @@ def test_manifest_counts_cases_with_isolated_providers(dataset, tmp_path):
     assert network["cases_with_isolated_providers"] == 3
     isolated = sum(s["isolated_nodes"] for s in network["per_segment"])
     assert isolated == 2
+
+
+def test_each_segment_is_labelled_once(dataset, tmp_path, monkeypatch):
+    real_label, labelled = csgraph.connected_components, []
+
+    def label_counting(*args, **kwargs):
+        labelled.append(args[0].shape[0])
+        return real_label(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "connected_components", label_counting)
+    result = run_pipeline(PipelineConfig(
+        input_path=str(dataset["cases"]), output_dir=str(tmp_path / "out"),
+        window_days=90), write=False)
+    assert sorted(labelled) == sorted(
+        sa.graph.n_nodes for sa in result.analyses)
 
 
 def test_rerun_is_byte_identical(run, dataset):

@@ -1,5 +1,7 @@
 """Design assembly, OLS/VIF screening, Poisson and NB2 maximum likelihood."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -459,6 +461,25 @@ def test_negbin_non_finite_start_fails_at_start():
             pytest.raises(ConvergenceError,
                           match="^negbin: log-likelihood not finite at start"):
         negbin_fit(dm, start=np.append(np.zeros(3), 1000.0))
+
+
+def test_negbin_huge_ln_alpha_is_rejected_without_warnings():
+    # at ln alpha = 1000, r = exp(-ln alpha) underflows to 0
+    dm = simulated_design(np.random.default_rng(9), 200)
+    theta = np.append(poisson_fit(dm).coef, np.log(0.01))
+
+    def ll_fn(params):
+        return negbin_loglik(params, dm.x, dm.y)
+
+    ll = ll_fn(theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(ll_fn(np.append(theta[:-1], 1000.0)))
+        # a Newton step whose first candidate lands exactly there
+        step = np.append(np.zeros(3), 1000.0 - theta[-1])
+        cand, ll_new = reg._line_step(theta, ll, step, -np.eye(4), ll_fn,
+                                      "negbin")
+    assert cand[-1] < 1000.0 and np.isfinite(ll_new) and ll_new > ll
 
 
 def test_negbin_explicit_start_agrees_with_warm_start():
