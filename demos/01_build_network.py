@@ -53,12 +53,14 @@ for u, v in graph.edges():
 # see the docstrings in surgnet.centrality for the exact conventions.
 from surgnet.centrality import compute_all, team_aggregate
 
+# They come back as columns aligned with the sorted provider ids.
 metrics = compute_all(graph)
 print("\nprovider   degree  betweenness  closeness  eigenvector  clustering")
-for pid in graph.nodes:
-    m = metrics[pid]
-    print(f"{pid:<10} {m.degree:6.3f}  {m.betweenness:11.3f}  "
-          f"{m.closeness:9.3f}  {m.eigenvector:11.3f}  {m.clustering:10.3f}")
+for pid, deg, btw, clo, eig, clu in zip(
+        metrics["provider_id"], metrics["degree"], metrics["betweenness"],
+        metrics["closeness"], metrics["eigenvector"], metrics["clustering"]):
+    print(f"{pid:<10} {deg:6.3f}  {btw:11.3f}  "
+          f"{clo:9.3f}  {eig:11.3f}  {clu:10.3f}")
 
 # Each case is then described by the average measures of its team --
 # these are the avgBtwn / avgClos / ... covariates of the regression.

@@ -10,7 +10,6 @@ and NB2 negative binomial).
 __version__ = "0.1.0"
 
 from .centrality import (
-    NodeMetrics,
     TeamMetrics,
     betweenness_centrality,
     closeness_centrality,
@@ -76,7 +75,6 @@ __all__ = [
     "GofResult",
     "GraphSummary",
     "LrAlphaResult",
-    "NodeMetrics",
     "OlsResult",
     "PipelineConfig",
     "RunResult",

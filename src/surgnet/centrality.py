@@ -29,10 +29,15 @@ labelling (``CoworkerGraph.component_labels``), which gives the pass its
 component sizes and the eigenvector iteration its largest component,
 where it multiplies by A restricted to that component.
 
+``compute_all`` returns a segment's measures as one set of columns,
+keyed by the ``node_metrics_seg<k>.tsv`` header (``COLUMNS``):
+``provider_id`` is the graph's sorted node tuple, ``degree_raw`` an int64
+array and the five measures float64 arrays aligned with it.
+
 Team averages take every case of a segment at once from the case x
-provider incidence matrix B of ``network.build_bipartite``: team sizes
-are B's row sums k and the means are (B @ M) / k for the node-by-measure
-array M.
+provider incidence matrix B of ``network.build_bipartite``, whose columns
+are the graph's nodes: team sizes are B's row sums k and the means are
+(B @ M) / k for the node-by-measure array M stacked from the columns.
 """
 
 from dataclasses import dataclass
@@ -46,21 +51,8 @@ from .records import CaseRecord
 
 
 @dataclass(frozen=True)
-class NodeMetrics:
-    """All five measures for one provider in one segment network."""
-
-    provider_id: str
-    degree_raw: int
-    degree: float
-    betweenness: float
-    closeness: float
-    eigenvector: float
-    clustering: float
-
-
-@dataclass(frozen=True)
 class TeamMetrics:
-    """Arithmetic means of member NodeMetrics over one case's team."""
+    """Arithmetic means of the members' measures over one case's team."""
 
     case_id: str
     team_size: int
@@ -264,55 +256,65 @@ def clustering_coefficient(g: CoworkerGraph):
     return _by_node(g, _geodesic_measures(*_labelled(g))[2])
 
 
-def compute_all(g: CoworkerGraph, eig_tol=1e-10, eig_max_iter=10000):
-    """All five measures per provider, keyed by provider id.
+# the columns of compute_all, in node_metrics_seg<k>.tsv header order
+COLUMNS = ("provider_id", "degree_raw", "degree", "betweenness", "closeness",
+           "eigenvector", "clustering")
 
-    Labels the components once and runs the BFS pass once for
-    betweenness, closeness and clustering.
+
+def compute_all(g: CoworkerGraph, eig_tol=1e-10, eig_max_iter=10000):
+    """All five measures of every provider, as a dict of ``COLUMNS``.
+
+    ``provider_id`` is ``g.nodes``; the other columns are arrays aligned
+    with it: ``degree_raw`` int64, the rest float64. Labels the
+    components once and runs the BFS pass once for betweenness,
+    closeness and clustering.
     """
     a, labels = _labelled(g)
     betweenness, closeness, clustering = _geodesic_measures(a, labels)
-    columns = (*_degrees(g), betweenness, closeness,
-               _eigenvector(a, labels, eig_tol, eig_max_iter), clustering)
-    return {u: NodeMetrics(u, *values)
-            for u, values in zip(g.nodes, zip(*(c.tolist() for c in columns)))}
+    raw, degree = _degrees(g)
+    return dict(zip(COLUMNS, (
+        g.nodes, raw.astype(np.int64), degree, betweenness, closeness,
+        _eigenvector(a, labels, eig_tol, eig_max_iter), clustering)))
 
 
-# NodeMetrics fields averaged over a team, in TeamMetrics field order
+# compute_all columns averaged over a team, in TeamMetrics field order
 TEAM_MEASURES = ("betweenness", "closeness", "eigenvector", "clustering",
                  "degree")
 
 
-def team_means(incidence, metrics, providers):
+def team_means(incidence, measures):
     """Team size and TEAM_MEASURES means of every case of an incidence matrix.
 
     ``incidence`` is a case x provider CSR 0/1 matrix B whose columns are
-    ``providers`` with sorted indices per row. With M the (providers, 5)
-    array of measures from ``metrics``, team sizes are the row sums k and
-    the means are (B @ M) / k. The sparse product adds each case's members
-    from 0 in column order, so a team's sums follow its sorted provider
-    ids and do not depend on set order.
+    the ``provider_id`` column of ``measures`` (``compute_all``'s), with
+    sorted indices per row. With M the (providers, 5) stack of the
+    TEAM_MEASURES columns, team sizes are the row sums k and the means
+    are (B @ M) / k. The sparse product adds each case's members from 0
+    in column order, so a team's sums follow its sorted provider ids and
+    do not depend on set order.
     """
-    m = np.array([[getattr(metrics[u], f) for f in TEAM_MEASURES]
-                  for u in providers], dtype=np.float64).reshape(-1, 5)
+    m = np.column_stack([measures[name] for name in TEAM_MEASURES])
     k = np.diff(incidence.indptr)
     return k, (incidence @ m) / k[:, None]
 
 
-def team_aggregate(case: CaseRecord, metrics) -> TeamMetrics:
+def team_aggregate(case: CaseRecord, measures) -> TeamMetrics:
     """Average each measure over the case's team.
 
     The one-row case of ``team_means``. Every provider on the case must
-    appear in ``metrics`` (the case's own segment network); a missing
-    provider signals a segment/case mismatch.
+    be a ``provider_id`` of ``measures`` (the case's own segment
+    network); a missing provider signals a segment/case mismatch.
     """
-    missing = sorted(p for p in case.providers if p not in metrics)
+    index = {u: i for i, u in enumerate(measures["provider_id"])}
+    missing = sorted(p for p in case.providers if p not in index)
     if missing:
         raise DataError(
             f"provider {missing[0]!r} of case {case.case_id} is not in the "
             "segment network")
-    team = sorted(case.providers)
+    # provider ids are sorted, so the team's columns are too
+    team = sorted(index[p] for p in case.providers)
     k = len(team)
-    row = sparse.csr_matrix((np.ones(k), np.arange(k), [0, k]), shape=(1, k))
-    size, means = team_means(row, metrics, team)
+    row = sparse.csr_matrix((np.ones(k), team, [0, k]),
+                            shape=(1, len(index)))
+    size, means = team_means(row, measures)
     return TeamMetrics(case.case_id, int(size[0]), *means[0].tolist())

@@ -8,6 +8,7 @@ overridden with the SURGNET_OUTPUT_DIR environment variable (an explicit
 """
 
 import argparse
+import io
 import os
 import sys
 from dataclasses import fields
@@ -206,14 +207,15 @@ def cmd_metrics(args):
         if not analyses:
             raise ConfigError(f"no segment with index {args.segment}")
     outdir = cfg.output_dir
-    outputs = {f"node_metrics_seg{sa.segment.index}.tsv":
-               pipeline.render_node_metrics(sa) for sa in analyses}
+    outputs = {}
+    for sa in analyses:
+        outputs[f"node_metrics_seg{sa.segment.index}.tsv"] = \
+            pipeline.render_node_metrics(sa)
+        if args.save_edges:
+            edges = io.StringIO()
+            write_edge_list(sa.graph, edges)
+            outputs[f"edges_seg{sa.segment.index}.tsv"] = edges.getvalue()
     pipeline.write_outputs(outputs, outdir)
-    if args.save_edges:
-        for sa in analyses:
-            write_edge_list(sa.graph,
-                            os.path.join(outdir,
-                                         f"edges_seg{sa.segment.index}.tsv"))
     for sa in analyses:
         s = sa.summary
         print(f"segment {sa.segment.index}: nodes {s.node_count}, "
@@ -303,7 +305,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every subcommand's BLAS on one thread, as in run_pipeline
+        with pipeline._one_blas_thread():
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

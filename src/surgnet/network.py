@@ -11,7 +11,6 @@ co-occurrence multiplicity kept only as edge metadata.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -220,10 +219,7 @@ def summarize(g: CoworkerGraph, segment: Segment) -> GraphSummary:
 
 
 def write_edge_list(g: CoworkerGraph, target):
-    """Write the graph as tab-separated ``u<TAB>v`` lines, sorted."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            write_edge_list(g, fh)
-        return
+    """Write the graph to the text stream ``target`` as tab-separated
+    ``u<TAB>v`` lines, sorted."""
     for u, v in g.edges():
         target.write(f"{u}\t{v}\n")

@@ -115,18 +115,9 @@ class PipelineConfig:
         return self
 
     def to_dict(self):
-        return {
-            "input_path": self.input_path,
-            "output_dir": self.output_dir,
-            "window_days": self.window_days,
-            "delimiter": self.delimiter,
-            "provider_form": self.provider_form,
-            "eig_tol": self.eig_tol,
-            "eig_max_iter": self.eig_max_iter,
-            "regression_columns": list(self.regression_columns),
-            "codeset": self.codeset,
-            "distinct_complications": self.distinct_complications,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["regression_columns"] = list(self.regression_columns)
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -167,7 +158,7 @@ class SegmentAnalysis:
     bipartite: network.BipartiteGraph
     graph: network.CoworkerGraph
     summary: network.GraphSummary
-    node_metrics: dict
+    measures: dict  # centrality.compute_all's columns
     isolated_nodes: int
     outside_largest_component: int
 
@@ -249,13 +240,13 @@ def _analyze_segment(cfg: PipelineConfig, seg):
         graph = network.project_one_mode(bipartite)
         summary = network.summarize(graph, seg)
     with _stage(f"metrics (segment {seg.index})"):
-        nm = centrality.compute_all(graph, eig_tol=cfg.eig_tol,
-                                    eig_max_iter=cfg.eig_max_iter)
+        measures = centrality.compute_all(graph, eig_tol=cfg.eig_tol,
+                                          eig_max_iter=cfg.eig_max_iter)
         # the labels compute_all made; a graph is labelled only once
         sizes = np.bincount(graph.component_labels(), minlength=1)
     return SegmentAnalysis(
         segment=seg, bipartite=bipartite, graph=graph, summary=summary,
-        node_metrics=nm,
+        measures=measures,
         isolated_nodes=int(np.count_nonzero(sizes == 1)),
         outside_largest_component=graph.n_nodes - int(sizes.max()))
 
@@ -313,8 +304,8 @@ def assemble_rows(cfg: PipelineConfig, analyses, codeset):
     with _stage("join"):
         for sa in analyses:
             cases = sa.segment.cases
-            sizes, means = centrality.team_means(
-                sa.bipartite.incidence, sa.node_metrics, sa.bipartite.providers)
+            sizes, means = centrality.team_means(sa.bipartite.incidence,
+                                                 sa.measures)
             parts.append((
                 np.full(len(cases), sa.segment.index, dtype=np.int64),
                 count_complications(cases, codeset,
@@ -507,13 +498,18 @@ def _tsv(rows_of_cells) -> str:
     return "".join("\t".join(cells) + "\n" for cells in rows_of_cells)
 
 
+def _node_mean(measures, name):
+    """Mean of one measure column by the built-in sum in node order;
+    np.mean adds pairwise and would move the last digits."""
+    column = measures[name].tolist()
+    return sum(column) / len(column) if column else 0.0
+
+
 def _segment_stats(analyses, table):
     c_count = np.bincount(table["segment"]).tolist()
     c_sum = np.bincount(table["segment"], weights=table["C"]).tolist()
     stats = []
     for sa in sorted(analyses, key=lambda sa: sa.segment.index):
-        nm = sa.node_metrics.values()
-        n = len(sa.node_metrics)
         k = sa.segment.index
         stats.append({
             "segment": sa.segment.index,
@@ -525,12 +521,9 @@ def _segment_stats(analyses, table):
             "avg_team_size": sa.summary.avg_team_size,
             "avg_degree": sa.summary.avg_degree,
             "density": sa.summary.density,
-            "avg_betweenness":
-                sum(m.betweenness for m in nm) / n if n else 0.0,
-            "avg_closeness":
-                sum(m.closeness for m in nm) / n if n else 0.0,
-            "avg_eigenvector":
-                sum(m.eigenvector for m in nm) / n if n else 0.0,
+            "avg_betweenness": _node_mean(sa.measures, "betweenness"),
+            "avg_closeness": _node_mean(sa.measures, "closeness"),
+            "avg_eigenvector": _node_mean(sa.measures, "eigenvector"),
             "avg_complications":
                 c_sum[k] / c_count[k] if k < len(c_count) and c_count[k] else 0.0,
         })
@@ -549,16 +542,6 @@ def _render_segments(stats):
     return _tsv(out)
 
 
-def render_node_metrics(sa: SegmentAnalysis):
-    out = [["provider_id", "degree_raw", "degree", "betweenness", "closeness",
-            "eigenvector", "clustering"]]
-    for pid in sorted(sa.node_metrics):
-        m = sa.node_metrics[pid]
-        out.append([pid, str(m.degree_raw), _fmt(m.degree), _fmt(m.betweenness),
-                    _fmt(m.closeness), _fmt(m.eigenvector), _fmt(m.clustering)])
-    return _tsv(out)
-
-
 # one network_data.json row, keys sorted, at the depth and with the item
 # separator of json.dumps(..., indent=2, sort_keys=True)
 _JSON_KEYS = sorted(ROW_COLUMNS)
@@ -566,17 +549,32 @@ _JSON_ROW = ("{\n    " + ",\n    ".join(f"{json.dumps(k)}: %s" for k in _JSON_KE
              + "\n  }")
 
 
-def _network_data_cells(table, float_text, absent):
-    """The numeric columns of the joined table as text: ``float_text`` of
-    each float, ``str`` of each integer, ``absent`` where missing."""
+def _column_cells(table, names, float_text, absent):
+    """The ``names`` columns of a table of columns as text: ``float_text``
+    of each float, ``str`` of each integer, ``absent`` where missing."""
     cells = {}
-    for name in ROW_COLUMNS[1:]:
+    for name in names:
         column = table[name]
         out = cells[name] = list(map(
             float_text if column.dtype.kind == "f" else str, column.tolist()))
         for i in np.flatnonzero(_missing(column)).tolist():
             out[i] = absent
     return cells
+
+
+def _tsv_columns(table):
+    """A table of columns as TSV, a column at a time: its keys as the
+    header, the first column (the ids) as it is, the others as ``_fmt``
+    writes them."""
+    names = list(table)
+    cells = _column_cells(table, names[1:], "{:.6g}".format, "NA")
+    return "\n".join(map("\t".join, chain(
+        [names], zip(table[names[0]], *cells.values())))) + "\n"
+
+
+def render_node_metrics(sa: SegmentAnalysis):
+    """node_metrics_seg<k>.tsv: one row per provider, in id order."""
+    return _tsv_columns(sa.measures)
 
 
 def _render_network_data(table):
@@ -588,10 +586,8 @@ def _render_network_data(table):
     null where a value is missing. The TSV's cells are dropped before the
     JSON's are made.
     """
-    cells = _network_data_cells(table, "{:.6g}".format, "NA")
-    tsv = "\n".join(map("\t".join, chain(
-        [ROW_COLUMNS], zip(table["case_id"], *cells.values())))) + "\n"
-    cells = _network_data_cells(table, float.__repr__, "null")
+    tsv = _tsv_columns(table)
+    cells = _column_cells(table, ROW_COLUMNS[1:], float.__repr__, "null")
     cells["case_id"] = list(map(encode_basestring_ascii, table["case_id"]))
     items = list(map(_JSON_ROW.__mod__, zip(*(cells[k] for k in _JSON_KEYS))))
     return tsv, "[\n  " + ",\n  ".join(items) + "\n]\n" if items else "[]\n"

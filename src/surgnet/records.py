@@ -15,7 +15,6 @@ table, and a table can be built from records.
 """
 
 import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -526,8 +525,3 @@ def segment_cases(cases, window_days=365):
             index=k + 1, start_day=start, end_day_exclusive=end,
             cases=table.take(order[bounds[k]:bounds[k + 1]])))
     return segments
-
-
-def read_cases_text(text, **kwargs):
-    """Convenience wrapper: parse cases from an in-memory string."""
-    return parse_cases(io.StringIO(text), **kwargs)

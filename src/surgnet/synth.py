@@ -166,7 +166,8 @@ def synth_generate(seed, n_cases, n_providers, window_days=365, n_segments=4,
     """Write the synthetic case file and its truth sidecar to disk.
 
     Returns (out_path, truth_path). The sidecar defaults to the case
-    file's path with a ``.truth.json`` suffix.
+    file's path with a ``.truth.json`` suffix. A file that cannot be
+    written raises ConfigError naming its path.
     """
     header, rows, truth = generate_cases(
         seed, n_cases, n_providers, window_days=window_days,
@@ -175,11 +176,12 @@ def synth_generate(seed, n_cases, n_providers, window_days=365, n_segments=4,
     if truth_path is None:
         stem = out_path[:-4] if out_path.endswith(".csv") else out_path
         truth_path = stem + ".truth.json"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    with open(truth_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    case_text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    truth_text = json.dumps(truth, indent=2, sort_keys=True) + "\n"
+    for path, text in ((out_path, case_text), (truth_path, truth_text)):
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
     return out_path, str(truth_path)

@@ -28,6 +28,14 @@ from surgnet.network import CoworkerGraph, build_bipartite, project_one_mode
 from surgnet.records import Segment
 
 
+def measures(g, **kwargs):
+    """compute_all's columns, each keyed by provider id."""
+    columns = compute_all(g, **kwargs)
+    ids = columns.pop("provider_id")
+    return {name: dict(zip(ids, column.tolist()))
+            for name, column in columns.items()}
+
+
 def graph(edges, extra_nodes=()):
     nodes = set(extra_nodes)
     for u, v in edges:
@@ -44,49 +52,51 @@ KITE = graph([("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
 
 
 def test_star_fixture():
-    m = compute_all(STAR5)
-    hub, leaf = m["hub"], m["s1"]
-    assert hub.degree == 1.0 and hub.betweenness == 1.0 and hub.closeness == 1.0
-    assert hub.eigenvector == pytest.approx(1.0, abs=1e-10)
-    assert hub.clustering == 0.0
-    assert leaf.degree == 0.25 and leaf.betweenness == 0.0
-    assert leaf.closeness == pytest.approx(4 / 7)
-    assert leaf.eigenvector == pytest.approx(0.5, abs=1e-8)
+    m = measures(STAR5)
+    hub, leaf = "hub", "s1"
+    assert (m["degree"][hub] == 1.0 and m["betweenness"][hub] == 1.0
+            and m["closeness"][hub] == 1.0)
+    assert m["eigenvector"][hub] == pytest.approx(1.0, abs=1e-10)
+    assert m["clustering"][hub] == 0.0
+    assert m["degree"][leaf] == 0.25 and m["betweenness"][leaf] == 0.0
+    assert m["closeness"][leaf] == pytest.approx(4 / 7)
+    assert m["eigenvector"][leaf] == pytest.approx(0.5, abs=1e-8)
 
 
 def test_path_fixture():
-    m = compute_all(PATH4)
+    m = measures(PATH4)
     # ends reach {1, 2, 3} -> closeness 3/6 * 1; middles reach {1, 1, 2}
-    assert m["a"].closeness == pytest.approx(0.5)
-    assert m["b"].closeness == pytest.approx(0.75)
+    assert m["closeness"]["a"] == pytest.approx(0.5)
+    assert m["closeness"]["b"] == pytest.approx(0.75)
     # b lies on a-c, a-d; normalization (n-1)(n-2)/2 = 3
-    assert m["b"].betweenness == pytest.approx(2 / 3)
-    assert m["a"].betweenness == 0.0
+    assert m["betweenness"]["b"] == pytest.approx(2 / 3)
+    assert m["betweenness"]["a"] == 0.0
     # leading eigenvector of P4 peaks on the middle nodes; ends carry
     # 1/phi of the peak (phi the golden ratio, the leading eigenvalue)
-    assert m["a"].eigenvector == pytest.approx(2 / (1 + np.sqrt(5)), abs=1e-8)
-    assert m["b"].eigenvector == pytest.approx(1.0, abs=1e-10)
+    assert m["eigenvector"]["a"] == pytest.approx(2 / (1 + np.sqrt(5)),
+                                                  abs=1e-8)
+    assert m["eigenvector"]["b"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_complete_graph_fixture():
-    m = compute_all(K4)
+    m = measures(K4)
     for v in "abcd":
-        assert m[v].degree == 1.0
-        assert m[v].betweenness == 0.0
-        assert m[v].closeness == 1.0
-        assert m[v].eigenvector == pytest.approx(1.0, abs=1e-10)
-        assert m[v].clustering == 1.0
+        assert m["degree"][v] == 1.0
+        assert m["betweenness"][v] == 0.0
+        assert m["closeness"][v] == 1.0
+        assert m["eigenvector"][v] == pytest.approx(1.0, abs=1e-10)
+        assert m["clustering"][v] == 1.0
 
 
 def test_kite_fixture():
-    m = compute_all(KITE)
+    m = measures(KITE)
     # d separates e from {a,b,c}: raw pair-dependency 3, normalized by 6
-    assert m["d"].betweenness == pytest.approx(0.5)
-    assert m["a"].betweenness == 0.0
-    assert m["e"].clustering == 0.0
-    assert m["d"].clustering == pytest.approx(3 / 6)
-    assert m["a"].clustering == pytest.approx(1.0)
-    assert m["d"].eigenvector == pytest.approx(1.0, abs=1e-10)
+    assert m["betweenness"]["d"] == pytest.approx(0.5)
+    assert m["betweenness"]["a"] == 0.0
+    assert m["clustering"]["e"] == 0.0
+    assert m["clustering"]["d"] == pytest.approx(3 / 6)
+    assert m["clustering"]["a"] == pytest.approx(1.0)
+    assert m["eigenvector"]["d"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_triangle_clustering_and_open_triples():
@@ -107,10 +117,9 @@ def test_disconnected_closeness_is_component_corrected():
 
 def test_isolated_node_gets_zeros():
     g = graph([("a", "b")], extra_nodes=["z"])
-    m = compute_all(g)
-    z = m["z"]
-    assert (z.degree_raw, z.degree, z.betweenness, z.closeness,
-            z.eigenvector, z.clustering) == (0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    m = measures(g)
+    assert [m[name]["z"] for name in centrality.COLUMNS[1:]] == \
+        [0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_eigenvector_zero_outside_largest_component():
@@ -132,15 +141,30 @@ def test_eigenvector_component_tie_goes_to_smallest_label():
 
 def test_tiny_graphs():
     empty = CoworkerGraph([], [])
-    assert compute_all(empty) == {}
+    assert measures(empty) == {name: {} for name in centrality.COLUMNS[1:]}
     single = graph([], extra_nodes=["a"])
-    m = compute_all(single)["a"]
-    assert (m.degree, m.betweenness, m.closeness, m.clustering) == (0, 0, 0, 0)
+    m = measures(single)
+    assert [m[name]["a"] for name in ("degree", "betweenness", "closeness",
+                                      "clustering")] == [0, 0, 0, 0]
     pair = graph([("a", "b")])
-    m = compute_all(pair)
-    assert m["a"].betweenness == 0.0  # n < 3: normalization undefined, so 0
-    assert m["a"].closeness == 1.0
-    assert m["a"].degree == 1.0
+    m = measures(pair)
+    # n < 3: normalization undefined, so 0
+    assert m["betweenness"]["a"] == 0.0
+    assert m["closeness"]["a"] == 1.0
+    assert m["degree"]["a"] == 1.0
+
+
+def test_compute_all_columns_follow_the_node_table_header():
+    columns = compute_all(KITE)
+    assert tuple(columns) == centrality.COLUMNS == (
+        "provider_id", "degree_raw", "degree", "betweenness", "closeness",
+        "eigenvector", "clustering")
+    assert columns["provider_id"] is KITE.nodes
+    assert columns["degree_raw"].dtype == np.int64
+    assert columns["degree_raw"].tolist() == KITE.degrees().tolist()
+    for name in centrality.COLUMNS[2:]:
+        assert columns[name].dtype == np.float64
+        assert columns[name].shape == (KITE.n_nodes,)
 
 
 def test_connected_components_order():
@@ -162,7 +186,7 @@ def test_random_graphs_match_oracles():
     for _ in range(300):
         nodes, edges = oracles.random_edge_set(rng, max_nodes=7)
         g = CoworkerGraph(nodes, edges)
-        m = compute_all(g)
+        m = measures(g)
 
         bc = oracles.betweenness_by_enumeration(nodes, edges)
         cl = oracles.closeness_by_floyd_warshall(nodes, edges)
@@ -170,11 +194,11 @@ def test_random_graphs_match_oracles():
         ev = oracles.eigenvector_by_eigh(nodes, edges)
         dg = oracles.degree_by_counting(nodes, edges)
         for v in g.nodes:
-            assert m[v].betweenness == pytest.approx(bc[v], abs=1e-12)
-            assert m[v].closeness == pytest.approx(cl[v], abs=1e-12)
-            assert m[v].clustering == pytest.approx(cc[v], abs=1e-12)
-            assert m[v].eigenvector == pytest.approx(ev[v], abs=1e-8)
-            assert m[v].degree == pytest.approx(dg[v], abs=1e-12)
+            assert m["betweenness"][v] == pytest.approx(bc[v], abs=1e-12)
+            assert m["closeness"][v] == pytest.approx(cl[v], abs=1e-12)
+            assert m["clustering"][v] == pytest.approx(cc[v], abs=1e-12)
+            assert m["eigenvector"][v] == pytest.approx(ev[v], abs=1e-8)
+            assert m["degree"][v] == pytest.approx(dg[v], abs=1e-12)
 
 
 def test_medium_random_graph_matches_oracles():
@@ -187,12 +211,9 @@ def test_medium_random_graph_matches_oracles():
     cl = oracles.closeness_by_floyd_warshall(nodes, edges)
     cc = oracles.clustering_by_triples(nodes, edges)
     ev = oracles.eigenvector_by_eigh(nodes, edges)
-    assert_allclose([m[v].closeness for v in g.nodes],
-                    [cl[v] for v in g.nodes], atol=1e-12)
-    assert_allclose([m[v].clustering for v in g.nodes],
-                    [cc[v] for v in g.nodes], atol=1e-12)
-    assert_allclose([m[v].eigenvector for v in g.nodes],
-                    [ev[v] for v in g.nodes], atol=1e-8)
+    assert_allclose(m["closeness"], [cl[v] for v in g.nodes], atol=1e-12)
+    assert_allclose(m["clustering"], [cc[v] for v in g.nodes], atol=1e-12)
+    assert_allclose(m["eigenvector"], [ev[v] for v in g.nodes], atol=1e-8)
 
 
 def test_multi_block_graph_matches_oracles():
@@ -246,14 +267,14 @@ def test_compute_all_equals_standalone_measures(seed, max_nodes, shape,
     nodes += [f"z{i}" for i in range(isolated)]
     g = CoworkerGraph(nodes, edges)
     with mock.patch.object(centrality, "_BLOCK_CELLS", block_cells):
-        m = compute_all(g)
+        m = measures(g)
         dg = degree_centrality(g)
         bc = betweenness_centrality(g)
         cl = closeness_centrality(g)
         ev = eigenvector_centrality(g)
         cc = clustering_coefficient(g)
-    assert [(m[v].degree_raw, m[v].degree, m[v].betweenness, m[v].closeness,
-             m[v].eigenvector, m[v].clustering) for v in g.nodes] == \
+    assert [tuple(m[name][v] for name in centrality.COLUMNS[1:])
+            for v in g.nodes] == \
         [(*dg[v], bc[v], cl[v], ev[v], cc[v]) for v in g.nodes]
     cc_ref = oracles.clustering_by_triples(nodes, edges)
     assert [cc[v] for v in g.nodes] == [cc_ref[v] for v in g.nodes]
@@ -317,11 +338,11 @@ def test_block_stop_rule_matches_oracles(components, order_seed, block_cells):
     bc = oracles.betweenness_by_enumeration(nodes, edges)
     cl = oracles.closeness_by_floyd_warshall(nodes, edges)
     cc = oracles.clustering_by_triples(nodes, edges)
-    assert_allclose([m[v].betweenness for v in g.nodes],
-                    [bc[v] for v in g.nodes], rtol=0, atol=1e-12)
-    assert_allclose([m[v].closeness for v in g.nodes],
-                    [cl[v] for v in g.nodes], rtol=0, atol=1e-12)
-    assert [m[v].clustering for v in g.nodes] == [cc[v] for v in g.nodes]
+    assert_allclose(m["betweenness"], [bc[v] for v in g.nodes],
+                    rtol=0, atol=1e-12)
+    assert_allclose(m["closeness"], [cl[v] for v in g.nodes],
+                    rtol=0, atol=1e-12)
+    assert m["clustering"].tolist() == [cc[v] for v in g.nodes]
 
 
 def _products_per_pass(g, block_cells):
@@ -384,26 +405,25 @@ def test_metric_ranges_on_random_graph():
     edges = [(nodes[i], nodes[j])
              for i in range(60) for j in range(i + 1, 60) if rng.uniform() < 0.1]
     m = compute_all(CoworkerGraph(nodes, edges))
-    for nm in m.values():
-        for value in (nm.degree, nm.betweenness, nm.closeness,
-                      nm.eigenvector, nm.clustering):
-            assert 0.0 <= value <= 1.0
+    for name in centrality.TEAM_MEASURES:
+        assert m[name].min() >= 0.0 and m[name].max() <= 1.0
 
 
 def test_team_aggregate_averages_member_metrics():
-    m = compute_all(KITE)
+    m = measures(KITE)
     case = make_case("c1", providers=("a", "d", "e"))
-    team = team_aggregate(case, m)
+    team = team_aggregate(case, compute_all(KITE))
     assert team.case_id == "c1"
     assert team.team_size == 3
     assert team.avg_degree == pytest.approx(
-        (m["a"].degree + m["d"].degree + m["e"].degree) / 3)
+        (m["degree"]["a"] + m["degree"]["d"] + m["degree"]["e"]) / 3)
     assert team.avg_betweenness == pytest.approx(
-        (0.0 + m["d"].betweenness + 0.0) / 3)
+        (0.0 + m["betweenness"]["d"] + 0.0) / 3)
     assert team.avg_closeness == pytest.approx(
-        (m["a"].closeness + m["d"].closeness + m["e"].closeness) / 3)
+        (m["closeness"]["a"] + m["closeness"]["d"] + m["closeness"]["e"]) / 3)
     assert team.avg_eigenvector == pytest.approx(
-        (m["a"].eigenvector + m["d"].eigenvector + m["e"].eigenvector) / 3)
+        (m["eigenvector"]["a"] + m["eigenvector"]["d"]
+         + m["eigenvector"]["e"]) / 3)
     assert team.avg_clustering == pytest.approx((1.0 + 0.5 + 0.0) / 3)
 
 
@@ -424,14 +444,17 @@ def test_incidence_team_means_equal_team_aggregate_exactly():
                       cases=tuple(cases))
         bg = build_bipartite(seg)
         g = project_one_mode(bg)
-        m = compute_all(g)
-        sizes, means = centrality.team_means(bg.incidence, m, bg.providers)
+        columns = compute_all(g)
+        # B's columns are the graph's nodes, which the columns follow
+        assert bg.providers == columns["provider_id"]
+        sizes, means = centrality.team_means(bg.incidence, columns)
+        m = measures(g)
         for case, k, row in zip(cases, sizes.tolist(), means.tolist()):
-            team = team_aggregate(case, m)
+            team = team_aggregate(case, columns)
             assert (team.team_size, team.avg_betweenness, team.avg_closeness,
                     team.avg_eigenvector, team.avg_clustering,
                     team.avg_degree) == (k, *row)
             # the plain left-to-right sum over sorted provider ids
-            members = [m[p] for p in sorted(case.providers)]
-            assert row == [sum(getattr(t, f) for t in members) / k
-                           for f in centrality.TEAM_MEASURES]
+            team_ids = sorted(case.providers)
+            assert row == [sum(m[name][p] for p in team_ids) / k
+                           for name in centrality.TEAM_MEASURES]

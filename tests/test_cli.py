@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from surgnet import cli
+from surgnet import cli, pipeline
 from surgnet.complications import ComplicationCodeset
 
 
@@ -48,6 +48,19 @@ def test_synth_bad_coef_is_config_error(tmp_path, capsys):
     assert "NAME=VALUE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--truth-out"])
+def test_synth_into_a_missing_directory_is_config_error(tmp_path, capsys,
+                                                        flag):
+    target = tmp_path / "absent" / "x.csv"
+    argv = ["synth", "--cases", "20", "--providers", "5",
+            "--out", str(tmp_path / "s.csv"), flag, str(target)]
+    rc = cli.main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(target) in err
+    assert err.count("\n") == 1
+
+
 def test_ingest_check(dataset, capsys):
     rc = cli.main(["ingest-check", str(dataset)])
     assert rc == 0
@@ -71,6 +84,7 @@ def test_metrics_writes_tables_and_edges(dataset, tmp_path, capsys):
     rc = cli.main(["metrics", str(dataset), "--window-days", "80",
                    "--output-dir", str(outdir), "--save-edges"])
     assert rc == 0
+    out = capsys.readouterr().out
     for k in (1, 2, 3):
         table = outdir / f"node_metrics_seg{k}.tsv"
         assert table.is_file()
@@ -78,8 +92,27 @@ def test_metrics_writes_tables_and_edges(dataset, tmp_path, capsys):
         assert header.split("\t") == [
             "provider_id", "degree_raw", "degree", "betweenness",
             "closeness", "eigenvector", "clustering"]
-        assert (outdir / f"edges_seg{k}.tsv").is_file()
-    assert "wrote 3 node-metrics table(s)" in capsys.readouterr().out
+        # one sorted u<TAB>v line per edge of the printed count
+        edges = (outdir / f"edges_seg{k}.tsv").read_text().splitlines()
+        assert edges == sorted(edges)
+        assert all(u < v for u, v in (e.split("\t") for e in edges))
+        assert f"segment {k}: nodes " in out
+        assert f", edges {len(edges)}, " in out.split(f"segment {k}: ")[1]
+    assert "wrote 3 node-metrics table(s)" in out
+
+
+def test_metrics_edges_with_a_directory_in_the_way_is_config_error(
+        dataset, tmp_path, capsys):
+    outdir = tmp_path / "m"
+    (outdir / "edges_seg1.tsv").mkdir(parents=True)
+    rc = cli.main(["metrics", str(dataset), "--window-days", "80",
+                   "--output-dir", str(outdir), "--save-edges"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {outdir}")
+    assert err.count("\n") == 1
+    # no node table written beside it, and no temporary file left behind
+    assert [p.name for p in outdir.iterdir()] == ["edges_seg1.tsv"]
 
 
 def test_metrics_segment_filter(dataset, tmp_path, capsys):
@@ -122,6 +155,32 @@ def test_regress_prints_fits(dataset, capsys):
     assert "== poisson ==" in out
     assert "== negative binomial ==" in out
     assert "Likelihood-ratio test of alpha=0" in out
+
+
+def test_regress_pins_one_blas_thread_and_restores_the_callers(
+        dataset, monkeypatch, capsys):
+    controls = pipeline._blas_thread_controls()
+    assert controls, "no OpenBLAS thread control found"
+    saved = [get() for get, _ in controls]
+    real_estimate, seen = pipeline.estimate, []
+
+    def estimate_noting_threads(*args):
+        seen.append([get() for get, _ in controls])
+        return real_estimate(*args)
+
+    monkeypatch.setattr(pipeline, "estimate", estimate_noting_threads)
+    try:
+        # a caller's count of 1 and of 2 both come back as they were
+        for callers in (1, 2):
+            for _, set_threads in controls:
+                set_threads(callers)
+            rc = cli.main(["regress", str(dataset), "--window-days", "80"])
+            assert rc == 0
+            assert seen.pop() == [1] * len(controls)
+            assert [get() for get, _ in controls] == [callers] * len(controls)
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
 
 
 def test_run_full_pipeline(dataset, tmp_path, capsys):

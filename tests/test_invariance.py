@@ -1,13 +1,16 @@
 """Whole-pipeline properties over random case files: row order and the
-provider form do not change the artifacts."""
+provider form do not change the artifacts; the segments partition the
+retained cases; every measure lies in [0, 1] and every team mean between
+its members' measures."""
 
 import json
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
+from surgnet import centrality
 from surgnet.errors import SurgnetError
 from surgnet.pipeline import PipelineConfig, run_pipeline
 
@@ -139,3 +142,66 @@ def test_long_form_gives_the_wide_form_artifacts(case_path, rows):
     for m in manifests:
         del m["config"]["provider_form"], m["config_hash"]
     assert manifests[0] == manifests[1]
+
+
+def _retained_days(rows):
+    """``{case_id: day}`` of the rows that parse and pass every exclusion
+    rule."""
+    days = {}
+    for cells, team, _, _, skipped in rows:
+        if skipped or not team or not cells["age"] or int(cells["age"]) < 21:
+            continue
+        day, end = cells["day_offset"], cells["end_day_offset"]
+        if day and end and int(end) > int(day):
+            days[cells["case_id"]] = int(day)
+    return days
+
+
+# the joined table's team-mean column of each measure
+_MEAN_COLUMN = {"betweenness": "avgBtwn", "closeness": "avgClos",
+                "eigenvector": "avgEigen", "clustering": "avgClust",
+                "degree": "avgDeg"}
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rows=case_rows(repeats=True))
+def test_segments_partition_the_cases_and_measures_stay_in_bounds(case_path,
+                                                                  rows):
+    case_path.write_text(_wide(rows), encoding="utf-8")
+    cfg = PipelineConfig(input_path=str(case_path), output_dir="unused",
+                         window_days=30)
+    try:
+        result = run_pipeline(cfg, write=False)
+    except SurgnetError:
+        reject()  # the regressions can fail on a small file
+    table, row = result.table, 0
+
+    # the segments partition the retained cases into consecutive windows,
+    # and the joined table follows them
+    days = _retained_days(rows)
+    seg_ids = [cid for sa in result.analyses for cid in sa.segment.cases.case_id]
+    assert sorted(seg_ids) == sorted(days)
+    assert table["case_id"] == seg_ids
+    for k, sa in enumerate(result.analyses, start=1):
+        seg = sa.segment
+        assert seg.index == k
+        if k > 1:
+            assert seg.start_day == result.analyses[k - 2].segment.end_day_exclusive
+        assert all(seg.start_day <= days[cid] < seg.end_day_exclusive
+                   for cid in seg.cases.case_id)
+
+        measures = sa.measures
+        assert measures["provider_id"] == sa.graph.nodes
+        for name in centrality.TEAM_MEASURES:
+            assert ((measures[name] >= 0.0) & (measures[name] <= 1.0)).all(), name
+
+        # each team mean lies between its members' least and greatest
+        at = {u: i for i, u in enumerate(measures["provider_id"])}
+        for case in seg.cases:
+            members = [at[p] for p in case.providers]
+            for name, column in _MEAN_COLUMN.items():
+                values = measures[name][members]
+                mean = table[column][row]
+                assert values.min() - 1e-12 <= mean <= values.max() + 1e-12
+            row += 1

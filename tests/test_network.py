@@ -114,14 +114,11 @@ def test_summarize_empty_segment():
     assert info.avg_team_size == info.avg_degree == info.density == 0.0
 
 
-def test_write_edge_list_stream_and_path(tmp_path):
+def test_write_edge_list_stream_and_path():
     g = CoworkerGraph(["a", "b", "c"], [("b", "c"), ("a", "c")])
     buf = io.StringIO()
     write_edge_list(g, buf)
     assert buf.getvalue() == "a\tc\nb\tc\n"
-    path = tmp_path / "edges.tsv"
-    write_edge_list(g, path)
-    assert path.read_text() == "a\tc\nb\tc\n"
 
 
 def test_projection_equals_union_of_cliques_on_random_segments():

@@ -1,5 +1,7 @@
 """Parsing, exclusion filtering, and time segmentation."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,15 @@ from surgnet.records import (
     CaseTable,
     apply_exclusions,
     parse_cases,
-    read_cases_text,
     segment_cases,
 )
 
 HEADER = "case_id,day_offset,end_day_offset,age,gender,surgery_type,providers"
+
+
+def read_cases_text(text, **kwargs):
+    """Parse cases from an in-memory string."""
+    return parse_cases(io.StringIO(text), **kwargs)
 
 
 def test_parse_wide_happy_path():
