@@ -266,7 +266,7 @@ def cmd_run(args):
     print(f"segments\t{len(result.analyses)}")
     print(f"negbin alpha\t{nb.alpha:.6g}"
           + (" (boundary)" if nb.alpha_boundary else ""))
-    print(f"outputs\t{result.output_dir} ({len(result.outputs)} files)")
+    print(f"outputs\t{result.output_dir} ({len(result.written)} files)")
     return 0
 
 

@@ -10,9 +10,10 @@ same config and input, reruns are byte-identical.
 
 The cases travel as one columnar ``records.CaseTable`` and the joined
 per-case table is a dict of columns (``assemble_rows``), which the
-Spearman and regression stages read directly and the renderer formats a
-column at a time. ``RunResult.rows`` and ``Segment.cases`` read rows back
-from the columns on access.
+Spearman and regression stages read directly. ``network_data.tsv/.json``
+are formatted a column at a time, ``_CHUNK_ROWS`` rows a piece, and
+streamed into their staged files. ``RunResult.outputs``, ``.rows`` and
+``Segment.cases`` are built from the columns on access.
 
 The process's parallelism is across segments, not inside BLAS. Each
 segment's network and measures are one task on a thread pool with a
@@ -31,9 +32,8 @@ import os
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cache, partial
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -185,8 +185,8 @@ class RunResult:
     spearman: correlation.SpearmanResult
     estimation: EstimationResult
     manifest: dict
-    outputs: dict = field(default_factory=dict)
     output_dir: str | None = None
+    written: tuple = ()  # names of the artifacts written into output_dir
 
     @property
     def rows(self):
@@ -195,6 +195,12 @@ class RunResult:
         return list(map(CaseRow._make, zip(columns[0], *(
             [None if m else v for v, m in zip(c.tolist(), _missing(c).tolist())]
             for c in columns[1:]))))
+
+    @property
+    def outputs(self):
+        """Every artifact's name and whole text, rendered on each access."""
+        return {name: text if isinstance(text, str) else "".join(text)
+                for name, text in _render_outputs(self).items()}
 
 
 @contextmanager
@@ -440,16 +446,14 @@ def _run(cfg: PipelineConfig, write):
 
     manifest = _build_manifest(cfg, diagnostics, report, retained, analyses,
                                table, spearman, est)
-    outputs = _render_outputs(cfg, report, analyses, table, spearman, est,
-                              manifest)
     result = RunResult(config=cfg, diagnostics=diagnostics,
                        exclusion_report=report, analyses=analyses, table=table,
-                       spearman=spearman, estimation=est, manifest=manifest,
-                       outputs=outputs)
+                       spearman=spearman, estimation=est, manifest=manifest)
     if write:
+        outputs = _render_outputs(result)
         with _stage("emit"):
             write_outputs(outputs, cfg.output_dir)
-        result.output_dir = cfg.output_dir
+        result.output_dir, result.written = cfg.output_dir, tuple(sorted(outputs))
     return result
 
 
@@ -549,6 +553,17 @@ _JSON_ROW = ("{\n    " + ",\n    ".join(f"{json.dumps(k)}: %s" for k in _JSON_KE
              + "\n  }")
 
 
+_CHUNK_ROWS = 4096  # rows of a table formatted into one piece of its text
+
+
+def _chunks(table):
+    """A table of columns cut into tables of ``_CHUNK_ROWS`` rows."""
+    n = len(next(iter(table.values())))
+    return ({name: column[start:start + _CHUNK_ROWS]
+             for name, column in table.items()}
+            for start in range(0, n, _CHUNK_ROWS))
+
+
 def _column_cells(table, names, float_text, absent):
     """The ``names`` columns of a table of columns as text: ``float_text``
     of each float, ``str`` of each integer, ``absent`` where missing."""
@@ -562,35 +577,34 @@ def _column_cells(table, names, float_text, absent):
     return cells
 
 
-def _tsv_columns(table):
-    """A table of columns as TSV, a column at a time: its keys as the
-    header, the first column (the ids) as it is, the others as ``_fmt``
-    writes them."""
+def _tsv_pieces(table):
+    """A table of columns as TSV text, the header and then a piece per
+    ``_chunks`` block: its keys as the header, the first column (the ids)
+    as it is, the others as ``_fmt`` writes them."""
     names = list(table)
-    cells = _column_cells(table, names[1:], "{:.6g}".format, "NA")
-    return "\n".join(map("\t".join, chain(
-        [names], zip(table[names[0]], *cells.values())))) + "\n"
+    yield "\t".join(names) + "\n"
+    for chunk in _chunks(table):
+        cells = _column_cells(chunk, names[1:], "{:.6g}".format, "NA")
+        yield "\n".join(map("\t".join, zip(chunk[names[0]],
+                                          *cells.values()))) + "\n"
 
 
 def render_node_metrics(sa: SegmentAnalysis):
     """node_metrics_seg<k>.tsv: one row per provider, in id order."""
-    return _tsv_columns(sa.measures)
+    return "".join(_tsv_pieces(sa.measures))
 
 
-def _render_network_data(table):
-    """network_data.tsv and .json, a column at a time.
-
-    Byte for byte the ``_fmt`` table and the ``_json_text`` of the row
-    dicts: six significant digits (TSV) or the repr (JSON) of a float,
-    integers as they are, ASCII-escaped case ids in the JSON, and NA or
-    null where a value is missing. The TSV's cells are dropped before the
-    JSON's are made.
-    """
-    tsv = _tsv_columns(table)
-    cells = _column_cells(table, ROW_COLUMNS[1:], float.__repr__, "null")
-    cells["case_id"] = list(map(encode_basestring_ascii, table["case_id"]))
-    items = list(map(_JSON_ROW.__mod__, zip(*(cells[k] for k in _JSON_KEYS))))
-    return tsv, "[\n  " + ",\n  ".join(items) + "\n]\n" if items else "[]\n"
+def _network_json_pieces(table):
+    """network_data.json as text, a piece per ``_chunks`` block: byte for
+    byte the ``_json_text`` of the row dicts, with the repr of a float,
+    integers as they are, ASCII-escaped case ids and null where a value
+    is missing. network_data.tsv is the table's ``_tsv_pieces``."""
+    for i, chunk in enumerate(_chunks(table)):
+        cells = _column_cells(chunk, ROW_COLUMNS[1:], float.__repr__, "null")
+        cells["case_id"] = list(map(encode_basestring_ascii, chunk["case_id"]))
+        yield (",\n  " if i else "[\n  ") + ",\n  ".join(
+            map(_JSON_ROW.__mod__, zip(*(cells[k] for k in _JSON_KEYS))))
+    yield "\n]\n" if table["case_id"] else "[]\n"
 
 
 def render_correlation(sp: correlation.SpearmanResult):
@@ -729,9 +743,12 @@ def _build_manifest(cfg, diagnostics, report, retained, analyses, table,
     }
 
 
-def _render_outputs(cfg, report, analyses, table, spearman, est, manifest):
+def _render_outputs(result: RunResult):
+    """Every artifact's name and text; network_data.* as generators of
+    text pieces, which format the table only as they are read."""
+    report, analyses, table = result.exclusion_report, result.analyses, result.table
+    spearman, est = result.spearman, result.estimation
     stats = _segment_stats(analyses, table)
-    network_tsv, network_json = _render_network_data(table)
     outputs = {
         "exclusions.tsv": _tsv([["rule", "removed"]]
                                + [[k, str(v)] for k, v in report.items()]
@@ -739,8 +756,8 @@ def _render_outputs(cfg, report, analyses, table, spearman, est, manifest):
                                    str(sum(s["cases"] for s in stats))]]),
         "segments.tsv": _render_segments(stats),
         "segments.json": _json_text(stats),
-        "network_data.tsv": network_tsv,
-        "network_data.json": network_json,
+        "network_data.tsv": _tsv_pieces(table),
+        "network_data.json": _network_json_pieces(table),
         "correlation.tsv": render_correlation(spearman),
         "correlation.json": _json_text({
             "columns": list(spearman.names),
@@ -764,7 +781,7 @@ def _render_outputs(cfg, report, analyses, table, spearman, est, manifest):
             "lr_alpha": {"statistic": est.lr_alpha.statistic,
                          "p_value": est.lr_alpha.p_value},
         }),
-        "manifest.json": _json_text(manifest),
+        "manifest.json": _json_text(result.manifest),
     }
     for sa in analyses:
         outputs[f"node_metrics_seg{sa.segment.index}.tsv"] = \
@@ -773,27 +790,35 @@ def _render_outputs(cfg, report, analyses, table, spearman, est, manifest):
 
 
 def write_outputs(outputs, output_dir):
-    """Write every artifact into ``output_dir``: each under a temporary
-    name first, then all renamed into place. A failed write, or a
-    directory in the way, leaves the directory as it was (only a rename
-    failing part-way would not); any OSError ends in a ConfigError."""
+    """``write_staged`` of every artifact into ``output_dir``, by name."""
     outdir = Path(output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output dir {outdir}: {exc}") from exc
+    write_staged({outdir / name: outputs[name] for name in sorted(outputs)})
+
+
+def write_staged(texts):
+    """Write files all at once: each path's text under a temporary name
+    beside it, then all renamed into place. A text is a str or an
+    iterable of str pieces, written as they come. A failed write, or a
+    directory in the way, leaves every path as it was (only a rename
+    failing part-way would not); any OSError ends in a ConfigError."""
     staged = {}
     try:
-        for name in sorted(outputs):
-            if (outdir / name).is_dir():
+        for path, text in texts.items():
+            path = Path(path)
+            if path.is_dir():
                 raise IsADirectoryError("a directory is in the way")
-            staged[name] = outdir / f".{name}.tmp"
-            staged[name].write_text(outputs[name], encoding="utf-8", newline="\n")
-        for name, tmp in list(staged.items()):
-            os.replace(tmp, outdir / name)
-            del staged[name]
+            staged[path] = path.with_name(f".{path.name}.tmp")
+            with open(staged[path], "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
+        for path, tmp in list(staged.items()):
+            os.replace(tmp, path)
+            del staged[path]
     except OSError as exc:
-        raise ConfigError(f"cannot write {outdir / name}: {exc}") from exc
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     finally:
         for tmp in staged.values():
             try:

@@ -328,11 +328,13 @@ def poisson_gof(fit: FitResult, dm: DesignMatrix) -> GofResult:
     if fit.design_key != dm.fingerprint():
         raise DataError("fit and design matrix do not match")
     y = dm.y.astype(np.float64)
-    mu = np.exp(dm.x @ fit.coef)
-    if np.any(mu <= 0.0):
-        raise DataError("fitted mean of zero; cannot form the Pearson statistic")
+    with np.errstate(over="ignore"):
+        mu = np.exp(dm.x @ fit.coef)
+    if not np.all(np.isfinite(mu) & (mu > 0.0)):
+        raise DataError("fitted mean of zero or not finite; "
+                        "cannot form the Pearson statistic")
     pearson = float(np.sum((y - mu) ** 2 / mu))
-    dev_terms = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
+    dev_terms = y * np.log(y / mu, out=np.zeros_like(y), where=y > 0)
     deviance = float(2.0 * np.sum(dev_terms - (y - mu)))
     df = dm.n_obs - dm.n_params
     return GofResult(pearson_chi2=pearson, deviance=deviance, df=df,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .complications import ComplicationCodeset
 from .errors import ConfigError
+from .pipeline import write_staged
 
 # dx filler codes that never match the 996-999 complication set
 _BENIGN_CODES = ("250.00", "401.9", "414.01", "427.31", "272.4",
@@ -166,8 +167,9 @@ def synth_generate(seed, n_cases, n_providers, window_days=365, n_segments=4,
     """Write the synthetic case file and its truth sidecar to disk.
 
     Returns (out_path, truth_path). The sidecar defaults to the case
-    file's path with a ``.truth.json`` suffix. A file that cannot be
-    written raises ConfigError naming its path.
+    file's path with a ``.truth.json`` suffix. Both are written at once
+    (``pipeline.write_staged``): a file that cannot be written raises
+    ConfigError naming its path and leaves neither behind.
     """
     header, rows, truth = generate_cases(
         seed, n_cases, n_providers, window_days=window_days,
@@ -178,10 +180,5 @@ def synth_generate(seed, n_cases, n_providers, window_days=365, n_segments=4,
         truth_path = stem + ".truth.json"
     case_text = "".join(",".join(row) + "\n" for row in [header, *rows])
     truth_text = json.dumps(truth, indent=2, sort_keys=True) + "\n"
-    for path, text in ((out_path, case_text), (truth_path, truth_text)):
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc}") from exc
+    write_staged({out_path: case_text, truth_path: truth_text})
     return out_path, str(truth_path)

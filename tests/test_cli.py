@@ -59,6 +59,8 @@ def test_synth_into_a_missing_directory_is_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(target) in err
     assert err.count("\n") == 1
+    # neither file, nor a temporary one, is left behind
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ingest_check(dataset, capsys):
@@ -183,7 +185,12 @@ def test_regress_pins_one_blas_thread_and_restores_the_callers(
             set_threads(count)
 
 
-def test_run_full_pipeline(dataset, tmp_path, capsys):
+def test_run_full_pipeline(dataset, tmp_path, capsys, monkeypatch):
+    def whole_texts(result):
+        raise AssertionError("run rendered every artifact's whole text")
+
+    # the files are streamed; nothing on the run path builds outputs
+    monkeypatch.setattr(pipeline.RunResult, "outputs", property(whole_texts))
     outdir = tmp_path / "run_out"
     rc = cli.main(["run", "--input", str(dataset), "--window-days", "80",
                    "--output-dir", str(outdir)])
@@ -192,6 +199,8 @@ def test_run_full_pipeline(dataset, tmp_path, capsys):
     assert "cases used\t150" in out
     assert "segments\t3" in out
     assert "negbin alpha" in out
+    assert f"outputs\t{outdir} (13 files)" in out
+    assert len(list(outdir.iterdir())) == 13
     assert (outdir / "manifest.json").is_file()
     assert (outdir / "regression.tsv").is_file()
 

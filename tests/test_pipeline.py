@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -394,29 +396,29 @@ def test_each_segment_is_labelled_once(dataset, tmp_path, monkeypatch):
 
 
 def test_rerun_is_byte_identical(run, dataset):
-    cfg = run.config
-    again = run_pipeline(cfg)
-    assert set(again.outputs) == set(run.outputs)
-    for name, text in run.outputs.items():
-        assert again.outputs[name] == text, f"{name} differs between reruns"
+    again = run_pipeline(run.config)
+    outputs, again_outputs = run.outputs, again.outputs
+    assert set(again_outputs) == set(outputs) == set(again.written)
+    for name, text in outputs.items():
+        assert again_outputs[name] == text, f"{name} differs between reruns"
+        # the files, streamed, hold what RunResult.outputs joins
         assert (Path(run.output_dir) / name).read_text() == text
 
 
-def test_failed_rewrite_keeps_the_old_artifact_set(run, tmp_path,
-                                                  monkeypatch):
+def test_failed_rewrite_keeps_the_old_artifact_set(run, tmp_path):
     outdir = tmp_path / "out"
-    pipeline.write_outputs(run.outputs, outdir)
+    outputs = run.outputs
+    pipeline.write_outputs(outputs, outdir)
     old = {p.name: p.read_bytes() for p in outdir.iterdir()}
-    changed = {name: text + "changed\n" for name, text in run.outputs.items()}
-    real_write, calls = Path.write_text, []
+    changed = {name: text + "changed\n" for name, text in outputs.items()}
 
-    def write_until_disk_full(path, *args, **kwargs):
-        calls.append(path)
-        if len(calls) == 5:
-            raise OSError(28, "No space left on device")
-        return real_write(path, *args, **kwargs)
+    def disk_full_after_one_piece(text):
+        yield text
+        raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(Path, "write_text", write_until_disk_full)
+    # the fifth file staged, network_data.json, fails part-way through
+    fifth = sorted(changed)[4]
+    changed[fifth] = disk_full_after_one_piece(changed[fifth])
     with pytest.raises(ConfigError, match="No space left on device"):
         pipeline.write_outputs(changed, outdir)
     # every old file whole, and no temporary file left behind
@@ -464,7 +466,7 @@ def test_distinct_complications_flag_reduces_counts(dataset, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# network_data.tsv / .json rendered a column at a time
+# network_data.tsv / .json rendered a column at a time, in row chunks
 
 
 def _row(**values):
@@ -489,6 +491,12 @@ def _table(rows):
     return table
 
 
+def _network_data(table):
+    """network_data.tsv and .json, each joined from its pieces."""
+    return ("".join(pipeline._tsv_pieces(table)),
+            "".join(pipeline._network_json_pieces(table)))
+
+
 INT64 = st.integers(MISSING + 1, 2 ** 63 - 1)
 MEAN = st.floats(allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0000001e-300])
@@ -510,6 +518,44 @@ MEAN = st.floats(allow_infinity=False) | st.sampled_from(
           _row(avgBtwn=5e-324, avgClust=1.0, avgDeg=0.0)])
 def test_network_data_columns_render_like_the_per_cell_reference(rows):
     tsv, json_text = oracles.network_data_by_cells(rows, ROW_COLUMNS)
-    assert pipeline._render_network_data(_table(rows)) == (tsv, json_text)
+    # chunks of two rows put a chunk boundary inside most tables drawn
+    with mock.patch.object(pipeline, "_CHUNK_ROWS", 2):
+        assert _network_data(_table(rows)) == (tsv, json_text)
     assert json_text == pipeline._json_text(
         [dict(zip(ROW_COLUMNS, r)) for r in rows])
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3, 4])
+def test_network_data_chunk_boundaries(n_rows, monkeypatch):
+    # no rows, one row, exactly one chunk, one chunk and one row
+    monkeypatch.setattr(pipeline, "_CHUNK_ROWS", 3)
+    rows = [_row(case_id=f"c{i}", C=i, avgBtwn=i / 7) for i in range(n_rows)]
+    table = _table(rows)
+    assert _network_data(table) == oracles.network_data_by_cells(
+        rows, ROW_COLUMNS)
+    chunks = -(-n_rows // 3)
+    # the TSV's header, the JSON's closing bracket, a piece per chunk
+    assert len(list(pipeline._tsv_pieces(table))) == 1 + chunks
+    assert len(list(pipeline._network_json_pieces(table))) == 1 + chunks
+
+
+def test_streamed_network_data_keeps_the_traced_peak_small(tmp_path,
+                                                           monkeypatch):
+    # rendered whole, the JSON text takes several times its own size in
+    # memory; streamed 256 rows at a time, a small part of it
+    monkeypatch.setattr(pipeline, "_CHUNK_ROWS", 256)
+    n, rng = 20_000, np.random.default_rng(5)
+    table = {"case_id": [f"case-{i:06d}" for i in range(n)]}
+    for name in ROW_COLUMNS[1:]:
+        table[name] = (rng.random(n) if name.startswith("avg")
+                       else rng.integers(0, 90, n))
+    tracemalloc.start()
+    try:
+        pipeline.write_outputs({
+            "network_data.tsv": pipeline._tsv_pieces(table),
+            "network_data.json": pipeline._network_json_pieces(table)},
+            tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "network_data.json").stat().st_size / 4

@@ -1,5 +1,6 @@
 """Design assembly, OLS/VIF screening, Poisson and NB2 maximum likelihood."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -265,6 +266,17 @@ def test_gof_rejects_overdispersed_data():
     gof = poisson_gof(poisson_fit(dm), dm)
     assert gof.pearson_chi2 > 2 * gof.df
     assert gof.p_value < 1e-6
+
+
+def test_gof_of_an_overflowing_fit_is_a_labelled_error():
+    # exp(x @ beta) overflows to inf on rows with y = 0 and y > 0 alike
+    dm = simulated_design(np.random.default_rng(12), 200)
+    fit = dataclasses.replace(poisson_fit(dm), coef=np.array([800.0, 0.0, 0.0]))
+    assert np.any(dm.y[dm.x[:, 0] > 1.0] == 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="fitted mean of zero or not finite"):
+            poisson_gof(fit, dm)
 
 
 def test_gof_design_mismatch_errors():
