@@ -6,24 +6,23 @@ A hand-sized surgical roster is segmented, linked into a two-mode
 case-provider network, projected onto providers, and measured.
 """
 
-# Six cases over two years, teams of two to four providers each.
-from surgnet.records import CaseRecord, segment_cases
+# Six cases over two years, teams of two to four providers each, as a
+# case file holds them: one row per case, the providers joined by ";".
+# The second year starts at day 365, with c5.
+import io
 
+from surgnet.records import parse_cases, segment_cases
 
-def case(case_id, day, providers):
-    return CaseRecord(case_id=case_id, day_offset=day, end_day_offset=day + 4,
-                      providers=frozenset(providers), age=60, gender="female",
-                      surgery_type=1, dx_codes=())
-
-
-cases = [
-    case("c1", 10, ["anna", "ben", "chris"]),
-    case("c2", 40, ["anna", "dana"]),
-    case("c3", 90, ["ben", "chris", "dana", "eli"]),
-    case("c4", 200, ["eli", "fay"]),
-    case("c5", 400, ["anna", "ben"]),          # second year starts at day 365
-    case("c6", 500, ["chris", "fay", "gus"]),
-]
+ROSTER = """\
+case_id,day_offset,end_day_offset,age,gender,surgery_type,providers
+c1,10,14,60,F,1,anna;ben;chris
+c2,40,44,60,F,1,anna;dana
+c3,90,94,60,F,1,ben;chris;dana;eli
+c4,200,204,60,F,1,eli;fay
+c5,400,404,60,F,1,anna;ben
+c6,500,504,60,F,1,chris;fay;gus
+"""
+cases, diagnostics = parse_cases(io.StringIO(ROSTER))
 
 # Slice the roster into consecutive 365-day segments. Networks are built
 # per segment so that a pair only counts as co-workers if they actually

@@ -7,9 +7,11 @@ fall under the postoperative-complication code classes (ICD-9-CM range
 996-999). This demo walks through the matching rules.
 """
 
+import io
+
 from surgnet.complications import (ComplicationCodeset, count_complications,
                                    match_complication, normalize_icd9)
-from surgnet.records import CaseRecord
+from surgnet.records import parse_cases
 
 codeset = ComplicationCodeset.embedded()
 print(f"embedded codeset: {len(codeset.entries)} code classes")
@@ -30,18 +32,19 @@ for code in ("996.52", "996.529", "996", "250.00"):
     hit = entry.prefix if entry else "no match"
     print(f"match {code:<8} -> {hit}")
 
-# The worked example: two of the three discharge diagnoses are
-# complication codes, so C = 2. Repeats of the same class still count
-# once per occurrence unless distinct=True.
-case = CaseRecord(case_id="c1", day_offset=0, end_day_offset=6,
-                  providers=frozenset(["anna", "ben"]), age=64,
-                  gender="male", surgery_type=3,
-                  dx_codes=("996.52", "998.59", "250.00"))
-print(f"\ndx {list(case.dx_codes)} -> C = {count_complications(case, codeset)}")
-
-twice = CaseRecord(case_id="c2", day_offset=0, end_day_offset=6,
-                   providers=frozenset(["anna"]), age=70, gender="female",
-                   surgery_type=1, dx_codes=("998.59", "998.59"))
-print(f"dx {list(twice.dx_codes)} -> C = {count_complications(twice, codeset)}"
-      f" (occurrences), "
-      f"{count_complications(twice, codeset, distinct=True)} (distinct)")
+# The worked example, c1: two of the three discharge diagnoses are
+# complication codes, so C = 2. Repeats of the same class, as in c2,
+# still count once per occurrence unless distinct=True. The counts come
+# for a whole parsed case file at once, one per case.
+CASES = """\
+case_id,day_offset,end_day_offset,age,gender,surgery_type,providers,dx_1,dx_2,dx_3
+c1,0,6,64,M,3,anna;ben,996.52,998.59,250.00
+c2,0,6,70,F,1,anna,998.59,998.59,
+"""
+cases, diagnostics = parse_cases(io.StringIO(CASES))
+counts = count_complications(cases, codeset)
+distinct = count_complications(cases, codeset, distinct=True)
+case, twice = cases
+print(f"\ndx {list(case.dx_codes)} -> C = {counts[0]}")
+print(f"dx {list(twice.dx_codes)} -> C = {counts[1]} (occurrences), "
+      f"{distinct[1]} (distinct)")

@@ -90,7 +90,8 @@ def _geodesic_measures(a, labels):
     sources reach depth 2 makes 2 products: one forward and one back. A
     backward sweep then pushes pair dependencies down the shortest-path
     DAG: with W = (1 + delta) / sigma on level k, the nodes on level
-    k - 1 gain sigma * (A @ W).
+    k - 1 gain sigma * (A @ W). A path count past float64's range raises
+    DataError.
     """
     n = a.shape[0]
     dependency = np.zeros(n)
@@ -127,6 +128,9 @@ def _geodesic_measures(a, labels):
                 twice_triangles[start:stop] = (
                     frontier * (dist == 1)).sum(axis=0)
             frontier[dist >= 0] = 0.0
+        if not np.isfinite(sigma).all():
+            raise DataError("shortest-path counts overflow float64; "
+                            "betweenness is not computable")
 
         delta = np.zeros_like(sigma)
         # the sweep stops at level 1: a source gains no dependency

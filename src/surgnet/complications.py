@@ -5,7 +5,7 @@ through 999.x at subcategory granularity. A case's complication count is
 the number of its diagnosis codes matching any codeset entry; duplicate
 matches count individually by default. A codeset is immutable, so it
 scans its entries once per distinct code and keeps the answer. Counts for
-a whole case table take each distinct code of the table once.
+a case table, one per row, take each distinct code of the table once.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .records import CaseRecord, CaseTable
 
 # (prefix, ICD-9-CM definition), subcategory granularity.
 _EMBEDDED_ROWS = (
@@ -158,16 +157,12 @@ def _scan(code, codeset):
 def count_complications(cases, codeset: ComplicationCodeset, distinct=False):
     """Number of complication codes detected on each case.
 
-    ``cases`` is a CaseTable, for an int64 array of one count per row, or
-    one CaseRecord, for its count alone. Each matching diagnosis code
-    counts, so duplicates add up; with ``distinct`` every matched codeset
-    entry counts once per case. Each distinct code of the table is matched
-    once; the counts are the row sums of the case x code matrix over the
-    matched codes.
+    ``cases`` is a CaseTable; the counts are an int64 array, one per row.
+    Each matching diagnosis code counts, so duplicates add up; with
+    ``distinct`` every matched codeset entry counts once per case. Each
+    distinct code of the table is matched once; the counts are the row
+    sums of the case x code matrix over the matched codes.
     """
-    if isinstance(cases, CaseRecord):
-        return int(count_complications(CaseTable.of([cases]), codeset,
-                                       distinct)[0])
     position = {e: k for k, e in enumerate(codeset.entries)}
     entry = np.array([position.get(match_complication(normalize_icd9(code),
                                                       codeset), -1)

@@ -92,14 +92,15 @@ class PipelineConfig:
             expect(key, isinstance(getattr(self, key), str), "a string")
         if not self.input_path:
             raise ConfigError("input_path is required")
-        expect("window_days", is_int(self.window_days) and self.window_days >= 1,
-               "an integer >= 1")
+        expect("window_days", is_int(self.window_days)
+               and 1 <= self.window_days <= records.INT_MAX,
+               "an integer from 1 to 2**63 - 1")
         expect("delimiter", isinstance(self.delimiter, str)
                and len(self.delimiter) == 1, "a one-character string")
         expect("provider_form", self.provider_form in ("wide", "long"),
                "'wide' or 'long'")
         expect("eig_tol", (is_int(self.eig_tol) or isinstance(self.eig_tol, float))
-               and self.eig_tol > 0, "a positive number")
+               and 0 < self.eig_tol < math.inf, "a positive finite number")
         expect("eig_max_iter", is_int(self.eig_max_iter) and self.eig_max_iter >= 1,
                "an integer >= 1")
         expect("distinct_complications",
@@ -275,25 +276,7 @@ def analyze_segments(cfg: PipelineConfig, retained):
     with _stage("segment"):
         segments = records.segment_cases(retained, window_days=cfg.window_days)
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        analyses = list(pool.map(partial(_analyze_segment, cfg), segments))
-    _release_freed_memory()
-    return analyses
-
-
-def _release_freed_memory():
-    """Return the free pages of every malloc arena to the system.
-
-    The pool's threads allocate from arenas of their own, which keep the
-    measures' freed block arrays where the later stages, on this thread,
-    cannot reuse them. glibc's ``malloc_trim`` releases them; elsewhere
-    this does nothing.
-    """
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    trim(0)
+        return list(pool.map(partial(_analyze_segment, cfg), segments))
 
 
 def assemble_rows(cfg: PipelineConfig, analyses, codeset):

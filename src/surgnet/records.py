@@ -11,7 +11,8 @@ case x provider CSR matrix over the sorted provider ids, and the dx codes
 as one case x code CSR matrix over the distinct codes. Exclusion rules are
 boolean masks over the table, and segments are runs of its rows sorted by
 (segment, day, case_id). A ``CaseRecord`` is one row read back from a
-table, and a table can be built from records.
+table. Tables come only from ``parse_cases``, so the parser alone decides
+what a valid case is; the later stages take a table and nothing else.
 """
 
 import csv
@@ -47,7 +48,7 @@ GENDERS = ("male", "female", "other")
 # An empty cell in an integer column of a CaseTable: the int64 minimum,
 # which no parsed value takes and which sorts below every age.
 MISSING = -(2 ** 63)
-_INT_MAX = 2 ** 63 - 1
+INT_MAX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -108,18 +109,6 @@ class CaseTable:
     dx_ptr: np.ndarray
     dx: np.ndarray
     codes: tuple
-
-    @classmethod
-    def of(cls, cases):
-        """``cases`` if it is a table, else the table of its CaseRecords."""
-        if isinstance(cases, cls):
-            return cases
-        table = _TableBuilder()
-        for c in cases:
-            table.add(c.case_id, c.day_offset, c.end_day_offset, c.age,
-                      GENDERS.index(c.gender), c.surgery_type, c.providers,
-                      c.dx_codes)
-        return table.build()
 
     def __len__(self):
         return len(self.case_id)
@@ -226,18 +215,12 @@ def _int_column(values):
 
 @dataclass(frozen=True)
 class Segment:
-    """One contiguous time slice; covers days [start_day, end_day_exclusive).
-
-    ``cases`` is a CaseTable; an iterable of CaseRecords is converted.
-    """
+    """One time slice: the cases of days [start_day, end_day_exclusive)."""
 
     index: int
     start_day: int
     end_day_exclusive: int
     cases: CaseTable
-
-    def __post_init__(self):
-        object.__setattr__(self, "cases", CaseTable.of(self.cases))
 
     @property
     def span_days(self) -> int:
@@ -264,7 +247,7 @@ def _parse_int(raw: str, field: str, row: int, diagnostics, nonneg=True):
     if nonneg and value < 0:
         diagnostics.append(ParseDiagnostic(row, f"negative {field}: {value}"))
         return None, False
-    if not MISSING < value <= _INT_MAX:
+    if not MISSING < value <= INT_MAX:
         diagnostics.append(ParseDiagnostic(row, f"out-of-range {field}: {value}"))
         return None, False
     return value, True
@@ -472,22 +455,21 @@ def apply_exclusions(cases):
     negative stay and goes under the same rule), and cases with no valid
     providers.
 
-    ``cases`` is a CaseTable or an iterable of CaseRecords. Each rule is a
-    mask over the table and its count is the mask minus the masks of the
-    rules before it. Returns (retained CaseTable, report) where report maps
-    rule name -> removed count. Idempotent.
+    Each rule is a mask over the CaseTable ``cases`` and its count is the
+    mask minus the masks of the rules before it. Returns (retained
+    CaseTable, report) where report maps rule name -> removed count.
+    Idempotent.
     """
-    table = CaseTable.of(cases)
-    report, removed = {}, np.zeros(len(table), dtype=bool)
+    report, removed = {}, np.zeros(len(cases), dtype=bool)
     for name, rejects in EXCLUSION_RULES:
-        hit = rejects(table) & ~removed
+        hit = rejects(cases) & ~removed
         report[name] = int(hit.sum())
         removed |= hit
-    return table.take(np.flatnonzero(~removed)), report
+    return cases.take(np.flatnonzero(~removed)), report
 
 
 def segment_cases(cases, window_days=365):
-    """Slice cases into sequential time segments of ``window_days`` days.
+    """Slice a CaseTable into sequential segments of ``window_days`` days.
 
     Segment k covers the half-open interval
     [min_day + (k-1)*window_days, min_day + k*window_days); the last
@@ -496,24 +478,24 @@ def segment_cases(cases, window_days=365):
     Each segment's cases are a run of the rows stably sorted by (segment,
     day_offset, case_id), so the output is independent of input order.
     """
-    if window_days < 1:
-        raise ConfigError(f"window_days must be >= 1, got {window_days}")
-    table = CaseTable.of(cases)
-    if not len(table):
+    if not 1 <= window_days <= INT_MAX:
+        raise ConfigError(f"window_days must be from 1 to 2**63 - 1, "
+                          f"got {window_days}")
+    if not len(cases):
         raise DataError("no cases to segment")
-    day = table.day_offset
+    day = cases.day_offset
     undated = np.flatnonzero(day == MISSING)
     if undated.size:
         raise DataError(
             f"cannot segment cases with missing day_offset "
-            f"(e.g. {table.case_id[undated[0]]}); run apply_exclusions first")
+            f"(e.g. {cases.case_id[undated[0]]}); run apply_exclusions first")
 
     min_day, max_day = int(day.min()), int(day.max())
     n_segments = math.ceil((max_day + 1 - min_day) / window_days)
     segment = (day - min_day) // window_days
-    id_rank = np.empty(len(table), dtype=np.int64)
-    id_rank[sorted(range(len(table)), key=table.case_id.__getitem__)] = \
-        np.arange(len(table))
+    id_rank = np.empty(len(cases), dtype=np.int64)
+    id_rank[sorted(range(len(cases)), key=cases.case_id.__getitem__)] = \
+        np.arange(len(cases))
     order = np.lexsort((id_rank, day, segment))
     bounds = np.searchsorted(segment[order], np.arange(n_segments + 1)).tolist()
 
@@ -523,5 +505,5 @@ def segment_cases(cases, window_days=365):
         end = min(start + window_days, max_day + 1)
         segments.append(Segment(
             index=k + 1, start_day=start, end_day_exclusive=end,
-            cases=table.take(order[bounds[k]:bounds[k + 1]])))
+            cases=cases.take(order[bounds[k]:bounds[k + 1]])))
     return segments

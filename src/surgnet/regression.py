@@ -44,12 +44,12 @@ LN_ALPHA_BOUNDARY = np.log(1e-6)  # estimates below this report as boundary
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Response vector plus covariate matrix with named columns."""
+    """Response vector plus covariate matrix with named columns; the last
+    column is the intercept ``_cons``."""
 
     y: np.ndarray
     x: np.ndarray
     columns: tuple
-    intercept: str | None = "_cons"
     n_dropped_missing: int = 0
 
     @property
@@ -68,13 +68,13 @@ class DesignMatrix:
         return h.hexdigest()
 
     @classmethod
-    def build(cls, y, columns, add_intercept=True):
+    def build(cls, y, columns):
         """Assemble a design from a name -> vector mapping.
 
         Rows with a missing (NaN) response or covariate are dropped and
         counted in ``n_dropped_missing``. The response must be
         non-negative integers. An intercept column named ``_cons`` is
-        appended last unless ``add_intercept`` is false.
+        appended last.
         """
         names = tuple(columns)
         y = np.asarray(y, dtype=np.float64)
@@ -100,13 +100,9 @@ class DesignMatrix:
             if not np.all((d == 0) | (d == 1)):
                 raise DataError("dMale must be a 0/1 dummy")
 
-        intercept = None
-        if add_intercept:
-            x = np.column_stack([x, np.ones(y.size)])
-            names = names + ("_cons",)
-            intercept = "_cons"
-        return cls(y=y.astype(np.int64), x=x, columns=names,
-                   intercept=intercept, n_dropped_missing=dropped)
+        x = np.column_stack([x, np.ones(y.size)])
+        return cls(y=y.astype(np.int64), x=x, columns=names + ("_cons",),
+                   n_dropped_missing=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +291,10 @@ def poisson_fit(dm: DesignMatrix) -> FitResult:
             "optimum sits at mu -> 0 (log-likelihood unbounded below)",
             trace={"boundary": "all-zero response"})
 
-    scaler = _Scaler(x, dm.columns, dm.intercept)
+    scaler = _Scaler(x)
     xs = scaler.x_scaled
     start = np.zeros(p)
-    if scaler.intercept_idx is not None:
-        start[scaler.intercept_idx] = np.log(y.mean())
+    start[-1] = np.log(y.mean())
 
     theta, ll, it, gmax, trace = _newton(
         start,
@@ -456,7 +451,7 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
     n, p = x.shape
     if n <= p:
         raise DataError(f"need more observations ({n}) than parameters ({p})")
-    scaler = _Scaler(x, dm.columns, dm.intercept)
+    scaler = _Scaler(x)
     xs = scaler.x_scaled
 
     if start is None:
@@ -541,36 +536,29 @@ def lr_test_alpha(poisson: FitResult, negbin: FitResult) -> LrAlphaResult:
 
 
 class _Scaler:
-    """Exact affine reparametrization: columns centered (when an intercept
-    is present) and scaled to unit spread for the iteration, with the
-    coefficient vector and covariance mapped back afterwards."""
+    """Exact affine reparametrization of a design whose last column is the
+    intercept: the other columns centered and scaled to unit spread for
+    the iteration, with the coefficient vector and covariance mapped back
+    afterwards."""
 
-    def __init__(self, x, columns, intercept):
-        self.intercept_idx = columns.index(intercept) \
-            if intercept in columns else None
-        center = x.mean(axis=0) if self.intercept_idx is not None \
-            else np.zeros(x.shape[1])
+    def __init__(self, x):
+        center = x.mean(axis=0)
         scale = x.std(axis=0)
         scale[scale == 0.0] = 1.0
-        if self.intercept_idx is not None:
-            center[self.intercept_idx] = 0.0
-            scale[self.intercept_idx] = 1.0
+        center[-1], scale[-1] = 0.0, 1.0
         self.center, self.scale = center, scale
         self.x_scaled = (x - center) / scale
 
     def to_original(self, beta_scaled):
         beta = beta_scaled / self.scale
-        if self.intercept_idx is not None:
-            # center[intercept] is 0, so the sum skips it by construction
-            beta[self.intercept_idx] = beta_scaled[self.intercept_idx] - \
-                float(np.sum(self.center / self.scale * beta_scaled))
+        # center[-1] is 0, so the sum skips the intercept by construction
+        beta[-1] = beta_scaled[-1] - \
+            float(np.sum(self.center / self.scale * beta_scaled))
         return beta
 
     def from_original(self, beta):
         beta_scaled = beta * self.scale
-        if self.intercept_idx is not None:
-            beta_scaled[self.intercept_idx] = beta[self.intercept_idx] + \
-                float(np.sum(self.center * beta))
+        beta_scaled[-1] = beta[-1] + float(np.sum(self.center * beta))
         return beta_scaled
 
     def cov_original(self, cov_scaled):
@@ -580,10 +568,8 @@ class _Scaler:
         p = self.scale.size
         jac = np.eye(cov_scaled.shape[0])
         jac[:p, :p] = np.diag(1.0 / self.scale)
-        if self.intercept_idx is not None:
-            i = self.intercept_idx
-            jac[i, :p] = -self.center / self.scale
-            jac[i, i] = 1.0
+        jac[p - 1, :p] = -self.center / self.scale
+        jac[p - 1, p - 1] = 1.0
         return jac @ cov_scaled @ jac.T
 
 

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import oracles
-from conftest import make_case
+from conftest import case_table, make_case
 from surgnet import cli
 from surgnet.centrality import compute_all
 from surgnet.complications import ComplicationCodeset, count_complications
@@ -136,7 +136,7 @@ def test_criterion_2_projection_cliques_and_edge_union():
                         rng.choice(n_prov, size=size, replace=False)]
                 cases.append(make_case(case_id=f"c{k}", providers=team))
             seg = Segment(index=1, start_day=0, end_day_exclusive=365,
-                          cases=tuple(cases))
+                          cases=case_table(cases))
             g = project_one_mode(build_bipartite(seg))
 
             union, pairs = set(), g.pair_counts
@@ -343,14 +343,16 @@ def test_criterion_8_codeset_selfmatch_and_worked_example():
         codeset = ComplicationCodeset.embedded()
         prefixes = [entry.prefix for entry in codeset.entries]
         assert len(prefixes) == 39
-        for prefix in prefixes:
-            case = make_case(dx=[prefix])
-            assert count_complications(case, codeset) == 1, \
-                f"prefix {prefix} does not self-match"
+        cases = case_table(make_case(f"c{k}", dx=[prefix])
+                           for k, prefix in enumerate(prefixes))
+        counts = count_complications(cases, codeset).tolist()
+        for prefix, count in zip(prefixes, counts):
+            assert count == 1, f"prefix {prefix} does not self-match"
             assert oracles.count_by_prefix_scan([prefix], prefixes) == 1
 
         dx = ["996.52", "998.59", "250.00"]
-        assert count_complications(make_case(dx=dx), codeset) == 2
+        assert count_complications(case_table([make_case(dx=dx)]),
+                                   codeset).tolist() == [2]
         assert oracles.count_by_prefix_scan(dx, prefixes) == 2
         info["detail"] = "39 prefixes, worked example C=2"
 

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 
 import oracles
-from conftest import make_case
+from conftest import case_table, make_case
 from surgnet import centrality
 from surgnet.errors import DataError
 from surgnet.centrality import (
@@ -376,6 +376,20 @@ def test_bfs_pass_makes_only_the_products_it_uses():
     assert _products_per_pass(path, 1 << 17) == 2 * (6 - 1)
 
 
+def test_path_count_overflow_is_a_data_error():
+    # each diamond doubles the shortest paths from the chain end, so 1030
+    # of them take the count from that end past float64's 2**1024
+    joints = [f"j{i:04d}" for i in range(1031)]
+    edges = [(end, f"s{i:04d}{side}") for i in range(1030) for side in "ab"
+             for end in joints[i:i + 2]]
+    g = CoworkerGraph(joints + sorted({v for _, v in edges}), edges)
+    assert (g.n_nodes, g.n_edges, g.nodes[0]) == (3091, 4120, "j0000")
+    # one source per block: block 0 is the chain end alone
+    with mock.patch.object(centrality, "_BLOCK_CELLS", g.n_nodes):
+        with pytest.raises(DataError, match="path counts overflow"):
+            compute_all(g)
+
+
 def test_sparse_clustering_path_agrees_with_dense():
     # a 2100-node sparse graph against neighbor-pair counting
     rng = np.random.default_rng(5)
@@ -441,7 +455,7 @@ def test_incidence_team_means_equal_team_aggregate_exactly():
                      pool, size=int(rng.integers(1, 8)), replace=False)))
                  for k in range(int(rng.integers(1, 40)))]
         seg = Segment(index=1, start_day=0, end_day_exclusive=365,
-                      cases=tuple(cases))
+                      cases=case_table(cases))
         bg = build_bipartite(seg)
         g = project_one_mode(bg)
         columns = compute_all(g)

@@ -259,6 +259,8 @@ def test_run_unknown_config_key_is_config_error(dataset, tmp_path, capsys):
     ("distinct_complications", "yes"),
     ("regression_columns", "age"),
     ("regression_columns", [1]),
+    ("window_days", 10**30),
+    ("eig_tol", float("inf")),
 ])
 def test_run_mistyped_config_value_is_config_error(dataset, tmp_path, capsys,
                                                    key, value):

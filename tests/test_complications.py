@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_case
+from conftest import case_table, make_case
 from surgnet import complications
 from surgnet.complications import (
     ComplicationCodeset,
@@ -73,19 +73,19 @@ def test_bare_class_maps_to_first_covering_entry():
 
 
 def test_worked_example_counts_two():
-    case = make_case(dx=("996.52", "998.59", "250.00"))
-    assert count_complications(case, CODESET) == 2
+    case = case_table([make_case(dx=("996.52", "998.59", "250.00"))])
+    assert count_complications(case, CODESET).tolist() == [2]
 
 
 def test_duplicates_count_individually_unless_distinct():
-    case = make_case(dx=("998.59", "998.59", "998.51", "401.9"))
-    assert count_complications(case, CODESET) == 3
-    assert count_complications(case, CODESET, distinct=True) == 1
+    case = case_table([make_case(dx=("998.59", "998.59", "998.51", "401.9"))])
+    assert count_complications(case, CODESET).tolist() == [3]
+    assert count_complications(case, CODESET, distinct=True).tolist() == [1]
 
 
 def test_unnormalized_input_codes_still_match():
-    case = make_case(dx=("99652", " 998.59 ", "25000"))
-    assert count_complications(case, CODESET) == 2
+    case = case_table([make_case(dx=("99652", " 998.59 ", "25000"))])
+    assert count_complications(case, CODESET).tolist() == [2]
 
 
 def test_counts_match_prefix_scan_oracle_on_random_codes():
@@ -97,11 +97,11 @@ def test_counts_match_prefix_scan_oracle_on_random_codes():
         + ["250.00", "401.9", "V45.81", "E878.1", "996", "997", "42"]
         + ["99652", "9985", "25000"]
     )
-    for _ in range(200):
-        dx = tuple(rng.choice(pool, size=int(rng.integers(0, 12))))
-        case = make_case(dx=dx)
-        assert count_complications(case, CODESET) == \
-            oracles.count_by_prefix_scan(dx, prefixes)
+    dxs = [tuple(rng.choice(pool, size=int(rng.integers(0, 12))))
+           for _ in range(200)]
+    cases = case_table(make_case(f"c{k}", dx=dx) for k, dx in enumerate(dxs))
+    for dx, count in zip(dxs, count_complications(cases, CODESET).tolist()):
+        assert count == oracles.count_by_prefix_scan(dx, prefixes)
 
 
 # raw dx cells over the shapes the matcher tells apart: bare classes,
@@ -126,11 +126,11 @@ def test_memoized_match_is_the_scanned_entry(raw):
             # first call may fill the memo, the second reads it
             assert match_complication(normalize_icd9(r), codeset) is entry
             assert match_complication(normalize_icd9(r), codeset) is entry
-        case = make_case(dx=raw)
-        assert count_complications(case, codeset) == \
-            sum(e is not None for e in scanned)
-        assert count_complications(case, codeset, distinct=True) == \
-            len({e.prefix for e in scanned if e is not None})
+        case = case_table([make_case(dx=raw)])
+        assert count_complications(case, codeset).tolist() == \
+            [sum(e is not None for e in scanned)]
+        assert count_complications(case, codeset, distinct=True).tolist() == \
+            [len({e.prefix for e in scanned if e is not None})]
 
 
 def test_memo_is_per_codeset():

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_case
+from conftest import case_table, make_case
 from surgnet.records import Segment
 from surgnet.network import (
     CoworkerGraph,
@@ -20,7 +20,7 @@ from surgnet.network import (
 
 def seg(cases, index=1, start=0, end=365):
     return Segment(index=index, start_day=start, end_day_exclusive=end,
-                   cases=tuple(cases))
+                   cases=case_table(cases))
 
 
 def test_bipartite_links_each_case_to_its_providers():

@@ -5,11 +5,10 @@ import io
 import numpy as np
 import pytest
 
-from conftest import make_case
+from conftest import case_table, make_case
 from surgnet.errors import ConfigError, DataError
 from surgnet.records import (
     EXCLUSION_RULES,
-    CaseTable,
     apply_exclusions,
     parse_cases,
     segment_cases,
@@ -131,7 +130,6 @@ def test_case_table_round_trips_its_records():
                                    gender="female", surgery_type=None,
                                    providers=("a", "b"), dx=("998.5", "998.5"))
     assert cases[-1] == records[2] and cases[-1].providers == frozenset()
-    assert CaseTable.of(records) == cases
     assert list(cases.take([2, 0])) == [records[2], records[0]]
     assert cases.provider_ids == ("a", "b", "c")
     with pytest.raises(IndexError):
@@ -252,7 +250,7 @@ def test_exclusion_rules_each_fire():
         make_case("negative-stay", day=5, end=3),
         make_case("no-team", providers=()),
     ]
-    retained, report = apply_exclusions([keep] + dropped)
+    retained, report = apply_exclusions(case_table([keep] + dropped))
     assert [c.case_id for c in retained] == ["ok"]
     assert report == {"age": 2, "missing dates": 2,
                       "same-day discharge": 2, "providers": 1}
@@ -261,13 +259,14 @@ def test_exclusion_rules_each_fire():
 def test_exclusion_attribution_is_first_matching_rule():
     # under-age AND same-day: only the age rule should claim it
     case = make_case("both", age=18, day=4, end=4)
-    _, report = apply_exclusions([case])
+    _, report = apply_exclusions(case_table([case]))
     assert report["age"] == 1
     assert report["same-day discharge"] == 0
 
 
 def test_exclusions_idempotent():
-    cases = [make_case("a"), make_case("b", age=10), make_case("c", day=2, end=2)]
+    cases = case_table([make_case("a"), make_case("b", age=10),
+                        make_case("c", day=2, end=2)])
     once, _ = apply_exclusions(cases)
     twice, report = apply_exclusions(once)
     assert twice == once
@@ -285,7 +284,7 @@ def test_rule_order_matches_report_keys():
 
 def test_segments_partition_cases_by_365_day_windows():
     cases = [make_case(f"c{d}", day=d, end=d + 1) for d in (0, 364, 365, 729, 730)]
-    segments = segment_cases(cases)
+    segments = segment_cases(case_table(cases))
     assert [s.index for s in segments] == [1, 2, 3]
     assert [(s.start_day, s.end_day_exclusive) for s in segments] == [
         (0, 365), (365, 730), (730, 731)]
@@ -295,7 +294,7 @@ def test_segments_partition_cases_by_365_day_windows():
 
 def test_segment_windows_anchor_at_min_day():
     cases = [make_case("a", day=100, end=101), make_case("b", day=500, end=501)]
-    segments = segment_cases(cases)
+    segments = segment_cases(case_table(cases))
     assert segments[0].start_day == 100
     assert segments[0].end_day_exclusive == 465
     assert segments[1].end_day_exclusive == 501
@@ -308,8 +307,8 @@ def test_segment_output_is_input_order_independent():
              for i, d in enumerate(rng.integers(0, 1200, size=40))]
     shuffled = list(cases)
     rng.shuffle(shuffled)
-    a = segment_cases(cases)
-    b = segment_cases(shuffled)
+    a = segment_cases(case_table(cases))
+    b = segment_cases(case_table(shuffled))
     assert a == b
     for seg in a:  # ordered by (day, case_id) within segment
         keys = [(c.day_offset, c.case_id) for c in seg.cases]
@@ -318,15 +317,17 @@ def test_segment_output_is_input_order_independent():
 
 def test_segment_custom_window():
     cases = [make_case(f"c{d}", day=d, end=d + 1) for d in (0, 9, 10, 25)]
-    segments = segment_cases(cases, window_days=10)
+    segments = segment_cases(case_table(cases), window_days=10)
     assert [len(s.cases) for s in segments] == [2, 1, 1]
     assert segments[2].start_day == 20 and segments[2].end_day_exclusive == 26
 
 
 def test_segment_errors():
     with pytest.raises(ConfigError, match="window_days"):
-        segment_cases([make_case()], window_days=0)
+        segment_cases(case_table([make_case()]), window_days=0)
+    with pytest.raises(ConfigError, match="window_days"):
+        segment_cases(case_table([make_case()]), window_days=2 ** 63)
     with pytest.raises(DataError, match="no cases"):
-        segment_cases([])
+        segment_cases(case_table([]))
     with pytest.raises(DataError, match="missing day_offset"):
-        segment_cases([make_case(day=None)])
+        segment_cases(case_table([make_case(day=None)]))

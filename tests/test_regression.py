@@ -52,7 +52,6 @@ def test_build_orders_columns_with_intercept_last():
     y = [0, 1, 2]
     dm = DesignMatrix.build(y, {"b": [1.0, 2.0, 3.0], "a": [4.0, 5.0, 6.0]})
     assert dm.columns == ("b", "a", "_cons")
-    assert dm.intercept == "_cons"
     assert_allclose(dm.x[:, 2], 1.0)
     assert dm.y.dtype == np.int64
     assert dm.n_obs == 3 and dm.n_params == 3
@@ -64,12 +63,6 @@ def test_build_drops_incomplete_rows():
     assert dm.n_obs == 3
     assert dm.n_dropped_missing == 2
     assert list(dm.y) == [1, 3, 4]
-
-
-def test_build_without_intercept():
-    dm = DesignMatrix.build([0, 1], {"a": [1.0, 2.0]}, add_intercept=False)
-    assert dm.columns == ("a",)
-    assert dm.intercept is None
 
 
 def test_build_validation_errors():
@@ -544,7 +537,7 @@ def test_scaler_round_trip_is_exact_reparametrization():
     x = np.column_stack([rng.normal(50.0, 15.0, size=120),
                          rng.uniform(0.0, 0.01, size=120),
                          np.ones(120)])
-    scaler = reg._Scaler(x, ("age", "tiny", "_cons"), "_cons")
+    scaler = reg._Scaler(x)
     beta = np.array([0.02, 35.0, -1.0])
     # same linear predictor through either parametrization
     eta_orig = x @ beta
@@ -579,3 +572,63 @@ def test_ill_conditioned_design_still_converges():
     fit = negbin_fit(dm)
     assert fit.grad_max_abs < 1e-6
     assert fit.alpha > 0.3
+
+
+def _scales_design(rng):
+    # a covariate on a 1e-3 scale beside one on a 1e3 scale
+    n = 2000
+    tiny = rng.uniform(0.0, 2e-3, size=n)
+    big = rng.uniform(0.0, 2e3, size=n)
+    z = rng.normal(size=n)
+    mu = np.exp(200.0 * tiny + 3e-4 * big + 0.2 * z - 0.3)
+    return DesignMatrix.build(nb_draws(rng, mu, 0.8),
+                              {"tiny": tiny, "big": big, "z": z})
+
+
+def _small_alpha_design(rng):
+    n = 2000
+    x1, x2 = rng.normal(size=n), rng.uniform(-1, 1, size=n)
+    mu = np.exp(0.4 * x1 - 0.2 * x2 + 1.0)
+    return DesignMatrix.build(nb_draws(rng, mu, 0.05), {"x1": x1, "x2": x2})
+
+
+def _assert_optimum(ll, theta, se, spread):
+    """At ``theta``, the reported optimum of the log-likelihood ``ll``:
+    the central-difference gradient is below 1e-4 of the score's spread
+    (the root of the observed information), and ``se`` equals
+    sqrt(diag(inv(-H))) for H the finite-difference Hessian, at rtol 1e-3.
+    Differences are taken in u = theta * spread, so that one step moves
+    every parameter's term of the linear predictor alike."""
+    def ll_u(u):
+        return ll(u / spread)
+
+    u = theta * spread
+    grad = oracles.finite_diff_gradient(ll_u, u)
+    hess = oracles.finite_diff_jacobian(
+        lambda v: oracles.finite_diff_gradient(ll_u, v, step=1e-3), u,
+        step=1e-3)
+    assert np.all(np.abs(grad) < 1e-4 * np.sqrt(np.diag(-hess)))
+    assert_allclose(np.sqrt(np.diag(np.linalg.inv(-hess))) / spread, se,
+                    rtol=1e-3)
+
+
+@pytest.mark.parametrize("design, seed", [(_scales_design, 0),
+                                          (_scales_design, 1),
+                                          (_small_alpha_design, 0),
+                                          (_small_alpha_design, 1)])
+def test_reported_optima_are_maxima_of_the_direct_likelihoods(design, seed):
+    dm = design(np.random.default_rng(seed))
+    spread = dm.x.std(axis=0)
+    spread[-1] = 1.0  # the intercept column is constant
+    pois = poisson_fit(dm)
+    _assert_optimum(lambda b: oracles.poisson_loglik_direct(b, dm.x, dm.y),
+                    pois.coef, pois.std_err, spread)
+    nb = negbin_fit(dm, start=reg.negbin_start(pois, dm))
+    assert not nb.alpha_boundary
+    if design is _small_alpha_design:
+        assert 0.02 < nb.alpha < 0.1
+    _assert_optimum(
+        lambda t: oracles.negbin_loglik_direct(t[:-1], np.exp(t[-1]),
+                                               dm.x, dm.y),
+        np.append(nb.coef, nb.ln_alpha),
+        np.append(nb.std_err, nb.ln_alpha_std_err), np.append(spread, 1.0))
