@@ -10,6 +10,7 @@ sidecar records all of this next to the case file.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,12 +18,16 @@ import numpy as np
 from .complications import ComplicationCodeset
 from .errors import ConfigError
 from .pipeline import write_staged
+from .records import INT_MAX
 
 # dx filler codes that never match the 996-999 complication set
 _BENIGN_CODES = ("250.00", "401.9", "414.01", "427.31", "272.4",
                  "530.81", "584.9", "V45.89", "E878.8")
 
 _MAX_DX = 50
+
+# uniforms drawn at a time for the team draw (bounds its buffer)
+_TEAM_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,9 @@ class ComplicationModel:
             raise ConfigError(
                 f"complication model covariates not known at generation "
                 f"time: {sorted(extra)}")
+        values = [self.alpha, *self.coefficients.values()]
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError("alpha and coefficients must be finite")
         if self.alpha < 0:
             raise ConfigError("alpha must be non-negative")
 
@@ -65,6 +73,61 @@ def _draw_counts(rng, mu, alpha):
     return rng.poisson(lam)
 
 
+def _seek(bitgen, state, n):
+    """Set a PCG64 ``bitgen`` to ``state`` moved on by n doubles.
+
+    ``advance`` drops the buffered half of a 64-bit output that
+    ``integers`` may hold; it is put back so later draws see it.
+    """
+    bitgen.state = state
+    moved = bitgen.advance(n).state
+    moved.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+    bitgen.state = moved
+
+
+def _draw_teams(rng, team_sizes, weights):
+    """One ``rng.choice(len(weights), k, replace=False, p=weights)`` per k.
+
+    Replays ``Generator.choice`` bit for bit: k uniforms go through the
+    CDF of the weights, a repeated provider keeps its first occurrence,
+    and the shortfall is redrawn with the found weights zeroed and the
+    CDF re-summed. PCG64 spends one 64-bit output per double, so the
+    uniforms are drawn in chunks and the generator is left just past
+    those used.
+    """
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    bitgen = rng.bit_generator
+    state, u, first, pos = bitgen.state, np.empty(0), [], 0
+
+    def take(n):  # offset of the next n uniforms in u
+        nonlocal state, u, first, pos
+        if pos + n > len(u):
+            _seek(bitgen, state, pos)
+            state, pos = bitgen.state, 0
+            u = rng.random(max(n, _TEAM_CHUNK))
+            first = cdf.searchsorted(u, side="right").tolist()
+        pos += n
+        return pos - n
+
+    teams = []
+    for k in team_sizes.tolist():
+        at = take(k)
+        team = list(dict.fromkeys(first[at:at + k]))
+        while len(team) < k:
+            n = k - len(team)
+            at = take(n)
+            p = weights.copy()
+            p[team] = 0
+            redraw = np.cumsum(p)
+            redraw /= redraw[-1]
+            team += dict.fromkeys(
+                redraw.searchsorted(u[at:at + n], side="right").tolist())
+        teams.append(team)
+    _seek(bitgen, state, pos)
+    return teams
+
+
 def generate_cases(seed, n_cases, n_providers, window_days=365, n_segments=4,
                    model=None):
     """Build synthetic case rows and the matching truth record.
@@ -79,14 +142,22 @@ def generate_cases(seed, n_cases, n_providers, window_days=365, n_segments=4,
         raise ConfigError("n_cases and n_providers must be >= 1")
     if window_days < 1 or n_segments < 1:
         raise ConfigError("window_days and n_segments must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
+    span = window_days * n_segments
+    # the last day plus its stay (at least 1 here) must stay an int64
+    if span > INT_MAX:
+        raise ConfigError(f"window_days * n_segments = {span} passes {INT_MAX}")
     model = model if model is not None else ComplicationModel()
     rng = np.random.default_rng(seed)
 
-    span = window_days * n_segments
     days = rng.integers(0, span, size=n_cases)
     if n_cases >= 2:
         days[0], days[-1] = 0, span - 1
     stay = 1 + rng.poisson(3.0, size=n_cases)
+    if span - 1 + int(stay.max()) > INT_MAX:
+        raise ConfigError(f"window_days * n_segments = {span} leaves no room "
+                          f"for a {int(stay.max())}-day stay below {INT_MAX}")
 
     ages = np.clip(np.rint(rng.normal(55.0, 15.0, size=n_cases)), 21, 90)
     ages = ages.astype(np.int64)
@@ -99,16 +170,22 @@ def generate_cases(seed, n_cases, n_providers, window_days=365, n_segments=4,
     weights /= weights.sum()
     pad = len(str(n_providers))
     provider_ids = [f"p{i + 1:0{pad}d}" for i in range(n_providers)]
-    teams = [rng.choice(n_providers, size=int(k), replace=False, p=weights)
-             for k in team_sizes]
+    teams = _draw_teams(rng, team_sizes, weights)
 
     coef = model.coefficients
-    eta = (coef.get("_cons", 0.0)
-           + coef.get("teamSize", 0.0) * team_sizes
-           + coef.get("age", 0.0) * ages
-           + coef.get("dMale", 0.0) * male
-           + coef.get("typSurgery", 0.0) * surgery)
-    counts = _draw_counts(rng, np.exp(eta), model.alpha)
+    # a mean that overflows is rejected by the count draw below
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = (coef.get("_cons", 0.0)
+               + coef.get("teamSize", 0.0) * team_sizes
+               + coef.get("age", 0.0) * ages
+               + coef.get("dMale", 0.0) * male
+               + coef.get("typSurgery", 0.0) * surgery)
+        mu = np.exp(eta)
+    try:
+        counts = _draw_counts(rng, mu, model.alpha)
+    except ValueError as exc:
+        raise ConfigError(f"the complication model's means cannot be "
+                          f"drawn: {exc}") from None
 
     comp_prefixes = tuple(e.prefix for e in ComplicationCodeset.embedded().entries)
     case_pad = len(str(n_cases))

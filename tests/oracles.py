@@ -5,7 +5,8 @@ structures than the library code: brute-force geodesic enumeration instead
 of Brandes accumulation, Floyd-Warshall instead of per-source BFS, dense
 eigendecomposition instead of power iteration, scipy's rank machinery
 instead of the library's own, a literal prefix scan for ICD-9 matching,
-and a cell-by-cell renderer for the joined table. Agreement between the
+a cell-by-cell renderer for the joined table, and numpy's own
+``Generator.choice`` for the synthetic teams. Agreement between the
 two routes is the evidence the tests rely on.
 """
 
@@ -259,6 +260,16 @@ def network_data_by_cells(rows, columns):
                 for k, v in zip(columns, r)} for r in rows]
     return tsv, json.dumps(records, indent=2, sort_keys=True,
                            allow_nan=False) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# synthetic teams, one Generator.choice call per case
+
+
+def teams_by_choice(rng, team_sizes, weights):
+    """Each team drawn without replacement by ``rng.choice``."""
+    return [rng.choice(len(weights), size=int(k), replace=False, p=weights)
+            for k in team_sizes]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,19 @@ def test_synth_bad_coef_is_config_error(tmp_path, capsys):
     assert "NAME=VALUE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    ["--alpha", "nan"], ["--alpha", "inf"], ["--coef", "age=nan"],
+    ["--coef", "age=1e6"], ["--coef", "_cons=800"], ["--seed", "-1"],
+    ["--window-days", "3000000000000000000"]])
+def test_synth_bad_numbers_are_config_errors(tmp_path, capsys, bad):
+    rc = cli.main(["synth", "--cases", "20", "--providers", "5",
+                   "--out", str(tmp_path / "s.csv"), *bad])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag", ["--out", "--truth-out"])
 def test_synth_into_a_missing_directory_is_config_error(tmp_path, capsys,
                                                         flag):

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+from surgnet import synth
 from surgnet.complications import ComplicationCodeset, count_complications
 from surgnet.errors import ConfigError
 from surgnet.records import apply_exclusions, parse_cases, segment_cases
@@ -121,6 +123,12 @@ def test_model_validation():
         ComplicationModel(coefficients={"avgBtwn": 0.2})
     with pytest.raises(ConfigError, match="non-negative"):
         ComplicationModel(alpha=-0.1)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            ComplicationModel(alpha=alpha)
+    for value in (float("nan"), float("-inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            ComplicationModel(coefficients={"age": value})
 
 
 def test_generate_parameter_validation():
@@ -128,6 +136,71 @@ def test_generate_parameter_validation():
         generate_cases(seed=1, n_cases=0, n_providers=5)
     with pytest.raises(ConfigError, match="window_days"):
         generate_cases(seed=1, n_cases=5, n_providers=5, window_days=0)
+    with pytest.raises(ConfigError, match="seed"):
+        generate_cases(seed=-1, n_cases=5, n_providers=5)
+    with pytest.raises(ConfigError, match="window_days"):
+        generate_cases(seed=1, n_cases=5, n_providers=5,
+                       window_days=3 * 10 ** 18)
+    # the last day fits an int64, but not with its stay added
+    with pytest.raises(ConfigError, match="stay"):
+        generate_cases(seed=1, n_cases=5, n_providers=5,
+                       window_days=2 ** 63 - 2, n_segments=1)
+    # means beyond what rng.poisson draws, under both count models
+    for coef, alpha in (({"age": 1e6}, 0.8), ({"_cons": 800.0}, 0.0),
+                        ({"age": 1e306}, 0.8)):
+        model = ComplicationModel(coefficients=coef, alpha=alpha)
+        with pytest.raises(ConfigError, match="cannot be drawn"):
+            generate_cases(seed=1, n_cases=5, n_providers=5, model=model)
+
+
+ROSTERS = (1, 2, 3, 5, 25, 100, 1200)
+
+
+def _team_sizes(rng, n_cases, n_providers):
+    """Team sizes as generate_cases draws them, then every team full."""
+    sizes = np.minimum(n_providers,
+                       np.clip(2 + rng.poisson(6.0, size=n_cases), 1, 15))
+    return np.concatenate([sizes, np.full(n_cases, min(n_providers, 15))])
+
+
+@pytest.mark.parametrize("chunk", [7, synth._TEAM_CHUNK])
+@pytest.mark.parametrize("n_cases", [1, 300])
+@pytest.mark.parametrize("n_providers", ROSTERS)
+def test_team_draw_replays_generator_choice(monkeypatch, n_providers, n_cases,
+                                            chunk):
+    # a chunk smaller than a team refills mid-team and mid-redraw
+    monkeypatch.setattr(synth, "_TEAM_CHUNK", chunk)
+    weights = 1.0 / np.arange(1, n_providers + 1) ** 0.7
+    weights /= weights.sum()
+    for seed in (0, 1, 20240601):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (ours, theirs):
+            # leave half a 64-bit output buffered, as generate_cases does
+            rng.integers(0, 1000, size=3)
+        sizes = _team_sizes(np.random.default_rng(seed), n_cases, n_providers)
+        got = synth._draw_teams(ours, sizes, weights)
+        want = oracles.teams_by_choice(theirs, sizes, weights)
+        assert got == [t.tolist() for t in want]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+        assert ours.integers(0, 5, size=9).tolist() == \
+            theirs.integers(0, 5, size=9).tolist()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.8])
+@pytest.mark.parametrize("n_cases", [1, 300])
+@pytest.mark.parametrize("n_providers", ROSTERS)
+def test_generate_cases_equals_the_choice_oracle(monkeypatch, n_providers,
+                                                 n_cases, alpha):
+    model = ComplicationModel(alpha=alpha)
+    for seed in (0, 7):
+        args = dict(seed=seed, n_cases=n_cases, n_providers=n_providers,
+                    window_days=50, model=model)
+        got = generate_cases(**args)
+        with monkeypatch.context() as m:
+            m.setattr(synth, "_draw_teams", oracles.teams_by_choice)
+            want = generate_cases(**args)
+        assert got == want
 
 
 def test_single_provider_teams():
