@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--providers", type=int, default=50)
     p.add_argument("--segments", type=int, default=4)
     _add_window_args(p)
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=float,
+                   default=synth.ComplicationModel.alpha,
                    help="NB2 heterogeneity of the generating model")
     p.add_argument("--coef", action="append", default=[], metavar="NAME=VALUE",
                    help="override a generating coefficient (repeatable)")
@@ -286,7 +287,7 @@ def _parse_coef_overrides(pairs):
 def cmd_synth(args):
     model = synth.ComplicationModel(
         coefficients=_parse_coef_overrides(args.coef),
-        alpha=args.alpha if args.alpha is not None else 0.8)
+        alpha=args.alpha)
     out, truth = synth.synth_generate(
         seed=args.seed, n_cases=args.cases, n_providers=args.providers,
         window_days=args.window_days, n_segments=args.segments,

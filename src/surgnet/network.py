@@ -168,6 +168,8 @@ class GraphSummary:
     avg_team_size: float
     avg_degree: float
     density: float
+    isolated_nodes: int
+    outside_largest_component: int
 
 
 def build_bipartite(segment: Segment) -> BipartiteGraph:
@@ -204,9 +206,12 @@ def project_one_mode(bg: BipartiteGraph) -> CoworkerGraph:
 
 
 def summarize(g: CoworkerGraph, segment: Segment) -> GraphSummary:
-    """Whole-graph descriptives: counts, mean team size, mean degree, density."""
+    """Whole-graph descriptives: counts, mean team size, mean degree,
+    density, and the nodes in one-node components and outside the largest
+    component, from the graph's ``component_labels``."""
     n, m = g.n_nodes, g.n_edges
     n_cases = len(segment.cases)
+    sizes = np.bincount(g.component_labels(), minlength=1)
     return GraphSummary(
         node_count=n,
         edge_count=m,
@@ -215,6 +220,8 @@ def summarize(g: CoworkerGraph, segment: Segment) -> GraphSummary:
                        if n_cases else 0.0),
         avg_degree=(2.0 * m / n) if n else 0.0,
         density=(2.0 * m / (n * (n - 1))) if n >= 2 else 0.0,
+        isolated_nodes=int(np.count_nonzero(sizes == 1)),
+        outside_largest_component=n - int(sizes.max()),
     )
 
 

@@ -160,8 +160,6 @@ class SegmentAnalysis:
     graph: network.CoworkerGraph
     summary: network.GraphSummary
     measures: dict  # centrality.compute_all's columns
-    isolated_nodes: int
-    outside_largest_component: int
 
 
 @dataclass(frozen=True)
@@ -249,13 +247,8 @@ def _analyze_segment(cfg: PipelineConfig, seg):
     with _stage(f"metrics (segment {seg.index})"):
         measures = centrality.compute_all(graph, eig_tol=cfg.eig_tol,
                                           eig_max_iter=cfg.eig_max_iter)
-        # the labels compute_all made; a graph is labelled only once
-        sizes = np.bincount(graph.component_labels(), minlength=1)
-    return SegmentAnalysis(
-        segment=seg, bipartite=bipartite, graph=graph, summary=summary,
-        measures=measures,
-        isolated_nodes=int(np.count_nonzero(sizes == 1)),
-        outside_largest_component=graph.n_nodes - int(sizes.max()))
+    return SegmentAnalysis(segment=seg, bipartite=bipartite, graph=graph,
+                           summary=summary, measures=measures)
 
 
 def _usable_cpus():
@@ -348,9 +341,8 @@ def estimate(cfg: PipelineConfig, table) -> EstimationResult:
         kept = {n: arr for n, arr in cols.items() if n not in dropped}
 
         dm = regression.DesignMatrix.build(y, kept)
-        ols = regression.ols_fit(dm.x, dm.y.astype(np.float64),
-                                 columns=dm.columns)
-        vifs = regression.vif(dm.x, dm.columns)
+        ols = regression.ols_fit(dm)
+        vifs = regression.vif(dm)
         pois = regression.poisson_fit(dm)
         gof = regression.poisson_gof(pois, dm)
         nb = regression.negbin_fit(dm, start=regression.negbin_start(pois, dm))
@@ -445,11 +437,7 @@ def _run(cfg: PipelineConfig, write):
 
 
 def _fmt(v):
-    """Six significant digits for table output; NA for missing."""
-    if v is None:
-        return "NA"
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
+    """Six significant digits for table output; NA for NaN."""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     v = float(v)
@@ -459,7 +447,8 @@ def _fmt(v):
 
 
 def _jclean(obj):
-    """Make an object JSON-safe: numpy scalars to Python, NaN to None."""
+    """Make an object JSON-safe: numpy scalars to Python, NaN and
+    infinities to None."""
     if isinstance(obj, dict):
         return {str(k): _jclean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -472,7 +461,7 @@ def _jclean(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
-        return None if math.isnan(v) else v
+        return v if math.isfinite(v) else None
     return obj
 
 
@@ -496,10 +485,10 @@ def _segment_stats(analyses, table):
     c_count = np.bincount(table["segment"]).tolist()
     c_sum = np.bincount(table["segment"], weights=table["C"]).tolist()
     stats = []
-    for sa in sorted(analyses, key=lambda sa: sa.segment.index):
+    for sa in analyses:
         k = sa.segment.index
         stats.append({
-            "segment": sa.segment.index,
+            "segment": k,
             "start_day": sa.segment.start_day,
             "end_day_exclusive": sa.segment.end_day_exclusive,
             "nodes": sa.summary.node_count,
@@ -512,7 +501,7 @@ def _segment_stats(analyses, table):
             "avg_closeness": _node_mean(sa.measures, "closeness"),
             "avg_eigenvector": _node_mean(sa.measures, "eigenvector"),
             "avg_complications":
-                c_sum[k] / c_count[k] if k < len(c_count) and c_count[k] else 0.0,
+                c_sum[k] / c_count[k] if c_count[k] else 0.0,
         })
     return stats
 
@@ -690,8 +679,8 @@ def _build_manifest(cfg, diagnostics, report, retained, analyses, table,
         "cases": sa.summary.case_count,
         "nodes": sa.summary.node_count,
         "edges": sa.summary.edge_count,
-        "isolated_nodes": sa.isolated_nodes,
-        "outside_largest_component": sa.outside_largest_component,
+        "isolated_nodes": sa.summary.isolated_nodes,
+        "outside_largest_component": sa.summary.outside_largest_component,
     } for sa in analyses]
     # cases with a member among the degree-0 columns of the incidence matrix
     iso_cases = sum(

@@ -16,7 +16,6 @@ what a valid case is; the later stages take a table and nothing else.
 """
 
 import csv
-import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -28,19 +27,6 @@ from .errors import ConfigError, DataError
 
 # Provider tokens treated as generic/placeholder entries and dropped.
 PLACEHOLDER_IDS = frozenset({"", "null", "none", "unknown", "na", "n/a"})
-
-# Logical field -> default column header. "provider" replaces "providers"
-# in long form.
-DEFAULT_SCHEMA = {
-    "case_id": "case_id",
-    "day_offset": "day_offset",
-    "end_day_offset": "end_day_offset",
-    "age": "age",
-    "gender": "gender",
-    "surgery_type": "surgery_type",
-    "providers": "providers",
-    "provider": "provider",
-}
 
 MAX_DX_CODES = 50
 AGE_CAP = 90
@@ -278,8 +264,12 @@ def parse_cases(source, delimiter=",", provider_form="wide"):
     Parameters
     ----------
     source : path or text stream
-        Delimited text with a header row naming the ``DEFAULT_SCHEMA``
-        columns; a missing one raises ConfigError.
+        Delimited text with a header row naming the columns case_id,
+        day_offset, end_day_offset, age, gender, surgery_type and
+        providers (provider in long form); a missing one raises
+        ConfigError. A row csv cannot read, such as one with a cell
+        past csv's field limit, is skipped with a diagnostic; an
+        unreadable header row raises DataError.
     delimiter : str
         Field delimiter, default comma.
     provider_form : {"wide", "long"}
@@ -311,7 +301,7 @@ def parse_cases(source, delimiter=",", provider_form="wide"):
 
     try:
         return _parse_stream(stream, delimiter, provider_form)
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:  # csv: on the header row
         raise DataError(f"cannot read case file {source}: {exc}") from exc
     finally:
         if close_after:
@@ -350,14 +340,12 @@ def _parse_stream(stream, delimiter, provider_form):
     col_index = {name: i for i, name in enumerate(header)}
 
     long_form = provider_form == "long"
-    provider_field = "provider" if long_form else "providers"
     required = ["case_id", "day_offset", "end_day_offset", "age", "gender",
-                "surgery_type", provider_field]
-    missing = [DEFAULT_SCHEMA[f] for f in required
-               if DEFAULT_SCHEMA[f] not in col_index]
+                "surgery_type", "provider" if long_form else "providers"]
+    missing = [f for f in required if f not in col_index]
     if missing:
         raise ConfigError(f"column(s) not found in header: {missing}")
-    field_idx = {f: col_index[DEFAULT_SCHEMA[f]] for f in required}
+    field_idx = {f: col_index[f] for f in required}
     i_case, i_day, i_end, i_age, i_gender, i_styp, i_prov = (
         field_idx[f] for f in required)
 
@@ -373,7 +361,17 @@ def _parse_stream(stream, delimiter, provider_form):
     gender_code: dict[str, int] = {}  # raw gender cell -> index in GENDERS
     width = len(header)
 
-    for row_no, row in enumerate(reader, start=2):
+    row_no = 1
+    while True:
+        row_no += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:  # the reader resumes at the next line
+            diagnostics.append(ParseDiagnostic(
+                row_no, f"skipped unreadable row: {exc}"))
+            continue
         if not any(cell.strip() for cell in row):
             continue
         if len(row) < width:  # absent trailing cells read as empty
@@ -491,7 +489,7 @@ def segment_cases(cases, window_days=365):
             f"(e.g. {cases.case_id[undated[0]]}); run apply_exclusions first")
 
     min_day, max_day = int(day.min()), int(day.max())
-    n_segments = math.ceil((max_day + 1 - min_day) / window_days)
+    n_segments = -((min_day - max_day - 1) // window_days)
     segment = (day - min_day) // window_days
     id_rank = np.empty(len(cases), dtype=np.int64)
     id_rank[sorted(range(len(cases)), key=cases.case_id.__getitem__)] = \

@@ -124,30 +124,20 @@ class VifEntry:
     tolerance: float
 
 
-def _has_constant(x, columns, intercept):
-    if intercept is not None and intercept in columns:
-        return True
-    return any(np.ptp(x[:, j]) == 0 and x[0, j] != 0 for j in range(x.shape[1]))
-
-
-def ols_fit(x, y, columns=None, intercept="_cons") -> OlsResult:
-    """Least squares via pivoted QR; errors out on rank deficiency,
-    naming the collinear columns. R-squared is centered when the design
-    contains a constant."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def ols_fit(dm: DesignMatrix) -> OlsResult:
+    """Least squares of the response on the design via pivoted QR; errors
+    out on rank deficiency, naming the collinear columns. R-squared is
+    centered: the design holds the intercept."""
+    x, y = dm.x, dm.y.astype(np.float64)
     n, p = x.shape
-    columns = tuple(columns) if columns is not None \
-        else tuple(f"x{j}" for j in range(p))
     if n <= p:
         raise DataError(f"need more observations ({n}) than parameters ({p})")
 
     q, r, piv = linalg.qr(x, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    tol = diag.max() * max(n, p) * np.finfo(float).eps if diag.size else 0.0
-    rank = int((diag > tol).sum())
+    rank = int((diag > diag.max() * n * np.finfo(float).eps).sum())
     if rank < p:
-        bad = sorted(columns[j] for j in piv[rank:])
+        bad = sorted(dm.columns[j] for j in piv[rank:])
         raise DataError(f"design matrix is rank deficient; "
                         f"collinear column(s): {bad}")
 
@@ -155,37 +145,31 @@ def ols_fit(x, y, columns=None, intercept="_cons") -> OlsResult:
     coef[piv] = linalg.solve_triangular(r, q.T @ y)
     resid = y - x @ coef
     ssr = float(resid @ resid)
-    sst = float(((y - y.mean()) ** 2).sum()) \
-        if _has_constant(x, columns, intercept) else float(y @ y)
+    sst = float(((y - y.mean()) ** 2).sum())
     if sst == 0.0:
         r2 = 0.0 if ssr == 0.0 else 1.0
     else:
         r2 = 1.0 - ssr / sst
-    return OlsResult(columns=columns, coef=coef, r_squared=r2, n_obs=n)
+    return OlsResult(columns=dm.columns, coef=coef, r_squared=r2, n_obs=n)
 
 
-def vif(x, columns, intercept="_cons"):
+def vif(dm: DesignMatrix):
     """Variance inflation factor and tolerance (1/VIF) per covariate.
 
-    Each non-intercept column is regressed on all the others; perfect
-    collinearity reports an infinite VIF rather than failing.
+    Each covariate is regressed on all the other columns, intercept
+    included; perfect collinearity reports an infinite VIF rather than
+    failing.
     """
-    x = np.asarray(x, dtype=np.float64)
-    columns = tuple(columns)
+    x = dm.x
     n, p = x.shape
     if n <= p:
         raise DataError(f"need more observations ({n}) than parameters ({p})")
     out = []
-    for j, name in enumerate(columns):
-        if name == intercept:
-            continue
-        others = [k for k in range(p) if k != j]
-        xo = x[:, others]
+    for j, name in enumerate(dm.columns[:-1]):
+        xo = x[:, [k for k in range(p) if k != j]]
         target = x[:, j]
         coef, *_ = np.linalg.lstsq(xo, target, rcond=None)
-        centered = _has_constant(xo, [columns[k] for k in others], intercept)
-        sst = float(((target - target.mean()) ** 2).sum()) if centered \
-            else float(target @ target)
+        sst = float(((target - target.mean()) ** 2).sum())
         if sst == 0.0:
             v = float("inf")
         else:
@@ -364,11 +348,12 @@ def negbin_loglik(params, x, y) -> float:
     params = np.asarray(params, dtype=np.float64)
     y = np.asarray(y)
     beta, t = params[:-1], params[-1]
-    r = np.exp(-t)
     eta = x @ beta
-    # a huge ln alpha underflows r to 0: log(0) and 0 * inf give a
-    # non-finite ll, which the line search rejects
+    # a huge ln alpha underflows r to 0, a hugely negative one overflows it:
+    # log(0), 0 * inf and inf - inf give a non-finite ll, which the line
+    # search rejects
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = np.exp(-t)
         amu = np.exp(t + eta)
         lng, _, _ = _gamma_ratio_sums(y, r)
         ll = lng - gammaln(y + 1.0) - r * np.log1p(amu) \
@@ -508,6 +493,8 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
     beta = scaler.to_original(theta[:-1])
     t = float(theta[-1])
     alpha = float(np.exp(t))
+    with np.errstate(over="ignore"):  # a vast ln-alpha error: bound inf
+        alpha_ci = (float(np.exp(t - Z95 * t_se)), float(np.exp(t + Z95 * t_se)))
     z, pv, lo, hi = _wald(beta, se)
     return FitResult(
         model="negbin", columns=dm.columns, coef=beta, std_err=se, z=z, p=pv,
@@ -515,7 +502,7 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
         iterations=it, grad_max_abs=gmax, design_key=dm.fingerprint(),
         alpha=alpha, ln_alpha=t,
         alpha_std_err=alpha * t_se, ln_alpha_std_err=t_se,
-        alpha_ci=(float(np.exp(t - Z95 * t_se)), float(np.exp(t + Z95 * t_se))),
+        alpha_ci=alpha_ci,
         ln_alpha_ci=(t - Z95 * t_se, t + Z95 * t_se),
         alpha_boundary=boundary, trace=trace)
 
@@ -625,22 +612,20 @@ def _line_step(theta, ll_cur, g, h, ll_fn, label):
         trace={"ll": ll_cur, "grad_max_abs": float(np.max(np.abs(g)))})
 
 
-def _newton(theta, ll_fn, g_fn, h_fn, label, conv_grad=None, project=None):
+def _newton(theta, ll_fn, g_fn, h_fn, label, conv_grad, project=None):
     """Maximize ll_fn by damped Newton iteration.
 
     Returns (theta, ll, iterations, grad_max_abs, trace); the trace is
     ``{"iterations": k}``. Convergence needs both a small relative
-    log-likelihood change and a small gradient; ``conv_grad``, when
-    given, supplies the gradient used for that check (and for reporting)
-    in place of ``g_fn``. ``project``, when given, maps each accepted
+    log-likelihood change and a small gradient; ``conv_grad`` supplies
+    the gradient used for that check (and for reporting), the score on
+    the original scale. ``project``, when given, maps each accepted
     step ``(theta, ll)`` to ``(theta, ll, stop)`` before the check; a
     true ``stop`` ends the iteration at the projected point and adds
     ``"boundary": True`` to the trace. Raises ConvergenceError, with
     ``iterations``, ``ll`` and ``grad_max_abs`` in its trace, after
     MAX_ITER steps or when the start's log-likelihood is not finite.
     """
-    if conv_grad is None:
-        conv_grad = g_fn
     if project is None:
         project = lambda th, ll_th: (th, ll_th, False)
     ll = ll_fn(theta)

@@ -18,13 +18,11 @@ import numpy as np
 from .complications import ComplicationCodeset
 from .errors import ConfigError
 from .pipeline import write_staged
-from .records import INT_MAX
+from .records import INT_MAX, MAX_DX_CODES
 
 # dx filler codes that never match the 996-999 complication set
 _BENIGN_CODES = ("250.00", "401.9", "414.01", "427.31", "272.4",
                  "530.81", "584.9", "V45.89", "E878.8")
-
-_MAX_DX = 50
 
 # uniforms drawn at a time for the team draw (bounds its buffer)
 _TEAM_CHUNK = 1 << 15
@@ -195,9 +193,9 @@ def generate_cases(seed, n_cases, n_providers, window_days=365, n_segments=4,
     for i in range(n_cases):
         n_fill = int(rng.integers(0, 5))
         c = int(counts[i])
-        if c + n_fill > _MAX_DX:
+        if c + n_fill > MAX_DX_CODES:
             truncated += 1
-            c = _MAX_DX - n_fill
+            c = MAX_DX_CODES - n_fill
             counts[i] = c
         dx = [comp_prefixes[j] for j in rng.integers(0, len(comp_prefixes), size=c)]
         dx += [_BENIGN_CODES[j] for j in rng.integers(0, len(_BENIGN_CODES),

@@ -85,6 +85,34 @@ def test_ingest_check(dataset, capsys):
     assert "excluded (age)\t0" in out
 
 
+@pytest.mark.parametrize("command", ["ingest-check", "run"])
+def test_oversized_cell_is_a_diagnostic(dataset, tmp_path, capsys, command):
+    text = dataset.read_text()
+    big = ";".join(["p"] * 100_000)
+    header, first, rest = text.split("\n", 2)
+    case = tmp_path / "cases.csv"
+    case.write_text("\n".join([header, first, f"big,0,5,60,M,6,{big}", rest]))
+    argv = {"ingest-check": ["ingest-check", str(case)],
+            "run": ["run", "--input", str(case), "--window-days", "80",
+                    "--output-dir", str(tmp_path / "o")]}[command]
+    assert cli.main(argv) == 0
+    if command == "ingest-check":
+        out = capsys.readouterr().out
+        assert "cases parsed\t150" in out
+        assert "row 3: skipped unreadable row: field larger than" in out
+    else:
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["stages"]["parse"]["diagnostics"] == 1
+
+
+def test_oversized_header_cell_is_data_error(tmp_path, capsys):
+    case = tmp_path / "cases.csv"
+    case.write_text("x" * 200_000 + ",case_id\nc1\n")
+    assert cli.main(["ingest-check", str(case)]) == 3
+    err = capsys.readouterr().err
+    assert str(case) in err and "field limit" in err and err.count("\n") == 1
+
+
 def test_segment_table(dataset, capsys):
     rc = cli.main(["segment", str(dataset), "--window-days", "80"])
     assert rc == 0

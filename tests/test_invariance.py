@@ -1,16 +1,20 @@
 """Whole-pipeline properties over random case files: row order and the
 provider form do not change the artifacts; the segments partition the
 retained cases; every measure lies in [0, 1] and every team mean between
-its members' measures."""
+its members' measures; the joined table equals a plain-Python pipeline's."""
 
+import itertools
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
+import oracles
 from surgnet import centrality
+from surgnet.complications import ComplicationCodeset
 from surgnet.errors import SurgnetError
 from surgnet.pipeline import PipelineConfig, run_pipeline
 
@@ -205,3 +209,80 @@ def test_segments_partition_the_cases_and_measures_stay_in_bounds(case_path,
                 mean = table[column][row]
                 assert values.min() - 1e-12 <= mean <= values.max() + 1e-12
             row += 1
+
+
+# the oracle measure of each team-mean column
+_ORACLE_MEASURES = {
+    "avgBtwn": oracles.betweenness_by_enumeration,
+    "avgClos": oracles.closeness_by_floyd_warshall,
+    "avgEigen": oracles.eigenvector_by_eigh,
+    "avgClust": oracles.clustering_by_triples,
+    "avgDeg": oracles.degree_by_counting,
+}
+
+
+def _naive_table(rows, window_days):
+    """The joined table from the generated rows by plain Python: the
+    README exclusions, half-open windows from the first day, a
+    dict-of-sets projection, the oracle measures, the prefix-scan
+    complication count and each team mean as the built-in sum over the
+    team's sorted members. Rows follow (segment, day, case_id)."""
+    prefixes = [e.prefix for e in ComplicationCodeset.embedded()]
+    cases = []
+    placeholders = {p.lower() for p in PLACEHOLDERS}
+    for cells, team, extra, dx, skipped in rows:
+        # a solo case's extra tokens may still hold a pool id
+        team = sorted({p for p in team + extra if p.lower() not in placeholders})
+        age, day, end = (cells[f] for f in ("age", "day_offset",
+                                            "end_day_offset"))
+        if (skipped or not team or not age or int(age) < 21 or not day
+                or not end or int(end) <= int(day)):
+            continue
+        cases.append({"case_id": cells["case_id"], "day": int(day),
+                      "team": team, "age": min(int(age), 90),
+                      "typSurgery": int(cells["surgery_type"]),
+                      "dMale": int(cells["gender"] == "M"),
+                      "C": oracles.count_by_prefix_scan(dx, prefixes)})
+    first = min(c["day"] for c in cases)
+    for c in cases:
+        c["segment"] = (c["day"] - first) // window_days + 1
+    cases.sort(key=lambda c: (c["segment"], c["day"], c["case_id"]))
+
+    for _, group in itertools.groupby(cases, key=lambda c: c["segment"]):
+        group = list(group)
+        nodes = {p for c in group for p in c["team"]}
+        adj = {p: set() for p in nodes}
+        for c in group:
+            for u, v in itertools.combinations(c["team"], 2):
+                adj[u].add(v)
+                adj[v].add(u)
+        edges = [(u, v) for u in adj for v in adj[u] if u < v]
+        for column, measure in _ORACLE_MEASURES.items():
+            values = measure(nodes, edges)
+            for c in group:
+                c[column] = sum(values[p] for p in c["team"]) / len(c["team"])
+        for c in group:
+            c["teamSize"] = len(c["team"])
+    return cases
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rows=case_rows(repeats=True), window_days=st.integers(10, 40))
+def test_joined_table_matches_a_plain_python_pipeline(case_path, rows,
+                                                      window_days):
+    case_path.write_text(_wide(rows), encoding="utf-8")
+    cfg = PipelineConfig(input_path=str(case_path), output_dir="unused",
+                         window_days=window_days)
+    try:
+        table = run_pipeline(cfg, write=False).table
+    except SurgnetError:
+        reject()  # the regressions can fail on a small file
+    expected = _naive_table(rows, window_days)
+    assert table["case_id"] == [c["case_id"] for c in expected]
+    for name in ("segment", "C", "age", "teamSize", "typSurgery", "dMale"):
+        assert table[name].tolist() == [c[name] for c in expected], name
+    for name in _ORACLE_MEASURES:
+        tol = 1e-8 if name == "avgEigen" else 1e-12
+        np.testing.assert_allclose(table[name], [c[name] for c in expected],
+                                   rtol=0, atol=tol, err_msg=name)

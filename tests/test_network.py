@@ -112,6 +112,17 @@ def test_summarize_empty_segment():
     info = summarize(g, s)
     assert (info.node_count, info.edge_count, info.case_count) == (0, 0, 0)
     assert info.avg_team_size == info.avg_degree == info.density == 0.0
+    assert info.isolated_nodes == info.outside_largest_component == 0
+
+
+def test_summarize_counts_components():
+    # components of 3, 2 and 1 nodes
+    s = seg([make_case("c1", providers=("a", "b", "c")),
+             make_case("c2", providers=("d", "e")),
+             make_case("c3", providers=("f",))])
+    info = summarize(project_one_mode(build_bipartite(s)), s)
+    assert info.isolated_nodes == 1
+    assert info.outside_largest_component == 3
 
 
 def test_write_edge_list_stream_and_path():

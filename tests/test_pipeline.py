@@ -525,6 +525,14 @@ def test_network_data_columns_render_like_the_per_cell_reference(rows):
         [dict(zip(ROW_COLUMNS, r)) for r in rows])
 
 
+def test_json_artifacts_write_null_for_nan_and_infinities():
+    # an NB2 alpha interval can end at inf (its ln-alpha error is vast)
+    assert pipeline._json_text({"alpha_ci": (0.0, np.inf), "p": np.nan,
+                                "low": -np.inf}) == \
+        '{\n  "alpha_ci": [\n    0.0,\n    null\n  ],\n  "low": null,\n' \
+        '  "p": null\n}\n'
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, 3, 4])
 def test_network_data_chunk_boundaries(n_rows, monkeypatch):
     # no rows, one row, exactly one chunk, one chunk and one row

@@ -171,6 +171,22 @@ def test_missing_column_raises_config_error():
         read_cases_text("case_id,day_offset\nc1,0\n")
 
 
+def test_oversized_cell_skips_its_row_with_a_diagnostic():
+    # csv's field limit is 131 072 characters; the reader resumes at the
+    # next line
+    big = ";".join(["p"] * 100_000)
+    text = HEADER + f"\nc1,0,1,50,M,1,a\nc2,0,1,50,M,1,{big}\nc3,0,1,50,M,1,b\n"
+    cases, diags = read_cases_text(text)
+    assert [c.case_id for c in cases] == ["c1", "c3"]
+    assert len(diags) == 1 and diags[0].row == 3
+    assert "field larger than field limit" in diags[0].message
+
+
+def test_oversized_header_cell_raises_data_error():
+    with pytest.raises(DataError, match="field larger than field limit"):
+        read_cases_text("x" * 200_000 + "," + HEADER + "\nc1,0,1,50,M,1,a\n")
+
+
 def test_schema_override_and_delimiter():
     text = HEADER.replace(",", "|") + "\nc1|0|1|50|M|1|a;b\n"
     cases, diags = read_cases_text(text, delimiter="|")
@@ -316,10 +332,21 @@ def test_segment_output_is_input_order_independent():
 
 
 def test_segment_custom_window():
-    cases = [make_case(f"c{d}", day=d, end=d + 1) for d in (0, 9, 10, 25)]
-    segments = segment_cases(case_table(cases), window_days=10)
-    assert [len(s.cases) for s in segments] == [2, 1, 1]
-    assert segments[2].start_day == 20 and segments[2].end_day_exclusive == 26
+    for days, window, sizes in [
+            ((0, 9, 10, 25), 10, [2, 1, 1]),
+            # (2**62 + 1) / 2**62 rounds to 1.0 in floats
+            ((0, 1, 2 ** 62), 2 ** 62, [2, 1])]:
+        cases = [make_case(f"c{d}", day=d, end=d + 1) for d in days]
+        segments = segment_cases(case_table(cases), window_days=window)
+        assert [len(s.cases) for s in segments] == sizes
+        # every case lands in exactly one segment, inside its window
+        ids = [c.case_id for s in segments for c in s.cases]
+        assert sorted(ids) == sorted(c.case_id for c in cases)
+        for s in segments:
+            assert all(s.start_day <= c.day_offset < s.end_day_exclusive
+                       for c in s.cases)
+        assert segments[-1].start_day == min(days) + (len(sizes) - 1) * window
+        assert segments[-1].end_day_exclusive == max(days) + 1
 
 
 def test_segment_errors():

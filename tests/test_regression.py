@@ -96,7 +96,7 @@ def test_ols_recovers_exact_coefficients():
                          np.ones(50)])
     beta = np.array([2.0, -1.5, 0.7])
     y = x @ beta
-    res = ols_fit(x, y, columns=("a", "b", "_cons"))
+    res = ols_fit(DesignMatrix(y=y, x=x, columns=("a", "b", "_cons")))
     assert_allclose(res.coef, beta, atol=1e-10)
     assert res.r_squared == pytest.approx(1.0)
     assert res.n_obs == 50
@@ -107,7 +107,7 @@ def test_ols_r_squared_is_centered_with_constant():
     x1 = rng.normal(size=200)
     y = 1.0 + 0.5 * x1 + rng.normal(size=200)
     x = np.column_stack([x1, np.ones(200)])
-    res = ols_fit(x, y, columns=("x1", "_cons"))
+    res = ols_fit(DesignMatrix(y=y, x=x, columns=("x1", "_cons")))
     assert res.r_squared == pytest.approx(np.corrcoef(x1, y)[0, 1] ** 2)
 
 
@@ -115,12 +115,13 @@ def test_ols_rank_deficiency_names_columns():
     x1 = np.arange(10.0)
     x = np.column_stack([x1, 2 * x1, np.ones(10)])
     with pytest.raises(DataError, match="rank deficient"):
-        ols_fit(x, x1, columns=("a", "a_doubled", "_cons"))
+        ols_fit(DesignMatrix(y=x1, x=x, columns=("a", "a_doubled", "_cons")))
 
 
 def test_ols_needs_more_rows_than_columns():
     with pytest.raises(DataError, match="more observations"):
-        ols_fit(np.ones((2, 2)), np.ones(2))
+        ols_fit(DesignMatrix(y=np.ones(2), x=np.ones((2, 2)),
+                             columns=("a", "_cons")))
 
 
 def test_vif_matches_pairwise_r_squared():
@@ -128,7 +129,7 @@ def test_vif_matches_pairwise_r_squared():
     x1 = rng.normal(size=400)
     x2 = 0.9 * x1 + np.sqrt(1 - 0.81) * rng.normal(size=400)
     x = np.column_stack([x1, x2, np.ones(400)])
-    entries = vif(x, ("x1", "x2", "_cons"))
+    entries = vif(DesignMatrix(y=x1, x=x, columns=("x1", "x2", "_cons")))
     assert [e.name for e in entries] == ["x1", "x2"]  # intercept excluded
     r2 = np.corrcoef(x1, x2)[0, 1] ** 2
     for e in entries:
@@ -139,7 +140,7 @@ def test_vif_matches_pairwise_r_squared():
 def test_vif_flags_perfect_collinearity_as_inf():
     x1 = np.arange(12.0)
     x = np.column_stack([x1, 3 * x1 + 1, np.ones(12)])
-    entries = vif(x, ("a", "b", "_cons"))
+    entries = vif(DesignMatrix(y=x1, x=x, columns=("a", "b", "_cons")))
     assert all(np.isinf(e.vif) and e.tolerance == 0.0 for e in entries)
 
 
@@ -147,7 +148,7 @@ def test_vif_near_one_for_independent_columns():
     rng = np.random.default_rng(4)
     x = np.column_stack([rng.normal(size=3000), rng.normal(size=3000),
                          np.ones(3000)])
-    entries = vif(x, ("a", "b", "_cons"))
+    entries = vif(DesignMatrix(y=x[:, 0], x=x, columns=("a", "b", "_cons")))
     for e in entries:
         assert e.vif == pytest.approx(1.0, abs=0.01)
 
@@ -460,6 +461,19 @@ def test_fits_raise_labelled_non_convergence(monkeypatch):
         assert trace["grad_max_abs"] >= reg.GRAD_TOL
 
 
+def test_negbin_alpha_interval_past_float_range_is_inf():
+    # ten counts, one covariate: ln alpha is interior, but its standard
+    # error is in the thousands, so exp of the upper limit overflows
+    dm = DesignMatrix.build([3, 2, 0, 1, 0, 1, 0, 0, 1, 2],
+                            {"x1": [2, 0, 2, 2, 0, 1, 1, 1, 2, 0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = negbin_fit(dm)
+    assert not fit.alpha_boundary
+    assert fit.ln_alpha_std_err > 1000.0
+    assert fit.alpha_ci[1] == np.inf and 0.0 <= fit.alpha_ci[0] < fit.alpha
+
+
 def test_negbin_non_finite_start_fails_at_start():
     dm = simulated_design(np.random.default_rng(9), 200)
     with np.errstate(divide="ignore", invalid="ignore"), \
@@ -469,7 +483,8 @@ def test_negbin_non_finite_start_fails_at_start():
 
 
 def test_negbin_huge_ln_alpha_is_rejected_without_warnings():
-    # at ln alpha = 1000, r = exp(-ln alpha) underflows to 0
+    # at ln alpha = 1000, r = exp(-ln alpha) underflows to 0; at -1000 it
+    # overflows
     dm = simulated_design(np.random.default_rng(9), 200)
     theta = np.append(poisson_fit(dm).coef, np.log(0.01))
 
@@ -479,6 +494,7 @@ def test_negbin_huge_ln_alpha_is_rejected_without_warnings():
     ll = ll_fn(theta)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert not np.isfinite(ll_fn(np.append(theta[:-1], -1000.0)))
         assert not np.isfinite(ll_fn(np.append(theta[:-1], 1000.0)))
         # a Newton step whose first candidate lands exactly there
         step = np.append(np.zeros(3), 1000.0 - theta[-1])
@@ -592,13 +608,24 @@ def _small_alpha_design(rng):
     return DesignMatrix.build(nb_draws(rng, mu, 0.05), {"x1": x1, "x2": x2})
 
 
+def _assert_no_ascent(ll_u, u, n_steps=64, size=1e-3):
+    """No step of length ``size`` in ``n_steps`` seeded random directions
+    from ``u`` raises ``ll_u`` by more than float slack."""
+    steps = np.random.default_rng(0).normal(size=(n_steps, u.size))
+    steps *= size / np.linalg.norm(steps, axis=1, keepdims=True)
+    ll0 = ll_u(u)
+    gain = max(ll_u(u + step) for step in steps) - ll0
+    assert gain <= 1e-12 * max(1.0, abs(ll0)), gain
+
+
 def _assert_optimum(ll, theta, se, spread):
     """At ``theta``, the reported optimum of the log-likelihood ``ll``:
     the central-difference gradient is below 1e-4 of the score's spread
-    (the root of the observed information), and ``se`` equals
-    sqrt(diag(inv(-H))) for H the finite-difference Hessian, at rtol 1e-3.
-    Differences are taken in u = theta * spread, so that one step moves
-    every parameter's term of the linear predictor alike."""
+    (the root of the observed information), ``se`` equals
+    sqrt(diag(inv(-H))) for H the finite-difference Hessian, at rtol 1e-3,
+    and no small random step raises ``ll``. Differences and steps are
+    taken in u = theta * spread, so that one step moves every parameter's
+    term of the linear predictor alike."""
     def ll_u(u):
         return ll(u / spread)
 
@@ -610,6 +637,7 @@ def _assert_optimum(ll, theta, se, spread):
     assert np.all(np.abs(grad) < 1e-4 * np.sqrt(np.diag(-hess)))
     assert_allclose(np.sqrt(np.diag(np.linalg.inv(-hess))) / spread, se,
                     rtol=1e-3)
+    _assert_no_ascent(ll_u, u)
 
 
 @pytest.mark.parametrize("design, seed", [(_scales_design, 0),
