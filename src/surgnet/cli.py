@@ -13,10 +13,9 @@ import os
 import sys
 from dataclasses import fields
 
-from . import __version__, pipeline, records, synth
-from .complications import count_complications
+from . import __version__, records, synth
+from .complications import ComplicationCodeset, count_complications
 from .errors import ConfigError, ConvergenceError, DataError
-from .network import write_edge_list
 
 ENV_OUTPUT_DIR = "SURGNET_OUTPUT_DIR"
 
@@ -24,6 +23,9 @@ ENV_OUTPUT_DIR = "SURGNET_OUTPUT_DIR"
 # Every flag that sets a PipelineConfig field has that field as its dest
 # and defaults to None: an absent flag leaves the value to the environment,
 # the config file or the PipelineConfig default.
+#
+# The pipeline, and scipy with it, is imported by the subcommands that run
+# a stage; synth and dump-codeset need numpy alone.
 
 
 def _add_format_args(p):
@@ -59,8 +61,9 @@ def _add_codeset_args(p):
                    help="count each matching code once per case")
 
 
-def _config(args) -> pipeline.PipelineConfig:
+def _config(args):
     """flag > SURGNET_OUTPUT_DIR > config file > PipelineConfig default."""
+    from . import pipeline
     given = vars(args)
     overrides = {f.name: given.get(f.name)
                  for f in fields(pipeline.PipelineConfig)}
@@ -156,11 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth-out", default=None,
                    help="sidecar truth file (default: <out>.truth.json)")
     p.set_defaults(func=cmd_synth,
-                   window_days=pipeline.PipelineConfig.window_days)
+                   window_days=records.WINDOW_DAYS)
 
     p = sub.add_parser("dump-codeset",
                        help="print the complication codeset (prefix<TAB>definition)")
-    p.add_argument("--codeset", default=pipeline.PipelineConfig.codeset)
+    p.add_argument("--codeset", default="embedded")
     p.set_defaults(func=cmd_dump_codeset)
 
     return top
@@ -189,6 +192,7 @@ def cmd_ingest_check(args):
 
 
 def cmd_segment(args):
+    from . import pipeline
     cfg = _config(args)
     _, _, retained = pipeline.load_cases(cfg)
     segments = records.segment_cases(retained, window_days=cfg.window_days)
@@ -200,6 +204,8 @@ def cmd_segment(args):
 
 
 def cmd_metrics(args):
+    from . import pipeline
+    from .network import write_edge_list
     cfg = _config(args)
     _, _, retained = pipeline.load_cases(cfg)
     analyses = pipeline.analyze_segments(cfg, retained)
@@ -227,6 +233,7 @@ def cmd_metrics(args):
 
 
 def cmd_outcomes(args):
+    from . import pipeline
     cfg = _config(args)
     codeset = pipeline.load_codeset(cfg.codeset)
     _, _, retained = pipeline.load_cases(cfg)
@@ -239,6 +246,7 @@ def cmd_outcomes(args):
 
 
 def _joined_table(args):
+    from . import pipeline
     cfg = _config(args)
     codeset = pipeline.load_codeset(cfg.codeset)
     _, _, retained = pipeline.load_cases(cfg)
@@ -247,6 +255,7 @@ def _joined_table(args):
 
 
 def cmd_correlate(args):
+    from . import pipeline
     _, table = _joined_table(args)
     sp = pipeline.correlate_rows(table)
     sys.stdout.write(pipeline.render_correlation(sp))
@@ -254,6 +263,7 @@ def cmd_correlate(args):
 
 
 def cmd_regress(args):
+    from . import pipeline
     cfg, table = _joined_table(args)
     est = pipeline.estimate(cfg, table)
     sys.stdout.write(pipeline.render_regression(est))
@@ -261,6 +271,7 @@ def cmd_regress(args):
 
 
 def cmd_run(args):
+    from . import pipeline
     result = pipeline.run_pipeline(_config(args))
     nb = result.estimation.negbin
     print(f"cases used\t{len(result.table['case_id'])}")
@@ -298,7 +309,7 @@ def cmd_synth(args):
 
 
 def cmd_dump_codeset(args):
-    pipeline.load_codeset(args.codeset).dump(sys.stdout)
+    ComplicationCodeset.load(args.codeset).dump(sys.stdout)
     return 0
 
 
@@ -306,7 +317,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # every subcommand's BLAS on one thread, as in run_pipeline
+        if args.func in (cmd_synth, cmd_dump_codeset):
+            return args.func(args)
+        from . import pipeline
+        # every stage's BLAS on one thread, as in run_pipeline
         with pipeline._one_blas_thread():
             return args.func(args)
     except ConfigError as exc:

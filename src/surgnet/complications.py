@@ -91,6 +91,11 @@ class ComplicationCodeset:
         return cls(_EMBEDDED_ROWS)
 
     @classmethod
+    def load(cls, source):
+        """The codeset a ``codeset`` setting names: "embedded" or a file."""
+        return cls.embedded() if source == "embedded" else cls.from_file(source)
+
+    @classmethod
     def from_file(cls, path):
         """Load ``prefix<TAB>definition`` lines; blank lines are skipped."""
         entries = []

@@ -68,7 +68,7 @@ class PipelineConfig:
 
     input_path: str = ""
     output_dir: str = "surgnet_out"
-    window_days: int = 365
+    window_days: int = records.WINDOW_DAYS
     delimiter: str = ","
     provider_form: str = "wide"
     eig_tol: float = 1e-10
@@ -215,11 +215,9 @@ def _stage(name):
 
 
 def load_codeset(source: str) -> ComplicationCodeset:
-    """The codeset named by a ``codeset`` setting: "embedded" or a file."""
+    """``ComplicationCodeset.load``, its errors naming the stage."""
     with _stage("codeset"):
-        if source == "embedded":
-            return ComplicationCodeset.embedded()
-        return ComplicationCodeset.from_file(source)
+        return ComplicationCodeset.load(source)
 
 
 def load_cases(cfg: PipelineConfig):
@@ -768,32 +766,5 @@ def write_outputs(outputs, output_dir):
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output dir {outdir}: {exc}") from exc
-    write_staged({outdir / name: outputs[name] for name in sorted(outputs)})
-
-
-def write_staged(texts):
-    """Write files all at once: each path's text under a temporary name
-    beside it, then all renamed into place. A text is a str or an
-    iterable of str pieces, written as they come. A failed write, or a
-    directory in the way, leaves every path as it was (only a rename
-    failing part-way would not); any OSError ends in a ConfigError."""
-    staged = {}
-    try:
-        for path, text in texts.items():
-            path = Path(path)
-            if path.is_dir():
-                raise IsADirectoryError("a directory is in the way")
-            staged[path] = path.with_name(f".{path.name}.tmp")
-            with open(staged[path], "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines([text] if isinstance(text, str) else text)
-        for path, tmp in list(staged.items()):
-            os.replace(tmp, path)
-            del staged[path]
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    finally:
-        for tmp in staged.values():
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+    records.write_staged({outdir / name: outputs[name]
+                          for name in sorted(outputs)})

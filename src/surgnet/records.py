@@ -13,9 +13,11 @@ boolean masks over the table, and segments are runs of its rows sorted by
 (segment, day, case_id). A ``CaseRecord`` is one row read back from a
 table. Tables come only from ``parse_cases``, so the parser alone decides
 what a valid case is; the later stages take a table and nothing else.
+Case files and run artifacts are written all at once by ``write_staged``.
 """
 
 import csv
+import os
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -29,6 +31,7 @@ from .errors import ConfigError, DataError
 PLACEHOLDER_IDS = frozenset({"", "null", "none", "unknown", "na", "n/a"})
 
 MAX_DX_CODES = 50
+WINDOW_DAYS = 365  # the default segment length
 AGE_CAP = 90
 GENDERS = ("male", "female", "other")
 # An empty cell in an integer column of a CaseTable: the int64 minimum,
@@ -466,7 +469,7 @@ def apply_exclusions(cases):
     return cases.take(np.flatnonzero(~removed)), report
 
 
-def segment_cases(cases, window_days=365):
+def segment_cases(cases, window_days=WINDOW_DAYS):
     """Slice a CaseTable into sequential segments of ``window_days`` days.
 
     Segment k covers the half-open interval
@@ -505,3 +508,31 @@ def segment_cases(cases, window_days=365):
             index=k + 1, start_day=start, end_day_exclusive=end,
             cases=cases.take(order[bounds[k]:bounds[k + 1]])))
     return segments
+
+
+def write_staged(texts):
+    """Write files all at once: each path's text under a temporary name
+    beside it, then all renamed into place. A text is a str or an
+    iterable of str pieces, written as they come. A failed write, or a
+    directory in the way, leaves every path as it was (only a rename
+    failing part-way would not); any OSError ends in a ConfigError."""
+    staged = {}
+    try:
+        for path, text in texts.items():
+            path = Path(path)
+            if path.is_dir():
+                raise IsADirectoryError("a directory is in the way")
+            staged[path] = path.with_name(f".{path.name}.tmp")
+            with open(staged[path], "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
+        for path, tmp in list(staged.items()):
+            os.replace(tmp, path)
+            del staged[path]
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        for tmp in staged.values():
+            try:
+                tmp.unlink()
+            except OSError:
+                pass

@@ -12,13 +12,13 @@ sidecar records all of this next to the case file.
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .complications import ComplicationCodeset
 from .errors import ConfigError
-from .pipeline import write_staged
-from .records import INT_MAX, MAX_DX_CODES
+from .records import INT_MAX, MAX_DX_CODES, WINDOW_DAYS, write_staged
 
 # dx filler codes that never match the 996-999 complication set
 _BENIGN_CODES = ("250.00", "401.9", "414.01", "427.31", "272.4",
@@ -26,6 +26,8 @@ _BENIGN_CODES = ("250.00", "401.9", "414.01", "427.31", "272.4",
 
 # uniforms drawn at a time for the team draw (bounds its buffer)
 _TEAM_CHUNK = 1 << 15
+# 64-bit outputs drawn at a time for the dx codes (bounds their buffer)
+_DX_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,17 @@ def _draw_counts(rng, mu, alpha):
     return rng.poisson(lam)
 
 
-def _seek(bitgen, state, n):
-    """Set a PCG64 ``bitgen`` to ``state`` moved on by n doubles.
+def _seek(bitgen, state, n, held=None):
+    """Set a PCG64 ``bitgen`` to ``state`` moved on by n 64-bit outputs.
 
-    ``advance`` drops the buffered half of a 64-bit output that
-    ``integers`` may hold; it is put back so later draws see it.
+    ``advance`` drops the buffered 32-bit half of an output that
+    ``integers`` may hold. ``held`` = (has_uint32, uinteger) is put back
+    in its place, by default the one ``state`` holds.
     """
     bitgen.state = state
     moved = bitgen.advance(n).state
-    moved.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+    has_uint32, uinteger = held or (state["has_uint32"], state["uinteger"])
+    moved.update(has_uint32=has_uint32, uinteger=uinteger)
     bitgen.state = moved
 
 
@@ -126,8 +130,67 @@ def _draw_teams(rng, team_sizes, weights):
     return teams
 
 
-def generate_cases(seed, n_cases, n_providers, window_days=365, n_segments=4,
-                   model=None):
+def _draw_dx(rng, counts, complication_codes, benign_codes):
+    """Each case's dx codes, and its count cut so they fit MAX_DX_CODES.
+
+    Replays this loop bit for bit, case by case: ``n_fill =
+    rng.integers(0, 5)``, the cut, ``c`` complication codes by
+    ``rng.integers(0, len(complication_codes), size=c)``, n_fill benign
+    codes likewise, and ``rng.shuffle`` of them all. Every one of those
+    draws takes a 32-bit half of a 64-bit PCG64 output, the low half
+    first, the high half held over (the state's ``has_uint32`` and
+    ``uinteger``). ``integers(0, m)`` is Lemire's multiply-shift,
+    redrawn while the low word is below (2**32 - m) % m; each shuffle
+    step k takes j = u & mask(k), redrawn while j > k. The outputs are
+    drawn in chunks, and the generator is left as the loop leaves it.
+    Returns (codes per case, counts).
+    """
+    bitgen = rng.bit_generator
+    base = bitgen.state
+    halves = [base["uinteger"]] if base["has_uint32"] else []
+    pos, lead = 0, len(halves)  # lead: halves not drawn from base
+
+    def u32():
+        nonlocal base, halves, pos, lead
+        if pos == len(halves):
+            base, pos, lead = bitgen.state, 0, 0
+            raw = bitgen.random_raw(_DX_CHUNK)
+            halves = np.column_stack((raw & 0xFFFFFFFF, raw >> 32)).ravel().tolist()
+        pos += 1
+        return halves[pos - 1]
+
+    def below(m):  # rng.integers(0, m), 1 < m < 2**32
+        reject = (0x100000000 - m) % m
+        x = u32() * m
+        while x & 0xFFFFFFFF < reject:
+            x = u32() * m
+        return x >> 32
+
+    n_comp, n_benign = len(complication_codes), len(benign_codes)
+    counts = counts.tolist()
+    dx = []
+    for i, c in enumerate(counts):
+        n_fill = below(5)
+        if c + n_fill > MAX_DX_CODES:
+            c = counts[i] = MAX_DX_CODES - n_fill
+        codes = [complication_codes[below(n_comp)] for _ in range(c)]
+        codes += [benign_codes[below(n_benign)] for _ in range(n_fill)]
+        for k in range(len(codes) - 1, 0, -1):
+            mask = (1 << k.bit_length()) - 1
+            j = u32() & mask
+            while j > k:
+                j = u32() & mask
+            codes[k], codes[j] = codes[j], codes[k]
+        dx.append(codes)
+    # outputs spent since base; the last one's high half held if unused
+    n = (pos - lead + 1) // 2
+    high = halves[lead + 2 * n - 1] if n else base["uinteger"]
+    _seek(bitgen, base, n, held=(lead + 2 * n - pos, high))
+    return dx, counts
+
+
+def generate_cases(seed, n_cases, n_providers, window_days=WINDOW_DAYS,
+                   n_segments=4, model=None):
     """Build synthetic case rows and the matching truth record.
 
     Returns (header, rows, truth) where rows are lists of strings ready
@@ -186,38 +249,19 @@ def generate_cases(seed, n_cases, n_providers, window_days=365, n_segments=4,
                           f"drawn: {exc}") from None
 
     comp_prefixes = tuple(e.prefix for e in ComplicationCodeset.embedded().entries)
+    dx, kept = _draw_dx(rng, counts, comp_prefixes, _BENIGN_CODES)
+    max_dx = max(1, max(map(len, dx)))
     case_pad = len(str(n_cases))
-    rows = []
-    max_dx = 1
-    truncated = 0
-    for i in range(n_cases):
-        n_fill = int(rng.integers(0, 5))
-        c = int(counts[i])
-        if c + n_fill > MAX_DX_CODES:
-            truncated += 1
-            c = MAX_DX_CODES - n_fill
-            counts[i] = c
-        dx = [comp_prefixes[j] for j in rng.integers(0, len(comp_prefixes), size=c)]
-        dx += [_BENIGN_CODES[j] for j in rng.integers(0, len(_BENIGN_CODES),
-                                                      size=n_fill)]
-        rng.shuffle(dx)
-        max_dx = max(max_dx, len(dx))
-        rows.append([
-            f"c{i + 1:0{case_pad}d}",
-            str(int(days[i])),
-            str(int(days[i] + stay[i])),
-            str(int(ages[i])),
-            "M" if male[i] else "F",
-            str(int(surgery[i])),
-            ";".join(provider_ids[p] for p in sorted(teams[i])),
-            dx,
-        ])
-
     header = ["case_id", "day_offset", "end_day_offset", "age", "gender",
               "surgery_type", "providers"] + [f"dx_{k + 1}" for k in range(max_dx)]
-    for row in rows:
-        dx = row.pop()
-        row.extend(dx + [""] * (max_dx - len(dx)))
+    rows = [
+        [f"c{i:0{case_pad}d}", str(day), str(end), str(age),
+         "M" if is_male else "F", str(kind),
+         ";".join(provider_ids[p] for p in sorted(team)),
+         *codes, *[""] * (max_dx - len(codes))]
+        for i, day, end, age, is_male, kind, team, codes in zip(
+            range(1, n_cases + 1), days.tolist(), (days + stay).tolist(),
+            ages.tolist(), male.tolist(), surgery.tolist(), teams, dx)]
 
     truth = {
         "seed": int(seed),
@@ -231,28 +275,33 @@ def generate_cases(seed, n_cases, n_providers, window_days=365, n_segments=4,
                                      "avgEigen": 0.0},
             "alpha": float(model.alpha),
         },
-        "mean_count": float(np.mean(counts)),
-        "dx_truncated_cases": int(truncated),
+        "mean_count": float(np.mean(kept)),
+        "dx_truncated_cases": int(np.count_nonzero(counts != kept)),
     }
     return header, rows, truth
 
 
-def synth_generate(seed, n_cases, n_providers, window_days=365, n_segments=4,
-                   model=None, out_path="synthetic_cases.csv", truth_path=None):
+def synth_generate(seed, n_cases, n_providers, window_days=WINDOW_DAYS,
+                   n_segments=4, model=None, out_path="synthetic_cases.csv",
+                   truth_path=None):
     """Write the synthetic case file and its truth sidecar to disk.
 
     Returns (out_path, truth_path). The sidecar defaults to the case
     file's path with a ``.truth.json`` suffix. Both are written at once
-    (``pipeline.write_staged``): a file that cannot be written raises
-    ConfigError naming its path and leaves neither behind.
+    (``records.write_staged``): a file that cannot be written raises
+    ConfigError naming its path and leaves neither behind, and so does
+    a sidecar path naming the case file.
     """
-    header, rows, truth = generate_cases(
-        seed, n_cases, n_providers, window_days=window_days,
-        n_segments=n_segments, model=model)
     out_path = str(out_path)
     if truth_path is None:
         stem = out_path[:-4] if out_path.endswith(".csv") else out_path
         truth_path = stem + ".truth.json"
+    if Path(truth_path).resolve() == Path(out_path).resolve():
+        raise ConfigError(f"the truth sidecar {truth_path} is the case file "
+                          f"{out_path}")
+    header, rows, truth = generate_cases(
+        seed, n_cases, n_providers, window_days=window_days,
+        n_segments=n_segments, model=model)
     case_text = "".join(",".join(row) + "\n" for row in [header, *rows])
     truth_text = json.dumps(truth, indent=2, sort_keys=True) + "\n"
     write_staged({out_path: case_text, truth_path: truth_text})

@@ -6,7 +6,8 @@ of Brandes accumulation, Floyd-Warshall instead of per-source BFS, dense
 eigendecomposition instead of power iteration, scipy's rank machinery
 instead of the library's own, a literal prefix scan for ICD-9 matching,
 a cell-by-cell renderer for the joined table, and numpy's own
-``Generator.choice`` for the synthetic teams. Agreement between the
+``Generator.choice``, ``integers`` and ``shuffle`` for the synthetic teams
+and dx codes. Agreement between the
 two routes is the evidence the tests rely on.
 """
 
@@ -16,6 +17,8 @@ import math
 
 import numpy as np
 from scipy import stats
+
+from surgnet.records import MAX_DX_CODES
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +266,32 @@ def network_data_by_cells(rows, columns):
 
 
 # ---------------------------------------------------------------------------
-# synthetic teams, one Generator.choice call per case
+# synthetic cases: teams by one Generator.choice call per case, dx codes
+# by four Generator calls per case
 
 
 def teams_by_choice(rng, team_sizes, weights):
     """Each team drawn without replacement by ``rng.choice``."""
     return [rng.choice(len(weights), size=int(k), replace=False, p=weights)
             for k in team_sizes]
+
+
+def dx_by_integers_and_shuffle(rng, counts, complication_codes, benign_codes):
+    """Each case's dx codes by ``rng.integers`` and ``rng.shuffle``, with
+    its count cut so that they fit MAX_DX_CODES; returns (codes, counts)."""
+    counts = counts.tolist()
+    dx = []
+    for i, c in enumerate(counts):
+        n_fill = int(rng.integers(0, 5))
+        if c + n_fill > MAX_DX_CODES:
+            c = counts[i] = MAX_DX_CODES - n_fill
+        codes = [complication_codes[j]
+                 for j in rng.integers(0, len(complication_codes), size=c)]
+        codes += [benign_codes[j]
+                  for j in rng.integers(0, len(benign_codes), size=n_fill)]
+        rng.shuffle(codes)
+        dx.append(codes)
+    return dx, counts
 
 
 # ---------------------------------------------------------------------------

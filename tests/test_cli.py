@@ -76,6 +76,20 @@ def test_synth_into_a_missing_directory_is_config_error(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("truth", ["a.csv", "../d/a.csv"])
+def test_synth_truth_out_naming_the_case_file_is_config_error(tmp_path, capsys,
+                                                              truth):
+    folder = tmp_path / "d"
+    folder.mkdir()
+    rc = cli.main(["synth", "--cases", "20", "--providers", "5",
+                   "--out", str(folder / "a.csv"),
+                   "--truth-out", str(folder / truth)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert list(folder.iterdir()) == []
+
+
 def test_ingest_check(dataset, capsys):
     rc = cli.main(["ingest-check", str(dataset)])
     assert rc == 0
@@ -365,13 +379,24 @@ def test_undecodable_codeset_file_is_data_error(tmp_path, capsys):
     assert str(codes) in err and err.count("\n") == 1
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of import time in every run
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats costs about half a second of import time in every run,
+    # and synth and dump-codeset need no scipy module at all
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, surgnet.cli; "
             "sys.exit('scipy.stats' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    out = tmp_path / "s.csv"
+    code = ("import sys, surgnet.synth; from surgnet import cli; "
+            f"assert cli.main(['synth', '--cases', '20', '--out', {str(out)!r}])"
+            " == 0; assert cli.main(['dump-codeset']) == 0; "
+            "sys.exit(' '.join(m for m in sys.modules"
+            " if m.startswith('scipy')) or None)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert out.is_file()
 
 
 def test_env_output_dir_and_flag_precedence(dataset, tmp_path, monkeypatch,

@@ -9,7 +9,8 @@ import oracles
 from surgnet import synth
 from surgnet.complications import ComplicationCodeset, count_complications
 from surgnet.errors import ConfigError
-from surgnet.records import apply_exclusions, parse_cases, segment_cases
+from surgnet.records import (MAX_DX_CODES, apply_exclusions, parse_cases,
+                             segment_cases)
 from surgnet.synth import (
     DEFAULT_COEFFICIENTS,
     ComplicationModel,
@@ -187,6 +188,34 @@ def test_team_draw_replays_generator_choice(monkeypatch, n_providers, n_cases,
             theirs.integers(0, 5, size=9).tolist()
 
 
+DX_CODES = (tuple(e.prefix for e in ComplicationCodeset.embedded()),
+            synth._BENIGN_CODES)
+
+
+@pytest.mark.parametrize("chunk", [3, synth._DX_CHUNK])
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("n_cases", [1, 400])
+def test_dx_draw_replays_integers_and_shuffle(monkeypatch, n_cases, held,
+                                              chunk):
+    # a chunk of three outputs refills mid-case, mid-shuffle and mid-redraw
+    monkeypatch.setattr(synth, "_DX_CHUNK", chunk)
+    for seed in (0, 1, 20240601):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        if held:
+            for rng in (ours, theirs):
+                # leave half a 64-bit output buffered
+                rng.integers(0, 1000, size=3)
+        # counts of 0 to 59, some past MAX_DX_CODES with the fill codes
+        counts = np.random.default_rng(seed).integers(0, 60, size=n_cases)
+        counts[::2] //= 20
+        got = synth._draw_dx(ours, counts, *DX_CODES)
+        want = oracles.dx_by_integers_and_shuffle(theirs, counts, *DX_CODES)
+        assert got == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.integers(0, 5, size=9).tolist() == \
+            theirs.integers(0, 5, size=9).tolist()
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.8])
 @pytest.mark.parametrize("n_cases", [1, 300])
 @pytest.mark.parametrize("n_providers", ROSTERS)
@@ -199,8 +228,21 @@ def test_generate_cases_equals_the_choice_oracle(monkeypatch, n_providers,
         got = generate_cases(**args)
         with monkeypatch.context() as m:
             m.setattr(synth, "_draw_teams", oracles.teams_by_choice)
+            m.setattr(synth, "_draw_dx", oracles.dx_by_integers_and_shuffle)
             want = generate_cases(**args)
         assert got == want
+
+
+def test_truncated_cases_equal_the_per_case_oracle(monkeypatch):
+    model = ComplicationModel(alpha=40.0,
+                              coefficients={"_cons": 2.0, "teamSize": 0.15})
+    args = dict(seed=7, n_cases=3000, n_providers=50, model=model)
+    got = generate_cases(**args)
+    monkeypatch.setattr(synth, "_draw_dx", oracles.dx_by_integers_and_shuffle)
+    assert got == generate_cases(**args)
+    header, _, truth = got
+    assert truth["dx_truncated_cases"] == 151
+    assert len(header) == 7 + MAX_DX_CODES
 
 
 def test_single_provider_teams():
