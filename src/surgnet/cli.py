@@ -317,12 +317,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.func in (cmd_synth, cmd_dump_codeset):
-            return args.func(args)
-        from . import pipeline
-        # every stage's BLAS on one thread, as in run_pipeline
-        with pipeline._one_blas_thread():
-            return args.func(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -15,17 +15,24 @@ are formatted a column at a time, ``_CHUNK_ROWS`` rows a piece, and
 streamed into their staged files. ``RunResult.outputs``, ``.rows`` and
 ``Segment.cases`` are built from the columns on access.
 
-The process's parallelism is across segments, not inside BLAS. Each
-segment's network and measures are one task on a thread pool with a
-worker per CPU the process may run on (its affinity mask); results and
-the first error come back in segment order. BLAS runs on one thread for
-the whole of ``run_pipeline`` and the caller's thread counts are restored
-afterwards, so the artifacts do not depend on ``OPENBLAS_NUM_THREADS``.
+The process's parallelism is across segments. Each segment's network
+and measures are one task on a thread pool with a worker per CPU the
+process may run on (its affinity mask); results and the first error come
+back in segment order. The BLAS thread count is neither set nor read:
+- OLS and VIF read the rows once, through ``np.einsum`` (numpy's own
+  loop, not BLAS), and solve the small cross-product system after it;
+- Spearman's dot products sum half-integer rank deviations, exactly at
+  any thread count while the sums stay below 2**51;
+- the Poisson and NB2 fits go through BLAS gemv/gemm; on the inputs
+  tested with OpenBLAS 0.3.31 their results are the same at 1, 2 and 4
+  threads;
+- known limit: the eigenvector's ``np.linalg.norm`` is a BLAS dot product.
+  Its sum can move with the thread count on vectors of some 20 000
+  entries, not on ones of 2 000; the largest components of the benchmark
+  workloads have 1 200 and 100 providers.
 """
 
-import ctypes
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -33,7 +40,7 @@ from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import cache, partial
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -113,6 +120,9 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown regression column(s): {unknown}; "
                               f"known: {list(self._KNOWN_COLUMNS)}")
+        if len(set(self.regression_columns)) < len(self.regression_columns):
+            raise ConfigError(f"regression_columns lists a column twice: "
+                              f"{list(self.regression_columns)}")
         return self
 
     def to_dict(self):
@@ -350,65 +360,9 @@ def estimate(cfg: PipelineConfig, table) -> EstimationResult:
                             lr_alpha=lr)
 
 
-# (extension module, OpenBLAS thread-count symbols) for numpy's and scipy's
-# copies of OpenBLAS; dlsym on an extension also searches the libraries it
-# links. The wheels rename the symbols; a system OpenBLAS keeps the plain
-# names.
-_BLAS_LIBRARIES = ("numpy._core._multiarray_umath", "scipy.linalg._fblas")
-_BLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_",
-                  "scipy_openblas_set_num_threads64_"),
-                 ("scipy_openblas_get_num_threads",
-                  "scipy_openblas_set_num_threads"),
-                 ("openblas_get_num_threads", "openblas_set_num_threads"))
-
-
-@cache
-def _blas_thread_controls():
-    """(get, set) thread-count functions of each OpenBLAS found."""
-    controls = []
-    for module in _BLAS_LIBRARIES:
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-        except (ImportError, OSError):
-            continue
-        for get, set_ in _BLAS_SYMBOLS:
-            if hasattr(lib, get) and hasattr(lib, set_):
-                get, set_ = getattr(lib, get), getattr(lib, set_)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return tuple(controls)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run BLAS on one thread, then restore the caller's thread counts.
-
-    The fits' BLAS calls are small-vector products: a thread pool makes
-    them slower and makes their sums depend on the thread count.
-    """
-    controls = _blas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_threads in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (_, set_threads), count in zip(controls, saved):
-            set_threads(count)
-
-
 def run_pipeline(cfg: PipelineConfig, write=True) -> RunResult:
     """Execute every stage and, unless ``write`` is false, emit all
-    artifacts into ``cfg.output_dir``. BLAS runs on one thread meanwhile
-    (``_one_blas_thread``), so the artifacts do not depend on the BLAS
-    thread count."""
-    with _one_blas_thread():
-        return _run(cfg, write)
-
-
-def _run(cfg: PipelineConfig, write):
+    artifacts into ``cfg.output_dir``."""
     cfg.validate()
     codeset = load_codeset(cfg.codeset)
     diagnostics, report, retained = load_cases(cfg)

@@ -23,7 +23,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 from scipy.special import chdtrc, gammaln, ndtr
 
 from .errors import ConvergenceError, DataError
@@ -36,6 +35,7 @@ LL_RTOL = 1e-9
 GRAD_TOL = 1e-6
 LN_ALPHA_FLOOR = np.log(1e-8)   # iteration clamp for t = ln alpha
 LN_ALPHA_BOUNDARY = np.log(1e-6)  # estimates below this report as boundary
+COLLINEAR_TOL = 1e-12  # tolerance 1 - R_j^2 at or below this is collinear
 
 
 # ---------------------------------------------------------------------------
@@ -124,60 +124,87 @@ class VifEntry:
     tolerance: float
 
 
-def ols_fit(dm: DesignMatrix) -> OlsResult:
-    """Least squares of the response on the design via pivoted QR; errors
-    out on rank deficiency, naming the collinear columns. R-squared is
-    centered: the design holds the intercept."""
-    x, y = dm.x, dm.y.astype(np.float64)
-    n, p = x.shape
+def _screen(dm: DesignMatrix):
+    """Centered cross products of ``[covariates | y]``, scaled to unit
+    diagonal, and each covariate's tolerance ``1 - R_j^2`` on the other
+    covariates and the intercept.
+
+    Returns ``(mean, spread, corr, tolerance)``: the column means, the
+    square roots of the centered sums of squares, the cross-product
+    matrix divided by them (a constant column is left undivided) and the
+    tolerances. The one pass over the rows is ``np.einsum``, numpy's own
+    loop rather than BLAS, so no BLAS thread count reaches it; the rest
+    is small LAPACK solves on the (k+1)x(k+1) matrix, whose unit diagonal
+    keeps ``lstsq``'s rank cut-off free of the covariates' units. Each
+    tolerance is the residual sum of squares of a least-squares fit
+    inside that matrix (Belsley, Kuh & Welsch, Regression Diagnostics,
+    1980), which holds when the other covariates are themselves
+    collinear. A constant covariate has tolerance 0.
+    """
+    z = np.column_stack([dm.x[:, :-1], dm.y]).astype(np.float64)
+    mean = z.mean(axis=0)
+    z -= mean
+    s = np.einsum("ni,nj->ij", z, z)
+    spread = np.sqrt(np.diag(s))
+    unit = np.where(spread > 0.0, spread, 1.0)
+    corr = s / np.outer(unit, unit)
+    k = corr.shape[0] - 1
+    tolerance = np.zeros(k)
+    for j in np.flatnonzero(spread[:k] > 0.0):
+        others = np.arange(k) != j
+        b = np.linalg.lstsq(corr[:k, :k][np.ix_(others, others)],
+                            corr[:k, j][others], rcond=None)[0]
+        tolerance[j] = corr[j, j] - corr[j, :k][others] @ b
+    return mean, spread, corr, tolerance
+
+
+def _check_rows(dm: DesignMatrix):
+    n, p = dm.x.shape
     if n <= p:
         raise DataError(f"need more observations ({n}) than parameters ({p})")
 
-    q, r, piv = linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int((diag > diag.max() * n * np.finfo(float).eps).sum())
-    if rank < p:
-        bad = sorted(dm.columns[j] for j in piv[rank:])
-        raise DataError(f"design matrix is rank deficient; "
-                        f"collinear column(s): {bad}")
 
-    coef = np.empty(p)
-    coef[piv] = linalg.solve_triangular(r, q.T @ y)
-    resid = y - x @ coef
-    ssr = float(resid @ resid)
-    sst = float(((y - y.mean()) ** 2).sum())
-    if sst == 0.0:
-        r2 = 0.0 if ssr == 0.0 else 1.0
-    else:
-        r2 = 1.0 - ssr / sst
-    return OlsResult(columns=dm.columns, coef=coef, r_squared=r2, n_obs=n)
+def ols_fit(dm: DesignMatrix) -> OlsResult:
+    """Least squares of the response on the design, solved from the
+    centered cross products of ``_screen``; R-squared is centered (the
+    design holds the intercept), and 0 with no covariate or a constant
+    response.
+
+    Raises DataError naming every covariate that ``vif`` reports as
+    collinear: tolerance at or below ``COLLINEAR_TOL``, or constant.
+    """
+    _check_rows(dm)
+    mean, spread, corr, tolerance = _screen(dm)
+    collinear = [name for name, t in zip(dm.columns, tolerance)
+                 if t <= COLLINEAR_TOL]
+    if collinear:
+        raise DataError(f"design matrix is rank deficient; "
+                        f"collinear column(s): {collinear}")
+    k = tolerance.size
+    # slopes and R^2 of the unit-scaled problem; both are 0 with no
+    # covariate, and a constant response has slopes 0
+    b = np.linalg.solve(corr[:k, :k], corr[:k, k])
+    r2 = float(corr[k, :k] @ b) if spread[k] > 0.0 else 0.0
+    slopes = b * spread[k] / spread[:k]
+    coef = np.append(slopes, mean[k] - mean[:k] @ slopes)
+    return OlsResult(columns=dm.columns, coef=coef, r_squared=r2,
+                     n_obs=dm.n_obs)
 
 
 def vif(dm: DesignMatrix):
-    """Variance inflation factor and tolerance (1/VIF) per covariate.
-
-    Each covariate is regressed on all the other columns, intercept
-    included; perfect collinearity reports an infinite VIF rather than
-    failing.
-    """
-    x = dm.x
-    n, p = x.shape
-    if n <= p:
-        raise DataError(f"need more observations ({n}) than parameters ({p})")
+    """Variance inflation factor and tolerance (1/VIF) per covariate, each
+    covariate regressed on all the other columns, intercept included.
+    A collinear covariate (tolerance at or below ``COLLINEAR_TOL``, or
+    constant) reports an infinite VIF and tolerance 0 rather than
+    failing."""
+    _check_rows(dm)
     out = []
-    for j, name in enumerate(dm.columns[:-1]):
-        xo = x[:, [k for k in range(p) if k != j]]
-        target = x[:, j]
-        coef, *_ = np.linalg.lstsq(xo, target, rcond=None)
-        sst = float(((target - target.mean()) ** 2).sum())
-        if sst == 0.0:
-            v = float("inf")
+    for name, t in zip(dm.columns, _screen(dm)[3]):
+        t = float(t)
+        if t <= COLLINEAR_TOL:
+            out.append(VifEntry(name=name, vif=float("inf"), tolerance=0.0))
         else:
-            resid = target - xo @ coef
-            r2 = 1.0 - float(resid @ resid) / sst
-            v = float("inf") if r2 >= 1.0 - 1e-12 else 1.0 / (1.0 - r2)
-        out.append(VifEntry(name=name, vif=v,
-                            tolerance=0.0 if np.isinf(v) else 1.0 / v))
+            out.append(VifEntry(name=name, vif=1.0 / t, tolerance=t))
     return out
 
 
@@ -267,8 +294,7 @@ def poisson_fit(dm: DesignMatrix) -> FitResult:
     """
     x, y = dm.x, dm.y.astype(np.float64)
     n, p = x.shape
-    if n <= p:
-        raise DataError(f"need more observations ({n}) than parameters ({p})")
+    _check_rows(dm)
     if y.sum() == 0:
         raise ConvergenceError(
             "Poisson MLE diverges: response is identically zero, the "
@@ -434,8 +460,7 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
     """
     x, y = dm.x, dm.y
     n, p = x.shape
-    if n <= p:
-        raise DataError(f"need more observations ({n}) than parameters ({p})")
+    _check_rows(dm)
     scaler = _Scaler(x)
     xs = scaler.x_scaled
 

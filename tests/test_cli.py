@@ -214,32 +214,6 @@ def test_regress_prints_fits(dataset, capsys):
     assert "Likelihood-ratio test of alpha=0" in out
 
 
-def test_regress_pins_one_blas_thread_and_restores_the_callers(
-        dataset, monkeypatch, capsys):
-    controls = pipeline._blas_thread_controls()
-    assert controls, "no OpenBLAS thread control found"
-    saved = [get() for get, _ in controls]
-    real_estimate, seen = pipeline.estimate, []
-
-    def estimate_noting_threads(*args):
-        seen.append([get() for get, _ in controls])
-        return real_estimate(*args)
-
-    monkeypatch.setattr(pipeline, "estimate", estimate_noting_threads)
-    try:
-        # a caller's count of 1 and of 2 both come back as they were
-        for callers in (1, 2):
-            for _, set_threads in controls:
-                set_threads(callers)
-            rc = cli.main(["regress", str(dataset), "--window-days", "80"])
-            assert rc == 0
-            assert seen.pop() == [1] * len(controls)
-            assert [get() for get, _ in controls] == [callers] * len(controls)
-    finally:
-        for (_, set_threads), count in zip(controls, saved):
-            set_threads(count)
-
-
 def test_run_full_pipeline(dataset, tmp_path, capsys, monkeypatch):
     def whole_texts(result):
         raise AssertionError("run rendered every artifact's whole text")

@@ -62,6 +62,9 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError, match="unknown regression column"):
         PipelineConfig(input_path="x",
                        regression_columns=("age", "bogus")).validate()
+    with pytest.raises(ConfigError, match="lists a column twice"):
+        PipelineConfig(input_path="x",
+                       regression_columns=("age", "age", "teamSize")).validate()
 
 
 def test_config_from_file_with_overrides(tmp_path):
@@ -191,43 +194,23 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     cases, _ = synth_generate(seed=7, n_cases=12000, n_providers=200,
                               n_segments=2, out_path=tmp_path / "cases.csv")
     src = str(Path(pipeline.__file__).resolve().parents[1])
-    outputs = {}
-    for threads in ("1", "2"):
+    outputs, printed = {}, {}
+    for threads in ("1", "2", "4"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         proc = subprocess.run(
             [sys.executable, "-c", _RUN_AND_PRINT_OUTPUTS, str(cases)],
             env=env, capture_output=True, text=True, check=True)
         outputs[threads] = json.loads(proc.stdout)
-    assert outputs["1"].keys() == outputs["2"].keys()
-    for name, text in outputs["1"].items():
-        assert outputs["2"][name] == text, f"{name} depends on BLAS threads"
-
-
-def test_run_pins_one_blas_thread_and_restores_the_callers(dataset, tmp_path,
-                                                          monkeypatch):
-    controls = pipeline._blas_thread_controls()
-    assert controls, "no OpenBLAS thread control found"
-    saved = [get() for get, _ in controls]
-    real_estimate, seen = pipeline.estimate, []
-
-    def estimate_noting_threads(*args):
-        seen.append([get() for get, _ in controls])
-        return real_estimate(*args)
-
-    monkeypatch.setattr(pipeline, "estimate", estimate_noting_threads)
-    cfg = PipelineConfig(input_path=str(dataset["cases"]),
-                         output_dir=str(tmp_path / "out"), window_days=90)
-    try:
-        # a caller's count of 1 and of 2 both come back as they were
-        for callers in (1, 2):
-            for _, set_threads in controls:
-                set_threads(callers)
-            run_pipeline(cfg, write=False)
-            assert seen.pop() == [1] * len(controls)
-            assert [get() for get, _ in controls] == [callers] * len(controls)
-    finally:
-        for (_, set_threads), count in zip(controls, saved):
-            set_threads(count)
+        printed[threads] = subprocess.run(
+            [sys.executable, "-m", "surgnet.cli", "regress", str(cases)],
+            env=env, capture_output=True, text=True, check=True).stdout
+    for threads in ("2", "4"):
+        assert outputs[threads].keys() == outputs["1"].keys()
+        for name, text in outputs["1"].items():
+            assert outputs[threads][name] == text, \
+                f"{name} differs at {threads} BLAS threads"
+        assert printed[threads] == printed["1"], \
+            f"regress output differs at {threads} BLAS threads"
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,18 @@ def test_ols_r_squared_is_centered_with_constant():
     assert res.r_squared == pytest.approx(np.corrcoef(x1, y)[0, 1] ** 2)
 
 
+def test_ols_r_squared_is_exactly_zero_without_covariates():
+    y = np.random.default_rng(0).poisson(2.5, size=300)
+    res = ols_fit(DesignMatrix.build(y, {}))
+    assert res.r_squared == 0.0
+    assert res.coef.tolist() == [y.mean()]
+
+
 def test_ols_rank_deficiency_names_columns():
     x1 = np.arange(10.0)
     x = np.column_stack([x1, 2 * x1, np.ones(10)])
-    with pytest.raises(DataError, match="rank deficient"):
+    with pytest.raises(DataError, match=r"rank deficient; collinear "
+                                        r"column\(s\): \['a', 'a_doubled'\]"):
         ols_fit(DesignMatrix(y=x1, x=x, columns=("a", "a_doubled", "_cons")))
 
 
@@ -142,6 +150,59 @@ def test_vif_flags_perfect_collinearity_as_inf():
     x = np.column_stack([x1, 3 * x1 + 1, np.ones(12)])
     entries = vif(DesignMatrix(y=x1, x=x, columns=("a", "b", "_cons")))
     assert all(np.isinf(e.vif) and e.tolerance == 0.0 for e in entries)
+
+
+def _lstsq_reference(x, target):
+    """(coefficients, residual sum of squares, centered total sum of
+    squares) of an n-row least-squares fit."""
+    coef = np.linalg.lstsq(x, target, rcond=None)[0]
+    resid = target - x @ coef
+    return coef, resid @ resid, np.sum((target - target.mean()) ** 2)
+
+
+def test_ols_and_vif_match_row_by_row_least_squares():
+    rng = np.random.default_rng(5)
+    n = 600
+    base, noise = rng.normal(size=(n, 3)), 0.3 * rng.normal(size=(n, 5))
+    # correlated covariates on scales from 1e-4 to 1e3, some off-center
+    x = np.column_stack([
+        1e-4 * (base[:, 0] + noise[:, 0]),
+        50.0 + 12.0 * (0.8 * base[:, 0] + 0.6 * base[:, 1] + noise[:, 1]),
+        1e3 * (base[:, 1] - 0.5 * base[:, 2] + noise[:, 2]),
+        (base[:, 2] + noise[:, 3] > 0.0).astype(float),
+        0.01 * (base[:, 0] + base[:, 2] + noise[:, 4]) + 3.0,
+        np.ones(n),
+    ])
+    y = rng.poisson(np.exp(0.3 * base[:, 0] - 0.2 * base[:, 2] + 1.0))
+    dm = DesignMatrix(y=y, x=x, columns=("a", "b", "c", "d", "e", "_cons"))
+
+    coef, rss, sst = _lstsq_reference(x, y.astype(float))
+    res = ols_fit(dm)
+    assert_allclose(res.coef, coef, rtol=1e-9)
+    assert res.r_squared == pytest.approx(1.0 - rss / sst, rel=1e-9)
+
+    entries = vif(dm)
+    assert [e.name for e in entries] == ["a", "b", "c", "d", "e"]
+    for j, e in enumerate(entries):
+        _, rss_j, sst_j = _lstsq_reference(np.delete(x, j, axis=1), x[:, j])
+        assert e.vif == pytest.approx(sst_j / rss_j, rel=1e-9)
+        assert e.tolerance == pytest.approx(rss_j / sst_j, rel=1e-9)
+    assert max(e.vif for e in entries) > 5.0  # the correlation shows
+
+
+def test_collinear_pair_is_inf_beside_an_independent_column():
+    rng = np.random.default_rng(6)
+    a, c = rng.normal(size=500), rng.normal(size=500)
+    x = np.column_stack([a, 4.0 - 2.5 * a, c, np.ones(500)])
+    dm = DesignMatrix(y=rng.poisson(2.0, size=500), x=x,
+                      columns=("a", "b", "c", "_cons"))
+    entries = vif(dm)
+    assert [np.isinf(e.vif) and e.tolerance == 0.0 for e in entries] == \
+        [True, True, False]
+    assert entries[2].vif == pytest.approx(1.0, abs=0.02)
+    with pytest.raises(DataError,
+                       match=r"collinear column\(s\): \['a', 'b'\]$"):
+        ols_fit(dm)
 
 
 def test_vif_near_one_for_independent_columns():
