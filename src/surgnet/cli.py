@@ -181,10 +181,8 @@ def cmd_ingest_check(args):
     retained, report = records.apply_exclusions(cases)
     print(f"cases parsed\t{len(cases)}")
     print(f"parse diagnostics\t{len(diagnostics)}")
-    for d in diagnostics[:10]:
+    for d in diagnostics:
         print(f"  row {d.row}: {d.message}")
-    if len(diagnostics) > 10:
-        print(f"  ... {len(diagnostics) - 10} more")
     for rule, count in report.items():
         print(f"excluded ({rule})\t{count}")
     print(f"retained\t{len(retained)}")

@@ -175,7 +175,6 @@ class SegmentAnalysis:
 @dataclass(frozen=True)
 class EstimationResult:
     design: regression.DesignMatrix
-    dropped_constant: tuple
     ols: regression.OlsResult
     vifs: list
     poisson: regression.FitResult
@@ -331,33 +330,24 @@ def correlate_rows(table) -> correlation.SpearmanResult:
 def estimate(cfg: PipelineConfig, table) -> EstimationResult:
     """Screening plus count regressions on the joined table.
 
-    Zero-variance covariates cannot enter the design (they are collinear
-    with the intercept); they are dropped here and itemized in the
-    manifest so degenerate inputs, like single-provider datasets with
-    all-zero network measures, still run to completion.
+    ``regression.DesignMatrix.build`` picks the sample: rows missing the
+    count or any of ``cfg.regression_columns`` are dropped, then the
+    covariates constant on the rows left, so degenerate inputs, like
+    single-provider datasets with all-zero network measures, still run
+    to completion. The manifest itemizes both.
     """
     with _stage("regress"):
-        y = _floats(table, "C")
-        cols = {name: _floats(table, name) for name in cfg.regression_columns}
-        complete = np.isfinite(y)
-        for arr in cols.values():
-            complete &= np.isfinite(arr)
-        if not complete.any():
-            raise DataError("no regression rows with complete covariates")
-        dropped = tuple(n for n, arr in cols.items()
-                        if np.ptp(arr[complete]) == 0.0)
-        kept = {n: arr for n, arr in cols.items() if n not in dropped}
-
-        dm = regression.DesignMatrix.build(y, kept)
+        dm = regression.DesignMatrix.build(
+            _floats(table, "C"),
+            {name: _floats(table, name) for name in cfg.regression_columns})
         ols = regression.ols_fit(dm)
         vifs = regression.vif(dm)
         pois = regression.poisson_fit(dm)
         gof = regression.poisson_gof(pois, dm)
         nb = regression.negbin_fit(dm, start=regression.negbin_start(pois, dm))
         lr = regression.lr_test_alpha(pois, nb)
-    return EstimationResult(design=dm, dropped_constant=dropped, ols=ols,
-                            vifs=vifs, poisson=pois, gof=gof, negbin=nb,
-                            lr_alpha=lr)
+    return EstimationResult(design=dm, ols=ols, vifs=vifs, poisson=pois,
+                            gof=gof, negbin=nb, lr_alpha=lr)
 
 
 def run_pipeline(cfg: PipelineConfig, write=True) -> RunResult:
@@ -563,9 +553,9 @@ def render_regression(est: EstimationResult):
     lines.append("variable\tvif\ttolerance")
     for v in est.vifs:
         lines.append(f"{v.name}\t{_fmt(v.vif)}\t{_fmt(v.tolerance)}")
-    if est.dropped_constant:
+    if est.design.dropped_constant:
         lines.append("dropped zero-variance covariate(s)\t"
-                     + ", ".join(est.dropped_constant))
+                     + ", ".join(est.design.dropped_constant))
 
     lines.append("")
     lines.append("== poisson ==")
@@ -660,7 +650,7 @@ def _build_manifest(cfg, diagnostics, report, retained, analyses, table,
                 "columns": list(est.design.columns),
                 "rows_used": est.design.n_obs,
                 "rows_dropped_missing": est.design.n_dropped_missing,
-                "dropped_constant_covariates": list(est.dropped_constant),
+                "dropped_constant_covariates": list(est.design.dropped_constant),
                 "design_key": est.design.fingerprint(),
             },
         },
@@ -696,7 +686,7 @@ def _render_outputs(result: RunResult):
                     "r_squared": est.ols.r_squared, "n_obs": est.ols.n_obs},
             "vif": [{"name": v.name, "vif": v.vif, "tolerance": v.tolerance}
                     for v in est.vifs],
-            "dropped_constant_covariates": list(est.dropped_constant),
+            "dropped_constant_covariates": list(est.design.dropped_constant),
             "poisson": _fit_record(est.poisson),
             "gof": {"pearson_chi2": est.gof.pearson_chi2,
                     "deviance": est.gof.deviance, "df": est.gof.df,

@@ -1,6 +1,10 @@
 """Count regression: OLS/VIF screening, Poisson MLE with goodness of fit,
 and NB2 negative binomial MLE with the boundary likelihood-ratio test.
 
+Every fit reads one ``DesignMatrix``, whose ``build`` alone picks the
+sample: listwise deletion over the response and the requested columns,
+then the covariates constant on the rows left are dropped.
+
 Both count models use a log link, ln mu = x beta. The negative binomial
 variance is mu + alpha * mu^2; the heterogeneity parameter is estimated
 on the log scale (t = ln alpha) so the alpha > 0 constraint never binds.
@@ -16,7 +20,9 @@ always judged on the original-scale gradient.
 The gamma-function terms of the NB2 likelihood are evaluated through
 exact rising-factorial log sums, which stay accurate down to alpha ~ 0
 (where the model collapses onto the Poisson) instead of cancelling
-catastrophically like a difference of two large log-gammas would.
+catastrophically like a difference of two large log-gammas would. The
+NB2 iteration is unconstrained in ln alpha; a fit that converges with
+alpha below 1e-6 is reported at the boundary, alpha pinned at 1e-8.
 """
 
 import hashlib
@@ -33,7 +39,7 @@ MAX_ITER = 200
 MAX_HALVINGS = 30
 LL_RTOL = 1e-9
 GRAD_TOL = 1e-6
-LN_ALPHA_FLOOR = np.log(1e-8)   # iteration clamp for t = ln alpha
+LN_ALPHA_FLOOR = np.log(1e-8)   # reported t = ln alpha of a boundary fit
 LN_ALPHA_BOUNDARY = np.log(1e-6)  # estimates below this report as boundary
 COLLINEAR_TOL = 1e-12  # tolerance 1 - R_j^2 at or below this is collinear
 
@@ -45,12 +51,14 @@ COLLINEAR_TOL = 1e-12  # tolerance 1 - R_j^2 at or below this is collinear
 @dataclass(frozen=True)
 class DesignMatrix:
     """Response vector plus covariate matrix with named columns; the last
-    column is the intercept ``_cons``."""
+    column is the intercept ``_cons``. ``n_dropped_missing`` and
+    ``dropped_constant`` record how ``build`` chose the sample."""
 
     y: np.ndarray
     x: np.ndarray
     columns: tuple
     n_dropped_missing: int = 0
+    dropped_constant: tuple = ()
 
     @property
     def n_obs(self):
@@ -71,10 +79,13 @@ class DesignMatrix:
     def build(cls, y, columns):
         """Assemble a design from a name -> vector mapping.
 
-        Rows with a missing (NaN) response or covariate are dropped and
-        counted in ``n_dropped_missing``. The response must be
-        non-negative integers. An intercept column named ``_cons`` is
-        appended last.
+        The sample is decided here, once, in two steps. First the rows
+        where the response or any requested column is missing (NaN) are
+        dropped, listwise, and counted in ``n_dropped_missing``. Then each
+        covariate that is constant on the rows left (collinear with the
+        intercept) is dropped and named, in request order, in
+        ``dropped_constant``. The response must be non-negative integers.
+        An intercept column named ``_cons`` is appended last.
         """
         names = tuple(columns)
         y = np.asarray(y, dtype=np.float64)
@@ -88,21 +99,23 @@ class DesignMatrix:
             keep &= np.isfinite(m)
         dropped = int(y.size - keep.sum())
         y = y[keep]
-        x = np.column_stack([m[keep] for m in mats]) if mats else \
-            np.empty((y.size, 0))
+        mats = [m[keep] for m in mats]
 
         if y.size == 0:
             raise DataError("no complete rows left after dropping missing values")
         if np.any(y < 0) or np.any(y != np.floor(y)):
             raise DataError("response must be non-negative integer counts")
         if "dMale" in names:
-            d = x[:, names.index("dMale")]
+            d = mats[names.index("dMale")]
             if not np.all((d == 0) | (d == 1)):
                 raise DataError("dMale must be a 0/1 dummy")
 
-        x = np.column_stack([x, np.ones(y.size)])
-        return cls(y=y.astype(np.int64), x=x, columns=names + ("_cons",),
-                   n_dropped_missing=dropped)
+        constant = tuple(n for n, m in zip(names, mats) if np.ptp(m) == 0.0)
+        kept = [(n, m) for n, m in zip(names, mats) if n not in constant]
+        x = np.column_stack([m for _, m in kept] + [np.ones(y.size)])
+        return cls(y=y.astype(np.int64), x=x,
+                   columns=tuple(n for n, _ in kept) + ("_cons",),
+                   n_dropped_missing=dropped, dropped_constant=constant)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +319,7 @@ def poisson_fit(dm: DesignMatrix) -> FitResult:
     start = np.zeros(p)
     start[-1] = np.log(y.mean())
 
-    theta, ll, it, gmax, trace = _newton(
+    theta, ll, it, gmax = _newton(
         start,
         lambda b: poisson_loglik(b, xs, y),
         lambda b: poisson_score(b, xs, y),
@@ -321,7 +334,8 @@ def poisson_fit(dm: DesignMatrix) -> FitResult:
     return FitResult(
         model="poisson", columns=dm.columns, coef=beta, std_err=se, z=z, p=pv,
         ci_low=lo, ci_high=hi, log_likelihood=ll, n_obs=n, iterations=it,
-        grad_max_abs=gmax, design_key=dm.fingerprint(), trace=trace)
+        grad_max_abs=gmax, design_key=dm.fingerprint(),
+        trace={"iterations": it})
 
 
 def poisson_gof(fit: FitResult, dm: DesignMatrix) -> GofResult:
@@ -447,16 +461,16 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
     default it is ``negbin_start`` of a Poisson fit made here, so a caller
     that already holds that fit passes its ``negbin_start``. When the
     data are equidispersed the iteration drives alpha toward zero, where
-    the likelihood flattens. Two exits reach the boundary: the clamp stop
-    (a step takes ln alpha below ``LN_ALPHA_FLOOR``, where it is pinned,
-    and the ln-alpha score there is <= 0) and the flat-tail relabel
-    (converged with alpha below 1e-6). Both report alpha frozen at the
-    floor, beta re-optimized there by a profile run whose iterations add
-    to the main run's, ``alpha_boundary=True``, and NaN alpha standard
-    errors (the information in ln alpha vanishes, so an interior-style
-    interval would be meaningless). Interior optima report ln-alpha and
-    alpha with delta-method standard errors and intervals. ``trace`` is
-    ``{"iterations": k}``, plus ``"boundary": True`` at the boundary.
+    the likelihood flattens, and converges in that flat tail. One rule
+    reaches the boundary: a converged ln alpha below ``LN_ALPHA_BOUNDARY``
+    (alpha below 1e-6) is pinned at ``LN_ALPHA_FLOOR`` (alpha 1e-8), and
+    beta is re-optimized there by a profile run whose iterations add to
+    the main run's. Such a fit reports ``alpha_boundary=True`` and NaN
+    alpha standard errors (the information in ln alpha vanishes, so an
+    interior-style interval would be meaningless). Interior optima report
+    ln-alpha and alpha with delta-method standard errors and intervals.
+    ``trace`` is ``{"iterations": k}``, plus ``"boundary": True`` at the
+    boundary.
     """
     x, y = dm.x, dm.y
     n, p = x.shape
@@ -471,33 +485,22 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
         raise DataError(f"start must have {p + 1} entries (beta, ln_alpha)")
     theta = np.append(scaler.from_original(start[:-1]), start[-1])
 
-    ll_fn = lambda th: negbin_loglik(th, xs, y)
-    g_fn = lambda th: negbin_score(th, xs, y)
-
     def conv_grad(th):
         orig = np.append(scaler.to_original(th[:-1]), th[-1])
         return negbin_score(orig, x, y)
 
-    def clamp(th, ll):
-        if th[-1] >= LN_ALPHA_FLOOR:
-            return th, ll, False
-        th[-1] = LN_ALPHA_FLOOR
-        return th, ll_fn(th), g_fn(th)[-1] <= 0.0
-
-    theta, ll, it, gmax, trace = _newton(
-        theta, ll_fn, g_fn, lambda th: negbin_hessian(th, xs, y),
-        conv_grad=conv_grad, label="negbin", project=clamp)
-    boundary = trace.get("boundary", False)
-    if not boundary and theta[-1] < LN_ALPHA_BOUNDARY:
-        # converged in the flat tail: alpha is indistinguishable from zero
-        # at this sample size, so report the boundary convention
-        boundary = True
-        theta[-1] = LN_ALPHA_FLOOR
-
+    theta, ll, it, gmax = _newton(
+        theta,
+        lambda th: negbin_loglik(th, xs, y),
+        lambda th: negbin_score(th, xs, y),
+        lambda th: negbin_hessian(th, xs, y),
+        conv_grad=conv_grad, label="negbin")
+    boundary = bool(theta[-1] < LN_ALPHA_BOUNDARY)
     if boundary:
-        # alpha pinned at the floor: finish the beta profile
+        # alpha is indistinguishable from zero at this sample size: pin it
+        # at the floor and finish the beta profile there
         pin = lambda b: np.append(b, LN_ALPHA_FLOOR)
-        beta_s, ll, it_profile, gmax, _ = _newton(
+        beta_s, ll, it_profile, gmax = _newton(
             theta[:-1],
             lambda b: negbin_loglik(pin(b), xs, y),
             lambda b: negbin_score(pin(b), xs, y)[:-1],
@@ -507,7 +510,6 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
         theta = np.append(beta_s, LN_ALPHA_FLOOR)
         info = -negbin_hessian(theta, xs, y)[:-1, :-1]
         it += it_profile
-        trace = {"iterations": it, "boundary": True}
     else:
         info = -negbin_hessian(theta, xs, y)
     se_all = _diag_se(scaler.cov_original(_invert_information(info, "negbin")),
@@ -529,7 +531,9 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
         alpha_std_err=alpha * t_se, ln_alpha_std_err=t_se,
         alpha_ci=alpha_ci,
         ln_alpha_ci=(t - Z95 * t_se, t + Z95 * t_se),
-        alpha_boundary=boundary, trace=trace)
+        alpha_boundary=boundary,
+        trace={"iterations": it, "boundary": True} if boundary
+        else {"iterations": it})
 
 
 def lr_test_alpha(poisson: FitResult, negbin: FitResult) -> LrAlphaResult:
@@ -637,35 +641,27 @@ def _line_step(theta, ll_cur, g, h, ll_fn, label):
         trace={"ll": ll_cur, "grad_max_abs": float(np.max(np.abs(g)))})
 
 
-def _newton(theta, ll_fn, g_fn, h_fn, label, conv_grad, project=None):
+def _newton(theta, ll_fn, g_fn, h_fn, label, conv_grad):
     """Maximize ll_fn by damped Newton iteration.
 
-    Returns (theta, ll, iterations, grad_max_abs, trace); the trace is
-    ``{"iterations": k}``. Convergence needs both a small relative
-    log-likelihood change and a small gradient; ``conv_grad`` supplies
-    the gradient used for that check (and for reporting), the score on
-    the original scale. ``project``, when given, maps each accepted
-    step ``(theta, ll)`` to ``(theta, ll, stop)`` before the check; a
-    true ``stop`` ends the iteration at the projected point and adds
-    ``"boundary": True`` to the trace. Raises ConvergenceError, with
-    ``iterations``, ``ll`` and ``grad_max_abs`` in its trace, after
+    Returns (theta, ll, iterations, grad_max_abs). Convergence needs both
+    a small relative log-likelihood change and a small gradient;
+    ``conv_grad`` supplies the gradient used for that check (and for
+    reporting), the score on the original scale. Raises ConvergenceError,
+    with ``iterations``, ``ll`` and ``grad_max_abs`` in its trace, after
     MAX_ITER steps or when the start's log-likelihood is not finite.
     """
-    if project is None:
-        project = lambda th, ll_th: (th, ll_th, False)
     ll = ll_fn(theta)
     if not np.isfinite(ll):
         raise ConvergenceError(f"{label}: log-likelihood not finite at start")
     for it in range(1, MAX_ITER + 1):
-        step = _line_step(theta, ll, g_fn(theta), h_fn(theta), ll_fn, label)
-        theta_new, ll_new, stop = project(*step)
+        theta_new, ll_new = _line_step(theta, ll, g_fn(theta), h_fn(theta),
+                                       ll_fn, label)
         rel = abs(ll_new - ll) / max(1.0, abs(ll))
         theta, ll = theta_new, ll_new
         gmax = float(np.max(np.abs(conv_grad(theta))))
-        if stop:
-            return theta, ll, it, gmax, {"iterations": it, "boundary": True}
         if rel < LL_RTOL and gmax < GRAD_TOL:
-            return theta, ll, it, gmax, {"iterations": it}
+            return theta, ll, it, gmax
     raise ConvergenceError(
         f"{label}: no convergence in {MAX_ITER} iterations "
         f"(ll={ll:.6f}, grad_max_abs={gmax:.3e})",

@@ -99,6 +99,24 @@ def test_ingest_check(dataset, capsys):
     assert "excluded (age)\t0" in out
 
 
+def test_ingest_check_prints_every_diagnostic(dataset, tmp_path, capsys):
+    header, *rows = dataset.read_text().splitlines()
+    # a non-numeric age skips the row with a diagnostic
+    bad = [row.split(",") for row in rows[:12]]
+    for row in bad:
+        row[3] = "old"
+    case = tmp_path / "cases.csv"
+    case.write_text("\n".join([header] + [",".join(r) for r in bad]
+                              + rows[12:]) + "\n")
+    assert cli.main(["ingest-check", str(case)]) == 0
+    out = capsys.readouterr().out
+    assert "parse diagnostics\t12" in out
+    assert [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("  row ")] == \
+        [f"  row {k}" for k in range(2, 14)]
+    assert "more" not in out
+
+
 @pytest.mark.parametrize("command", ["ingest-check", "run"])
 def test_oversized_cell_is_a_diagnostic(dataset, tmp_path, capsys, command):
     text = dataset.read_text()

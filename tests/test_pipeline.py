@@ -424,7 +424,7 @@ def test_single_provider_dataset_completes_dropping_constants(tmp_path):
     cfg = PipelineConfig(input_path=str(out),
                          output_dir=str(tmp_path / "out"), window_days=60)
     result = run_pipeline(cfg)
-    dropped = set(result.estimation.dropped_constant)
+    dropped = set(result.estimation.design.dropped_constant)
     # one provider: teamSize is constant and every network measure is zero
     assert {"teamSize", "avgBtwn", "avgClos", "avgEigen"} <= dropped
     assert set(result.estimation.design.columns) == \
@@ -434,6 +434,33 @@ def test_single_provider_dataset_completes_dropping_constants(tmp_path):
         [c for c in REGRESSION_COLUMNS if c in dropped]
     assert set(result.spearman.degenerate) >= {"avgBtwn", "avgClos", "avgEigen"}
     assert "zero-variance column(s)" in result.outputs["correlation.tsv"]
+
+
+def test_sample_is_listwise_before_dropping_constant_covariates(tmp_path):
+    # surgery_type is 3 on 180 cases and empty on 20: typSurgery is
+    # constant on the complete rows, and its 20 gaps stay out of the fits
+    out = tmp_path / "cases.csv"
+    synth_generate(seed=3, n_cases=200, n_providers=30, window_days=90,
+                   n_segments=2, out_path=out)
+    header, *rows = out.read_text().splitlines()
+    k = header.split(",").index("surgery_type")
+    cells = [row.split(",") for row in rows]
+    for i, row in enumerate(cells):
+        row[k] = "" if i % 10 == 0 else "3"
+    out.write_text("\n".join([header] + [",".join(r) for r in cells]) + "\n")
+    cfg = PipelineConfig(input_path=str(out),
+                         output_dir=str(tmp_path / "out"), window_days=90)
+    result = run_pipeline(cfg)
+    design = result.estimation.design
+    assert result.manifest["stages"]["exclusions"]["retained"] == 200
+    assert design.n_obs == 180
+    assert design.n_dropped_missing == 20
+    assert design.dropped_constant == ("typSurgery",)
+    assert result.estimation.negbin.n_obs == 180
+    stage = result.manifest["stages"]["regression"]
+    assert stage["rows_used"] == 180
+    assert stage["rows_dropped_missing"] == 20
+    assert stage["dropped_constant_covariates"] == ["typSurgery"]
 
 
 def test_distinct_complications_flag_reduces_counts(dataset, tmp_path):

@@ -65,6 +65,20 @@ def test_build_drops_incomplete_rows():
     assert list(dm.y) == [1, 3, 4]
 
 
+def test_build_drops_incomplete_rows_before_constant_columns():
+    # "k" is constant once its NaN row is gone: both are dropped, and the
+    # NaN row stays out of the sample
+    y = [1, 2, 0, 3, 4]
+    dm = DesignMatrix.build(y, {"a": [1.0, 2.0, 3.0, 5.0, 4.0],
+                                "k": [7.0, 7.0, np.nan, 7.0, 7.0],
+                                "b": [0.5, 0.0, 1.0, 2.0, 1.5]})
+    assert dm.columns == ("a", "b", "_cons")
+    assert dm.dropped_constant == ("k",)
+    assert dm.n_obs == 4 and dm.n_dropped_missing == 1
+    assert list(dm.y) == [1, 2, 3, 4]
+    assert_allclose(dm.x[:, 0], [1.0, 2.0, 5.0, 4.0])
+
+
 def test_build_validation_errors():
     with pytest.raises(DataError, match="non-negative integer"):
         DesignMatrix.build([0, 1.5, 2], {"a": [1.0, 2.0, 3.0]})
@@ -427,23 +441,24 @@ def test_negbin_nesting_at_tiny_alpha():
 
 
 def test_negbin_boundary_on_equidispersed_data():
-    rng = np.random.default_rng(16)
-    n = 2000
-    x1 = rng.normal(size=n)
-    y = rng.poisson(np.exp(0.3 * x1 + 0.5))
-    dm = DesignMatrix.build(y, {"x1": x1})
-    fit = negbin_fit(dm)
-    assert fit.alpha_boundary
-    assert fit.alpha == pytest.approx(1e-8, rel=1e-6)
-    assert np.isnan(fit.ln_alpha_std_err) and np.isnan(fit.alpha_std_err)
-    assert fit.trace.get("boundary") is True
-    # the frozen-alpha fit still matches the Poisson solution
-    pois = poisson_fit(dm)
-    assert_allclose(fit.coef, pois.coef, atol=1e-5)
-    assert fit.log_likelihood == pytest.approx(pois.log_likelihood, abs=1e-3)
-    lr = lr_test_alpha(pois, fit)
-    assert lr.statistic < 4.0
-    assert lr.p_value >= 0.5 * 0.0455 - 1e-9  # chi2(1) tail at 4
+    for n in (30, 2000, 20_000):
+        rng = np.random.default_rng(16)
+        x1 = rng.normal(size=n)
+        y = rng.poisson(np.exp(0.3 * x1 + 0.5))
+        dm = DesignMatrix.build(y, {"x1": x1})
+        fit = negbin_fit(dm)
+        assert fit.alpha_boundary
+        assert fit.alpha == pytest.approx(1e-8, rel=1e-6)
+        assert np.isnan(fit.ln_alpha_std_err) and np.isnan(fit.alpha_std_err)
+        assert fit.trace.get("boundary") is True
+        # the frozen-alpha fit still matches the Poisson solution
+        pois = poisson_fit(dm)
+        assert_allclose(fit.coef, pois.coef, atol=1e-5)
+        assert fit.log_likelihood == pytest.approx(pois.log_likelihood,
+                                                   abs=1e-3)
+        lr = lr_test_alpha(pois, fit)
+        assert lr.statistic < 4.0
+        assert lr.p_value >= 0.5 * 0.0455 - 1e-9  # chi2(1) tail at 4
 
 
 def test_fit_trace_counts_every_iteration():
@@ -469,41 +484,34 @@ def equidispersed_design(seed, n=200):
 
 def boundary_fit_runs(monkeypatch, dm):
     """NB2 fit of ``dm`` with every ``_newton`` run recorded as (label,
-    stopped by its projection, final last parameter, iterations)."""
+    final last parameter, iterations)."""
     start = reg.negbin_start(poisson_fit(dm), dm)
     runs = []
     newton = reg._newton
 
     def recording(*args, **kwargs):
-        theta, ll, it, gmax, trace = newton(*args, **kwargs)
-        runs.append((kwargs["label"], trace.get("boundary", False),
-                     float(theta[-1]), it))
-        return theta, ll, it, gmax, trace
+        theta, ll, it, gmax = newton(*args, **kwargs)
+        runs.append((kwargs["label"], float(theta[-1]), it))
+        return theta, ll, it, gmax
 
-    monkeypatch.setattr(reg, "_newton", recording)
-    fit = negbin_fit(dm, start=start)
+    with monkeypatch.context() as patch:
+        patch.setattr(reg, "_newton", recording)
+        fit = negbin_fit(dm, start=start)
     assert [r[0] for r in runs] == ["negbin", "negbin (boundary)"]
-    assert not runs[1][1]
     assert fit.alpha_boundary
     assert fit.alpha == pytest.approx(1e-8, rel=1e-12)
     assert np.isnan(fit.alpha_std_err) and np.isnan(fit.ln_alpha_std_err)
-    assert fit.iterations == runs[0][3] + runs[1][3]
+    assert fit.iterations == runs[0][2] + runs[1][2]
     assert fit.trace == {"iterations": fit.iterations, "boundary": True}
     return runs[0]
 
 
-def test_negbin_boundary_exit_by_clamp_stop(monkeypatch):
-    _, stopped, ln_alpha, _ = boundary_fit_runs(monkeypatch,
-                                                equidispersed_design(7))
-    assert stopped
-    assert ln_alpha == reg.LN_ALPHA_FLOOR
-
-
 def test_negbin_boundary_exit_by_flat_tail_relabel(monkeypatch):
-    _, stopped, ln_alpha, _ = boundary_fit_runs(monkeypatch,
-                                                equidispersed_design(4))
-    assert not stopped
-    assert reg.LN_ALPHA_FLOOR < ln_alpha < reg.LN_ALPHA_BOUNDARY
+    # seed 7 is a design whose iteration runs past ln alpha = LN_ALPHA_FLOOR
+    for seed in (4, 7):
+        _, ln_alpha, _ = boundary_fit_runs(monkeypatch,
+                                           equidispersed_design(seed))
+        assert ln_alpha < reg.LN_ALPHA_BOUNDARY
 
 
 def test_fits_raise_labelled_non_convergence(monkeypatch):
