@@ -27,7 +27,8 @@ of SpGEMM triangle counting (Azad, Buluc & Gilbert 2015), so triangles
 need no product of their own. Components come from the graph's one
 labelling (``CoworkerGraph.component_labels``), which gives the pass its
 component sizes and the eigenvector iteration its largest component,
-where it multiplies by A restricted to that component.
+where it multiplies by A restricted to that component. The iteration's
+stopping rule lives here alone: ``EIG_TOL`` and ``EIG_MAX_ITER``.
 
 ``compute_all`` returns a segment's measures as one set of columns,
 keyed by the ``node_metrics_seg<k>.tsv`` header (``COLUMNS``):
@@ -65,6 +66,10 @@ class TeamMetrics:
 
 # ---------------------------------------------------------------------------
 # one blocked multi-source BFS behind betweenness, closeness and clustering
+
+# the stopping rule of the eigenvector power iteration (``_eigenvector``)
+EIG_TOL = 1e-10
+EIG_MAX_ITER = 10000
 
 # Sources per BFS block are chosen so that each node-by-source work array
 # of a block holds at most this many cells (1 MiB as float64).
@@ -156,7 +161,7 @@ def _geodesic_measures(a, labels):
     return betweenness, closeness, clustering
 
 
-def _eigenvector(a, labels, tol, max_iter):
+def _eigenvector(a, labels):
     """Principal-eigenvector centrality of the largest connected component.
 
     Power iteration with L2 renormalization on the shifted matrix A + I:
@@ -164,12 +169,11 @@ def _eigenvector(a, labels, tol, max_iter):
     eigenvalue strictly dominant, so bipartite-like components (stars,
     paths) cannot oscillate. Starts from a uniform positive vector, which
     cannot be orthogonal to the Perron vector. Converged when the max-abs
-    difference between successive normalized iterates drops below ``tol``;
-    the final vector is rescaled so its maximum entry is 1. Nodes outside
-    the largest component get 0.
+    difference between successive normalized iterates drops below
+    ``EIG_TOL``; the final vector is rescaled so its maximum entry is 1.
+    Nodes outside the largest component get 0. Raises ConvergenceError
+    with the last residual after ``EIG_MAX_ITER`` steps.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = a.shape[0]
     values = np.zeros(n, dtype=np.float64)
     if n == 0:
@@ -184,18 +188,18 @@ def _eigenvector(a, labels, tol, max_iter):
         sub = a[members][:, members]
         x = np.full(m, 1.0 / np.sqrt(m))
         residual = np.inf
-        for _ in range(max_iter):
+        for _ in range(EIG_MAX_ITER):
             y = x + sub @ x
             y /= np.linalg.norm(y)
             residual = float(np.max(np.abs(y - x)))
             x = y
-            if residual < tol:
+            if residual < EIG_TOL:
                 break
         else:
             raise ConvergenceError(
-                f"eigenvector power iteration did not converge in {max_iter} "
-                f"iterations (last residual {residual:.3e})",
-                trace={"iterations": max_iter, "residual": residual})
+                f"eigenvector power iteration did not converge in "
+                f"{EIG_MAX_ITER} iterations (last residual {residual:.3e})",
+                trace={"iterations": EIG_MAX_ITER, "residual": residual})
         values[members] = x / x.max()
     return values
 
@@ -246,13 +250,9 @@ def closeness_centrality(g: CoworkerGraph):
     return _by_node(g, _geodesic_measures(*_labelled(g))[1])
 
 
-def eigenvector_centrality(g: CoworkerGraph, tol=1e-10, max_iter=10000):
-    """Eigenvector centrality of ``_eigenvector``, keyed by provider id.
-
-    Raises ConvergenceError with the last residual if ``max_iter`` is
-    exhausted.
-    """
-    return _by_node(g, _eigenvector(*_labelled(g), tol, max_iter))
+def eigenvector_centrality(g: CoworkerGraph):
+    """Eigenvector centrality of ``_eigenvector``, keyed by provider id."""
+    return _by_node(g, _eigenvector(*_labelled(g)))
 
 
 def clustering_coefficient(g: CoworkerGraph):
@@ -265,7 +265,7 @@ COLUMNS = ("provider_id", "degree_raw", "degree", "betweenness", "closeness",
            "eigenvector", "clustering")
 
 
-def compute_all(g: CoworkerGraph, eig_tol=1e-10, eig_max_iter=10000):
+def compute_all(g: CoworkerGraph):
     """All five measures of every provider, as a dict of ``COLUMNS``.
 
     ``provider_id`` is ``g.nodes``; the other columns are arrays aligned
@@ -278,7 +278,7 @@ def compute_all(g: CoworkerGraph, eig_tol=1e-10, eig_max_iter=10000):
     raw, degree = _degrees(g)
     return dict(zip(COLUMNS, (
         g.nodes, raw.astype(np.int64), degree, betweenness, closeness,
-        _eigenvector(a, labels, eig_tol, eig_max_iter), clustering)))
+        _eigenvector(a, labels), clustering)))
 
 
 # compute_all columns averaged over a team, in TeamMetrics field order

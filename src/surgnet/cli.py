@@ -4,7 +4,9 @@ Each pipeline stage is independently invocable for debugging; ``run``
 executes the whole flow. Exit codes: 0 success, 2 configuration error,
 3 data error, 4 numeric non-convergence. The output directory can be
 overridden with the SURGNET_OUTPUT_DIR environment variable (an explicit
---output-dir flag still wins).
+--output-dir flag still wins). The solvers' stopping rules are constants,
+not options: ``centrality.EIG_TOL``/``EIG_MAX_ITER`` for the eigenvector,
+``regression.MAX_ITER``/``LL_RTOL``/``GRAD_TOL`` for Poisson and NB2.
 """
 
 import argparse
@@ -44,13 +46,6 @@ def _add_ingest_args(p):
 def _add_window_args(p):
     p.add_argument("--window-days", type=int,
                    help="segment window length in days")
-
-
-def _add_metric_args(p):
-    p.add_argument("--eig-tol", type=float,
-                   help="eigenvector power-iteration tolerance")
-    p.add_argument("--eig-max-iter", type=int,
-                   help="eigenvector power-iteration cap")
 
 
 def _add_codeset_args(p):
@@ -102,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute per-segment node metrics tables")
     _add_ingest_args(p)
     _add_window_args(p)
-    _add_metric_args(p)
     p.add_argument("--segment", type=int, default=None,
                    help="restrict output to one segment index")
     p.add_argument("--output-dir",
@@ -121,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Spearman matrix of the team-average measures")
     _add_ingest_args(p)
     _add_window_args(p)
-    _add_metric_args(p)
     _add_codeset_args(p)
     p.set_defaults(func=cmd_correlate)
 
@@ -129,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="screening, Poisson, and negative binomial fits")
     _add_ingest_args(p)
     _add_window_args(p)
-    _add_metric_args(p)
     _add_codeset_args(p)
     p.set_defaults(func=cmd_regress)
 
@@ -140,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir")
     _add_format_args(p)
     _add_window_args(p)
-    _add_metric_args(p)
     _add_codeset_args(p)
     p.set_defaults(func=cmd_run)
 

@@ -40,7 +40,6 @@ from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -78,8 +77,6 @@ class PipelineConfig:
     window_days: int = records.WINDOW_DAYS
     delimiter: str = ","
     provider_form: str = "wide"
-    eig_tol: float = 1e-10
-    eig_max_iter: int = 10000
     regression_columns: tuple = REGRESSION_COLUMNS
     codeset: str = "embedded"
     distinct_complications: bool = False
@@ -92,24 +89,18 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must be {what}, "
                                   f"got {getattr(self, key)!r}")
 
-        def is_int(value):
-            return isinstance(value, int) and not isinstance(value, bool)
-
         for key in ("input_path", "output_dir", "codeset"):
             expect(key, isinstance(getattr(self, key), str), "a string")
         if not self.input_path:
             raise ConfigError("input_path is required")
-        expect("window_days", is_int(self.window_days)
+        expect("window_days", isinstance(self.window_days, int)
+               and not isinstance(self.window_days, bool)
                and 1 <= self.window_days <= records.INT_MAX,
                "an integer from 1 to 2**63 - 1")
         expect("delimiter", isinstance(self.delimiter, str)
                and len(self.delimiter) == 1, "a one-character string")
         expect("provider_form", self.provider_form in ("wide", "long"),
                "'wide' or 'long'")
-        expect("eig_tol", (is_int(self.eig_tol) or isinstance(self.eig_tol, float))
-               and 0 < self.eig_tol < math.inf, "a positive finite number")
-        expect("eig_max_iter", is_int(self.eig_max_iter) and self.eig_max_iter >= 1,
-               "an integer >= 1")
         expect("distinct_complications",
                isinstance(self.distinct_complications, bool), "true or false")
         expect("regression_columns",
@@ -245,15 +236,14 @@ def load_cases(cfg: PipelineConfig):
     return diagnostics, report, retained
 
 
-def _analyze_segment(cfg: PipelineConfig, seg):
+def _analyze_segment(seg):
     """Build, project, and measure one segment's network."""
     with _stage(f"network (segment {seg.index})"):
         bipartite = network.build_bipartite(seg)
         graph = network.project_one_mode(bipartite)
         summary = network.summarize(graph, seg)
     with _stage(f"metrics (segment {seg.index})"):
-        measures = centrality.compute_all(graph, eig_tol=cfg.eig_tol,
-                                          eig_max_iter=cfg.eig_max_iter)
+        measures = centrality.compute_all(graph)
     return SegmentAnalysis(segment=seg, bipartite=bipartite, graph=graph,
                            summary=summary, measures=measures)
 
@@ -276,7 +266,7 @@ def analyze_segments(cfg: PipelineConfig, retained):
     with _stage("segment"):
         segments = records.segment_cases(retained, window_days=cfg.window_days)
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        return list(pool.map(partial(_analyze_segment, cfg), segments))
+        return list(pool.map(_analyze_segment, segments))
 
 
 def assemble_rows(cfg: PipelineConfig, analyses, codeset):

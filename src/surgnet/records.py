@@ -269,10 +269,12 @@ def parse_cases(source, delimiter=",", provider_form="wide"):
     source : path or text stream
         Delimited text with a header row naming the columns case_id,
         day_offset, end_day_offset, age, gender, surgery_type and
-        providers (provider in long form); a missing one raises
-        ConfigError. A row csv cannot read, such as one with a cell
-        past csv's field limit, is skipped with a diagnostic; an
-        unreadable header row raises DataError.
+        providers (provider in long form); a missing one, or one of
+        these or a dx_<k> named twice, raises ConfigError. A row csv
+        cannot read, such as one with a cell past csv's field limit, is
+        skipped with a diagnostic; an unreadable header row raises
+        DataError. A row's non-empty cells past the header's columns
+        are dropped with a diagnostic.
     delimiter : str
         Field delimiter, default comma.
     provider_form : {"wide", "long"}
@@ -348,13 +350,17 @@ def _parse_stream(stream, delimiter, provider_form):
     missing = [f for f in required if f not in col_index]
     if missing:
         raise ConfigError(f"column(s) not found in header: {missing}")
+    dx_names = [n for n in col_index if n.startswith("dx_") and n[3:].isdigit()]
+    repeated = [n for n, count in Counter(header).items()
+                if count > 1 and (n in required or n in dx_names)]
+    if repeated:
+        raise ConfigError(f"column(s) repeated in header: {repeated}")
     field_idx = {f: col_index[f] for f in required}
     i_case, i_day, i_end, i_age, i_gender, i_styp, i_prov = (
         field_idx[f] for f in required)
 
     # dx columns: header names dx_<k>, ordered by k
-    dx_idx = [i for _, i in sorted((int(name[3:]), i) for name, i in col_index.items()
-                                   if name.startswith("dx_") and name[3:].isdigit())]
+    dx_idx = [i for _, i in sorted((int(n[3:]), col_index[n]) for n in dx_names)]
     dx_cells = itemgetter(*dx_idx) if len(dx_idx) > 1 else \
         (lambda row: [row[i] for i in dx_idx])
 
@@ -379,6 +385,12 @@ def _parse_stream(stream, delimiter, provider_form):
             continue
         if len(row) < width:  # absent trailing cells read as empty
             row += [""] * (width - len(row))
+        elif len(row) > width:
+            extra = sum(1 for cell in row[width:] if cell.strip())
+            if extra:
+                diagnostics.append(ParseDiagnostic(
+                    row_no, f"dropped {extra} non-empty cell(s) past the "
+                            f"{width} header columns"))
 
         case_id = row[i_case].strip()
         if not case_id:

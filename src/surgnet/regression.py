@@ -14,8 +14,9 @@ optimum, and 95% intervals use coef +/- 1.959964 * se throughout.
 Newton iteration runs on an internally centered and scaled copy of the
 design (an exact affine reparametrization, mapped back afterwards);
 covariates on wildly different scales would otherwise leave the
-iteration stuck with the gradient above tolerance. Convergence is
-always judged on the original-scale gradient.
+iteration stuck with the gradient above tolerance. ``_newton`` alone
+judges convergence (``MAX_ITER``, ``LL_RTOL``, ``GRAD_TOL``), always on
+the original-scale score (``_Scaler.score_original``).
 
 The gamma-function terms of the NB2 likelihood are evaluated through
 exact rising-factorial log sums, which stay accurate down to alpha ~ 0
@@ -324,12 +325,10 @@ def poisson_fit(dm: DesignMatrix) -> FitResult:
         lambda b: poisson_loglik(b, xs, y),
         lambda b: poisson_score(b, xs, y),
         lambda b: poisson_hessian(b, xs, y),
-        conv_grad=lambda b: poisson_score(scaler.to_original(b), x, y),
-        label="poisson")
+        scaler, label="poisson")
 
     beta = scaler.to_original(theta)
-    se = _diag_se(scaler.cov_original(_invert_information(
-        -poisson_hessian(theta, xs, y), "poisson")), "poisson")
+    se = _std_errors(-poisson_hessian(theta, xs, y), scaler, "poisson")
     z, pv, lo, hi = _wald(beta, se)
     return FitResult(
         model="poisson", columns=dm.columns, coef=beta, std_err=se, z=z, p=pv,
@@ -385,8 +384,6 @@ def _gamma_ratio_sums(y, r, need_trigamma=False):
 
 
 def negbin_loglik(params, x, y) -> float:
-    params = np.asarray(params, dtype=np.float64)
-    y = np.asarray(y)
     beta, t = params[:-1], params[-1]
     eta = x @ beta
     # a huge ln alpha underflows r to 0, a hugely negative one overflows it:
@@ -402,8 +399,6 @@ def negbin_loglik(params, x, y) -> float:
 
 
 def negbin_score(params, x, y) -> np.ndarray:
-    params = np.asarray(params, dtype=np.float64)
-    y = np.asarray(y)
     beta, t = params[:-1], params[-1]
     r = np.exp(-t)
     mu = np.exp(x @ beta)
@@ -416,8 +411,6 @@ def negbin_score(params, x, y) -> np.ndarray:
 
 
 def negbin_hessian(params, x, y) -> np.ndarray:
-    params = np.asarray(params, dtype=np.float64)
-    y = np.asarray(y)
     beta, t = params[:-1], params[-1]
     a, r = np.exp(t), np.exp(-t)
     mu = np.exp(x @ beta)
@@ -485,16 +478,12 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
         raise DataError(f"start must have {p + 1} entries (beta, ln_alpha)")
     theta = np.append(scaler.from_original(start[:-1]), start[-1])
 
-    def conv_grad(th):
-        orig = np.append(scaler.to_original(th[:-1]), th[-1])
-        return negbin_score(orig, x, y)
-
     theta, ll, it, gmax = _newton(
         theta,
         lambda th: negbin_loglik(th, xs, y),
         lambda th: negbin_score(th, xs, y),
         lambda th: negbin_hessian(th, xs, y),
-        conv_grad=conv_grad, label="negbin")
+        scaler, label="negbin")
     boundary = bool(theta[-1] < LN_ALPHA_BOUNDARY)
     if boundary:
         # alpha is indistinguishable from zero at this sample size: pin it
@@ -505,15 +494,13 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
             lambda b: negbin_loglik(pin(b), xs, y),
             lambda b: negbin_score(pin(b), xs, y)[:-1],
             lambda b: negbin_hessian(pin(b), xs, y)[:-1, :-1],
-            conv_grad=lambda b: conv_grad(pin(b))[:-1],
-            label="negbin (boundary)")
+            scaler, label="negbin (boundary)")
         theta = np.append(beta_s, LN_ALPHA_FLOOR)
         info = -negbin_hessian(theta, xs, y)[:-1, :-1]
         it += it_profile
     else:
         info = -negbin_hessian(theta, xs, y)
-    se_all = _diag_se(scaler.cov_original(_invert_information(info, "negbin")),
-                      "negbin")
+    se_all = _std_errors(info, scaler, "negbin")
     se = se_all[:p]
     t_se = float("nan") if boundary else float(se_all[p])
 
@@ -588,18 +575,24 @@ class _Scaler:
         jac[p - 1, p - 1] = 1.0
         return jac @ cov_scaled @ jac.T
 
+    def score_original(self, g_scaled):
+        """Map a score on the scaled design to the original scale, the
+        transpose of ``from_original``'s map: g * scale + center *
+        g_intercept. Trailing parameters (NB2's ln alpha) pass through."""
+        p = self.scale.size
+        g = g_scaled.copy()
+        g[:p] = g_scaled[:p] * self.scale + self.center * g_scaled[p - 1]
+        return g
 
-def _invert_information(info, label):
+
+def _std_errors(info, scaler, label):
+    """Original-scale standard errors from the scaled observed information."""
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"{label}: observed information is singular at the optimum") from exc
-    return cov
-
-
-def _diag_se(cov, label):
-    diag = np.diag(cov).copy()
+    diag = np.diag(scaler.cov_original(cov))
     if np.any(diag <= 0):
         raise ConvergenceError(
             f"{label}: observed information is not positive definite "
@@ -641,25 +634,26 @@ def _line_step(theta, ll_cur, g, h, ll_fn, label):
         trace={"ll": ll_cur, "grad_max_abs": float(np.max(np.abs(g)))})
 
 
-def _newton(theta, ll_fn, g_fn, h_fn, label, conv_grad):
-    """Maximize ll_fn by damped Newton iteration.
+def _newton(theta, ll_fn, g_fn, h_fn, scaler, label):
+    """Maximize ll_fn by damped Newton iteration on ``scaler``'s design.
 
-    Returns (theta, ll, iterations, grad_max_abs). Convergence needs both
-    a small relative log-likelihood change and a small gradient;
-    ``conv_grad`` supplies the gradient used for that check (and for
-    reporting), the score on the original scale. Raises ConvergenceError,
-    with ``iterations``, ``ll`` and ``grad_max_abs`` in its trace, after
-    MAX_ITER steps or when the start's log-likelihood is not finite.
+    Returns (theta, ll, iterations, grad_max_abs). Each step computes the
+    score once and the next step reuses it. Convergence needs a relative
+    log-likelihood change below LL_RTOL and the original-scale score
+    (``scaler.score_original``) below GRAD_TOL; its max-abs is reported.
+    Raises ConvergenceError, with ``iterations``, ``ll`` and
+    ``grad_max_abs`` in its trace, after MAX_ITER steps or when the
+    start's log-likelihood is not finite.
     """
     ll = ll_fn(theta)
     if not np.isfinite(ll):
         raise ConvergenceError(f"{label}: log-likelihood not finite at start")
+    g = g_fn(theta)
     for it in range(1, MAX_ITER + 1):
-        theta_new, ll_new = _line_step(theta, ll, g_fn(theta), h_fn(theta),
-                                       ll_fn, label)
+        theta_new, ll_new = _line_step(theta, ll, g, h_fn(theta), ll_fn, label)
         rel = abs(ll_new - ll) / max(1.0, abs(ll))
-        theta, ll = theta_new, ll_new
-        gmax = float(np.max(np.abs(conv_grad(theta))))
+        theta, ll, g = theta_new, ll_new, g_fn(theta_new)
+        gmax = float(np.max(np.abs(scaler.score_original(g))))
         if rel < LL_RTOL and gmax < GRAD_TOL:
             return theta, ll, it, gmax
     raise ConvergenceError(

@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 import oracles
-from surgnet import network, pipeline
+from surgnet import centrality, network, pipeline
 from surgnet.errors import ConfigError, ConvergenceError, DataError
 from surgnet.records import MISSING
 from surgnet.pipeline import (
@@ -57,14 +59,21 @@ def test_config_validation_errors():
         PipelineConfig(input_path="x", window_days=0).validate()
     with pytest.raises(ConfigError, match="provider_form"):
         PipelineConfig(input_path="x", provider_form="tall").validate()
-    with pytest.raises(ConfigError, match="eig_tol"):
-        PipelineConfig(input_path="x", eig_tol=0.0).validate()
     with pytest.raises(ConfigError, match="unknown regression column"):
         PipelineConfig(input_path="x",
                        regression_columns=("age", "bogus")).validate()
     with pytest.raises(ConfigError, match="lists a column twice"):
         PipelineConfig(input_path="x",
                        regression_columns=("age", "age", "teamSize")).validate()
+
+
+def test_readme_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"`run` takes either .*? config keys \((.*?)\)\.",
+                       readme, re.S)
+    assert listed, "README no longer introduces the config keys"
+    assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(
+        f.name for f in fields(PipelineConfig))
 
 
 def test_config_from_file_with_overrides(tmp_path):
@@ -173,9 +182,9 @@ def test_first_segment_error_wins_whatever_finishes_first(dataset, tmp_path,
         return real_summarize(graph, segment)
 
     monkeypatch.setattr(network, "summarize", slow_first_segment)
+    monkeypatch.setattr(centrality, "EIG_MAX_ITER", 1)
     cfg = PipelineConfig(input_path=str(dataset["cases"]),
-                         output_dir=str(tmp_path / "out"), window_days=90,
-                         eig_max_iter=1)
+                         output_dir=str(tmp_path / "out"), window_days=90)
     with pytest.raises(ConvergenceError,
                        match=r"^stage metrics \(segment 1\): eigenvector power "
                              r"iteration did not converge in 1 iterations"):

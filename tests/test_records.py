@@ -169,6 +169,31 @@ def test_empty_file_raises_data_error():
 def test_missing_column_raises_config_error():
     with pytest.raises(ConfigError, match="not found"):
         read_cases_text("case_id,day_offset\nc1,0\n")
+    # a column the parser reads may not be named twice, a stray one may
+    for header, name in ((HEADER + ",age", "age"),
+                         (HEADER + ",dx_1, dx_1 ", "dx_1"),
+                         (HEADER + ",dx_1,dx_2,dx_1", "dx_1")):
+        with pytest.raises(ConfigError, match=f"repeated in header: \\['{name}'\\]"):
+            read_cases_text(header + "\nc1,0,1,50,M,1,a,,,\n")
+    cases, diags = read_cases_text(HEADER + ",note,note\nc1,0,1,50,M,1,a,x,y\n")
+    assert diags == [] and cases[0].age == 50
+    # long form does not read providers, so it may be named twice
+    cases, _ = read_cases_text(HEADER + ",providers,provider\nc1,0,1,50,M,1,,,a\n",
+                               provider_form="long")
+    assert cases[0].providers == {"a"}
+
+
+def test_cells_past_the_header_are_reported_and_the_row_kept():
+    text = (HEADER + ",dx_1\n"
+            "c1,0,1,50,M,1,a,998.5,EXTRA,MORE\n"
+            "c2,0,1,50,M,1,b,998.5,,\n"
+            "c3,0,1,50,M,1,c,998.5, ,x,\n")
+    cases, diags = read_cases_text(text)
+    assert [c.case_id for c in cases] == ["c1", "c2", "c3"]
+    assert all(c.dx_codes == ("998.5",) for c in cases)
+    assert [(d.row, d.message) for d in diags] == [
+        (2, "dropped 2 non-empty cell(s) past the 8 header columns"),
+        (4, "dropped 1 non-empty cell(s) past the 8 header columns")]
 
 
 def test_oversized_cell_skips_its_row_with_a_diagnostic():

@@ -642,6 +642,12 @@ def test_scaler_round_trip_is_exact_reparametrization():
     assert np.array_equal(scaler.cov_original(cov), jac_t @ cov @ jac_t.T)
     cov_b = np.ascontiguousarray(cov[:3, :3])
     assert np.array_equal(scaler.cov_original(cov_b), jac @ cov_b @ jac.T)
+    # the scaled score maps back to the score on the original design
+    y = rng.poisson(np.exp(x @ beta)).astype(np.float64)
+    assert_allclose(
+        scaler.score_original(poisson_score(scaler.from_original(beta.copy()),
+                                            scaler.x_scaled, y)),
+        poisson_score(beta, x, y), rtol=1e-9)
 
 
 def test_ill_conditioned_design_still_converges():
