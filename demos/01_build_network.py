@@ -38,9 +38,12 @@ for seg in segments:
 # single unweighted edge.
 from surgnet.network import build_bipartite, project_one_mode
 
+# The two-mode network is the case x provider incidence matrix B: one
+# row per case, one column per provider, a nonzero per link.
 two_mode = build_bipartite(segments[0])
-print(f"\ntwo-mode: {len(two_mode.case_nodes)} cases, "
-      f"{len(two_mode.provider_nodes)} providers, {len(two_mode.edges)} links")
+n_cases, n_providers = two_mode.incidence.shape
+print(f"\ntwo-mode: {n_cases} cases, {n_providers} providers, "
+      f"{two_mode.incidence.nnz} links")
 
 graph = project_one_mode(two_mode)
 print(f"one-mode: {graph.n_nodes} providers, {graph.n_edges} edges")

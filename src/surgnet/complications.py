@@ -100,7 +100,7 @@ class ComplicationCodeset:
         """Load ``prefix<TAB>definition`` lines; blank lines are skipped."""
         entries = []
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read codeset file {path}: {exc}") from exc
         for line_no, line in enumerate(text.splitlines(), start=1):

@@ -7,7 +7,9 @@ nodes and connecting providers who share at least one case yields the
 one-mode co-worker graph: the off-diagonal of B^T B (Borgatti & Everett
 1997), whose entries count the cases each pair shares. The projection is
 unweighted: repeated collaborations collapse to one edge, with the
-co-occurrence multiplicity kept only as edge metadata.
+co-occurrence multiplicity kept only as edge metadata. The same B gives
+each segment's case-side counts (``summarize``) and, in ``centrality``,
+its team sizes and means.
 """
 
 from dataclasses import dataclass
@@ -16,37 +18,19 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .records import Segment
-
 
 @dataclass(frozen=True, eq=False)
 class BipartiteGraph:
     """Two-mode graph: edges only run between case nodes and provider nodes.
 
-    ``incidence`` is the case x provider 0/1 matrix in CSR form: row r is
-    ``case_ids[r]``, column j is ``providers[j]`` (sorted), and each row's
-    column indices are sorted, i.e. the case's providers in id order.
+    ``incidence`` is the case x provider 0/1 matrix B in CSR form: row r
+    is the segment's r-th case, column j is ``providers[j]`` (sorted), and
+    each row's column indices are sorted, i.e. the case's providers in id
+    order.
     """
 
-    case_ids: tuple
     providers: tuple
     incidence: sparse.csr_matrix
-
-    @property
-    def case_nodes(self):
-        return frozenset(self.case_ids)
-
-    @property
-    def provider_nodes(self):
-        return frozenset(self.providers)
-
-    @property
-    def edges(self):
-        """The (case_id, provider_id) links."""
-        b = self.incidence
-        rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
-        return frozenset((self.case_ids[r], self.providers[j])
-                         for r, j in zip(rows.tolist(), b.indices.tolist()))
 
 
 class CoworkerGraph:
@@ -170,9 +154,10 @@ class GraphSummary:
     density: float
     isolated_nodes: int
     outside_largest_component: int
+    isolated_provider_cases: int
 
 
-def build_bipartite(segment: Segment) -> BipartiteGraph:
+def build_bipartite(segment) -> BipartiteGraph:
     """Two-mode network of one segment: each case links to its providers.
 
     B is the segment's rows of its case table's case x provider matrix,
@@ -184,7 +169,6 @@ def build_bipartite(segment: Segment) -> BipartiteGraph:
         (np.ones(columns.size), columns.astype(np.int32),
          cases.team_ptr.astype(np.int32)), shape=(len(cases), used.size))
     return BipartiteGraph(
-        case_ids=tuple(cases.case_id),
         providers=tuple(cases.provider_ids[j] for j in used.tolist()),
         incidence=incidence)
 
@@ -205,23 +189,26 @@ def project_one_mode(bg: BipartiteGraph) -> CoworkerGraph:
     return CoworkerGraph._from_counts(bg.providers, shared)
 
 
-def summarize(g: CoworkerGraph, segment: Segment) -> GraphSummary:
-    """Whole-graph descriptives: counts, mean team size, mean degree,
-    density, and the nodes in one-node components and outside the largest
-    component, from the graph's ``component_labels``."""
+def summarize(g: CoworkerGraph, incidence) -> GraphSummary:
+    """Whole-graph descriptives of a segment's projection ``g`` and its
+    incidence matrix B: the case count (B's rows), mean team size (B's
+    nonzeros per row), the cases with a member among the degree-0 nodes,
+    mean degree, density, and the nodes in one-node components and outside
+    the largest component, from the graph's ``component_labels``."""
     n, m = g.n_nodes, g.n_edges
-    n_cases = len(segment.cases)
+    n_cases = incidence.shape[0]
     sizes = np.bincount(g.component_labels(), minlength=1)
     return GraphSummary(
         node_count=n,
         edge_count=m,
         case_count=n_cases,
-        avg_team_size=(int(segment.cases.team_sizes.sum()) / n_cases
-                       if n_cases else 0.0),
+        avg_team_size=incidence.nnz / n_cases if n_cases else 0.0,
         avg_degree=(2.0 * m / n) if n else 0.0,
         density=(2.0 * m / (n * (n - 1))) if n >= 2 else 0.0,
         isolated_nodes=int(np.count_nonzero(sizes == 1)),
         outside_largest_component=n - int(sizes.max()),
+        isolated_provider_cases=int(np.count_nonzero(
+            incidence @ (g.degrees() == 0).astype(float))),
     )
 
 

@@ -13,7 +13,10 @@ per-case table is a dict of columns (``assemble_rows``), which the
 Spearman and regression stages read directly. ``network_data.tsv/.json``
 are formatted a column at a time, ``_CHUNK_ROWS`` rows a piece, and
 streamed into their staged files. ``RunResult.outputs``, ``.rows`` and
-``Segment.cases`` are built from the columns on access.
+``Segment.cases`` are built from the columns on access. Each segment's
+incidence matrix B gives its case-side counts and team means, and
+``regression.json`` is written from the ``regression`` result records.
+``run`` deletes the node tables an earlier run left for other segments.
 
 The process's parallelism is across segments. Each segment's network
 and measures are one task on a thread pool with a worker per CPU the
@@ -128,7 +131,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path, **overrides):
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -241,7 +244,7 @@ def _analyze_segment(seg):
     with _stage(f"network (segment {seg.index})"):
         bipartite = network.build_bipartite(seg)
         graph = network.project_one_mode(bipartite)
-        summary = network.summarize(graph, seg)
+        summary = network.summarize(graph, bipartite.incidence)
     with _stage(f"metrics (segment {seg.index})"):
         measures = centrality.compute_all(graph)
     return SegmentAnalysis(segment=seg, bipartite=bipartite, graph=graph,
@@ -360,6 +363,7 @@ def run_pipeline(cfg: PipelineConfig, write=True) -> RunResult:
         outputs = _render_outputs(result)
         with _stage("emit"):
             write_outputs(outputs, cfg.output_dir)
+            _remove_stale_tables(cfg.output_dir, outputs)
         result.output_dir, result.written = cfg.output_dir, tuple(sorted(outputs))
     return result
 
@@ -379,8 +383,8 @@ def _fmt(v):
 
 
 def _jclean(obj):
-    """Make an object JSON-safe: numpy scalars to Python, NaN and
-    infinities to None."""
+    """Make an object JSON-safe: a dataclass record to the dict of its
+    fields, numpy scalars to Python, NaN and infinities to None."""
     if isinstance(obj, dict):
         return {str(k): _jclean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -394,7 +398,9 @@ def _jclean(obj):
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
         return v if math.isfinite(v) else None
-    return obj
+    if obj is None or isinstance(obj, str):
+        return obj
+    return {f.name: _jclean(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _json_text(obj) -> str:
@@ -575,32 +581,16 @@ def render_regression(est: EstimationResult):
     return "\n".join(lines) + "\n"
 
 
+# FitResult fields regression.json leaves out, and those only NB2 writes
+_FIT_UNWRITTEN = ("design_key", "trace")
+_NB2_ONLY = ("alpha", "ln_alpha", "alpha_std_err", "ln_alpha_std_err",
+             "alpha_ci", "ln_alpha_ci", "alpha_boundary")
+
+
 def _fit_record(fit: regression.FitResult):
-    rec = {
-        "model": fit.model,
-        "columns": list(fit.columns),
-        "coef": fit.coef,
-        "std_err": fit.std_err,
-        "z": fit.z,
-        "p": fit.p,
-        "ci_low": fit.ci_low,
-        "ci_high": fit.ci_high,
-        "log_likelihood": fit.log_likelihood,
-        "n_obs": fit.n_obs,
-        "iterations": fit.iterations,
-        "grad_max_abs": fit.grad_max_abs,
-    }
-    if fit.model == "negbin":
-        rec.update({
-            "alpha": fit.alpha,
-            "ln_alpha": fit.ln_alpha,
-            "alpha_std_err": fit.alpha_std_err,
-            "ln_alpha_std_err": fit.ln_alpha_std_err,
-            "alpha_ci": list(fit.alpha_ci),
-            "ln_alpha_ci": list(fit.ln_alpha_ci),
-            "alpha_boundary": fit.alpha_boundary,
-        })
-    return rec
+    skip = _FIT_UNWRITTEN + (() if fit.model == "negbin" else _NB2_ONLY)
+    return {f.name: getattr(fit, f.name) for f in fields(fit)
+            if f.name not in skip}
 
 
 def _build_manifest(cfg, diagnostics, report, retained, analyses, table,
@@ -614,11 +604,6 @@ def _build_manifest(cfg, diagnostics, report, retained, analyses, table,
         "isolated_nodes": sa.summary.isolated_nodes,
         "outside_largest_component": sa.summary.outside_largest_component,
     } for sa in analyses]
-    # cases with a member among the degree-0 columns of the incidence matrix
-    iso_cases = sum(
-        int(np.count_nonzero(
-            sa.bipartite.incidence @ (sa.graph.degrees() == 0).astype(float)))
-        for sa in analyses)
     return {
         "surgnet_version": _VERSION,
         "config": cfg.to_dict(),
@@ -632,7 +617,9 @@ def _build_manifest(cfg, diagnostics, report, retained, analyses, table,
                          "cases_per_segment":
                              [sa.summary.case_count for sa in analyses]},
             "network": {"per_segment": per_segment,
-                        "cases_with_isolated_providers": iso_cases},
+                        "cases_with_isolated_providers": sum(
+                            sa.summary.isolated_provider_cases
+                            for sa in analyses)},
             "join": {"rows": len(table["case_id"])},
             "correlate": {"n_obs": spearman.n_obs,
                           "degenerate_columns": list(spearman.degenerate)},
@@ -672,18 +659,13 @@ def _render_outputs(result: RunResult):
         }),
         "regression.tsv": render_regression(est),
         "regression.json": _json_text({
-            "ols": {"columns": list(est.ols.columns), "coef": est.ols.coef,
-                    "r_squared": est.ols.r_squared, "n_obs": est.ols.n_obs},
-            "vif": [{"name": v.name, "vif": v.vif, "tolerance": v.tolerance}
-                    for v in est.vifs],
+            "ols": est.ols,
+            "vif": est.vifs,
             "dropped_constant_covariates": list(est.design.dropped_constant),
             "poisson": _fit_record(est.poisson),
-            "gof": {"pearson_chi2": est.gof.pearson_chi2,
-                    "deviance": est.gof.deviance, "df": est.gof.df,
-                    "p_value": est.gof.p_value},
+            "gof": est.gof,
             "negbin": _fit_record(est.negbin),
-            "lr_alpha": {"statistic": est.lr_alpha.statistic,
-                         "p_value": est.lr_alpha.p_value},
+            "lr_alpha": est.lr_alpha,
         }),
         "manifest.json": _json_text(result.manifest),
     }
@@ -702,3 +684,17 @@ def write_outputs(outputs, output_dir):
         raise ConfigError(f"cannot create output dir {outdir}: {exc}") from exc
     records.write_staged({outdir / name: outputs[name]
                           for name in sorted(outputs)})
+
+
+def _remove_stale_tables(output_dir, written):
+    """Delete each ``node_metrics_seg<k>.tsv`` in ``output_dir`` not named
+    in ``written``: tables an earlier run left for segments this run does
+    not have. Any OSError ends in a ConfigError."""
+    try:
+        for path in Path(output_dir).glob("node_metrics_seg*.tsv"):
+            if (path.name not in written
+                    and path.stem[len("node_metrics_seg"):].isdigit()):
+                path.unlink()
+    except OSError as exc:
+        raise ConfigError(f"cannot remove stale tables from {output_dir}: "
+                          f"{exc}") from exc

@@ -251,10 +251,19 @@ def _parse_gender(raw: str) -> str:
     return "other"
 
 
+def _breaks_line(text: str) -> bool:
+    """Whether ``text`` holds a tab or line break, which would split its
+    row of a TSV artifact."""
+    return "\t" in text or "\n" in text or "\r" in text
+
+
 def _split_providers(raw: str) -> tuple[frozenset, int]:
-    """Split a semicolon-joined provider cell; returns (ids, dropped_count)."""
+    """Split a semicolon-joined provider cell; returns (ids, dropped_count).
+    Placeholders and ids holding a tab or line break are dropped."""
     tokens = [t.strip() for t in raw.split(";")]
     kept = {t for t in tokens if t.lower() not in PLACEHOLDER_IDS}
+    if _breaks_line(raw):
+        kept = {t for t in kept if not _breaks_line(t)}
     return frozenset(kept), len(tokens) - len(kept)
 
 
@@ -262,12 +271,15 @@ def parse_cases(source, delimiter=",", provider_form="wide"):
     """Parse case records from delimited text.
 
     Provider tokens in ``PLACEHOLDER_IDS`` (compared lower-cased) are
-    dropped as invalid/generic entries.
+    dropped as invalid/generic entries, and so are tokens holding a tab or
+    line break, which the TSV artifacts cannot hold; a case_id holding
+    one skips its row with a diagnostic.
 
     Parameters
     ----------
     source : path or text stream
-        Delimited text with a header row naming the columns case_id,
+        Delimited text (a file is read as UTF-8, a leading byte-order
+        mark skipped) with a header row naming the columns case_id,
         day_offset, end_day_offset, age, gender, surgery_type and
         providers (provider in long form); a missing one, or one of
         these or a dx_<k> named twice, raises ConfigError. A row csv
@@ -297,7 +309,7 @@ def parse_cases(source, delimiter=",", provider_form="wide"):
     close_after = False
     if isinstance(source, (str, Path)):
         try:
-            stream = open(source, "r", newline="", encoding="utf-8")
+            stream = open(source, "r", newline="", encoding="utf-8-sig")
         except OSError as exc:
             raise DataError(f"cannot read case file {source}: {exc}") from exc
         close_after = True
@@ -395,6 +407,10 @@ def _parse_stream(stream, delimiter, provider_form):
         case_id = row[i_case].strip()
         if not case_id:
             diagnostics.append(ParseDiagnostic(row_no, "empty case_id"))
+            continue
+        if _breaks_line(case_id):
+            diagnostics.append(ParseDiagnostic(
+                row_no, f"case_id {case_id!r} holds a tab or line break"))
             continue
         dx = [c.strip() for c in dx_cells(row) if c and not c.isspace()]
 

@@ -266,6 +266,33 @@ def test_run_with_a_directory_in_the_way_is_config_error(dataset, tmp_path,
     assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
 
 
+def test_run_removes_tables_of_segments_it_no_longer_has(dataset, tmp_path,
+                                                        capsys):
+    outdir = tmp_path / "out"
+    run = ["run", "--input", str(dataset), "--output-dir", str(outdir)]
+
+    def tables():
+        return sorted(p.name for p in outdir.glob("node_metrics*"))
+
+    assert cli.main(run + ["--window-days", "80"]) == 0
+    (outdir / "node_metrics_seg_notes.tsv").write_text("not a table\n")
+    # metrics --segment writes its one table and leaves the others
+    assert cli.main(["metrics", str(dataset), "--window-days", "80",
+                     "--segment", "2", "--output-dir", str(outdir)]) == 0
+    assert tables() == ["node_metrics_seg1.tsv", "node_metrics_seg2.tsv",
+                        "node_metrics_seg3.tsv", "node_metrics_seg_notes.tsv"]
+    # one segment now: the tables of segments 2 and 3 go
+    assert cli.main(run + ["--window-days", "100000"]) == 0
+    assert tables() == ["node_metrics_seg1.tsv", "node_metrics_seg_notes.tsv"]
+    assert len(list(outdir.iterdir())) == 11 + 1  # the run's files, the notes
+    # a table that cannot be removed is a config error
+    (outdir / "node_metrics_seg7.tsv").mkdir()
+    capsys.readouterr()
+    assert cli.main(run + ["--window-days", "100000"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: stage emit: cannot remove stale tables from {outdir}")
+
+
 def test_run_without_input_is_config_error(capsys):
     rc = cli.main(["run"])
     assert rc == 2
@@ -372,6 +399,27 @@ def test_undecodable_codeset_file_is_data_error(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert str(codes) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["case", "codeset", "config"])
+def test_a_leading_byte_order_mark_is_skipped(dataset, tmp_path, capsys, kind):
+    files = {"case": tmp_path / "cases.csv", "codeset": tmp_path / "codes.tsv",
+             "config": tmp_path / "cfg.json"}
+    files["case"].write_text("case_id,day_offset,end_day_offset,age,gender,"
+                             "surgery_type,providers\nc1,0,3,50,M,1,a;b\n")
+    files["codeset"].write_text("996.5\tMechanical complication\n")
+    files["config"].write_text(json.dumps({
+        "input_path": str(dataset), "window_days": 80,
+        "output_dir": str(tmp_path / "out")}))
+    argv = {"case": ["ingest-check", str(files["case"])],
+            "codeset": ["dump-codeset", "--codeset", str(files["codeset"])],
+            "config": ["run", "--config", str(files["config"])]}[kind]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    path = files[kind]
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):

@@ -23,13 +23,21 @@ def seg(cases, index=1, start=0, end=365):
                    cases=case_table(cases))
 
 
+def links(bg, case_ids):
+    """The (case_id, provider_id) links of B; row r is ``case_ids[r]``."""
+    b = bg.incidence
+    return {(case_ids[r], bg.providers[j]) for r in range(b.shape[0])
+            for j in b.indices[b.indptr[r]:b.indptr[r + 1]].tolist()}
+
+
 def test_bipartite_links_each_case_to_its_providers():
     s = seg([make_case("c1", providers=("a", "b")),
              make_case("c2", providers=("b", "c"))])
     bg = build_bipartite(s)
-    assert bg.case_nodes == {"c1", "c2"}
-    assert bg.provider_nodes == {"a", "b", "c"}
-    assert bg.edges == {("c1", "a"), ("c1", "b"), ("c2", "b"), ("c2", "c")}
+    assert bg.incidence.shape[0] == len(s.cases) == 2
+    assert bg.providers == ("a", "b", "c")
+    assert links(bg, s.cases.case_id) == {
+        ("c1", "a"), ("c1", "b"), ("c2", "b"), ("c2", "c")}
 
 
 def test_projection_makes_clique_per_case():
@@ -96,8 +104,8 @@ def test_graph_construction_is_input_order_independent():
 def test_summarize_hand_computed():
     s = seg([make_case("c1", providers=("a", "b", "c")),
              make_case("c2", providers=("c", "d"))])
-    g = project_one_mode(build_bipartite(s))
-    info = summarize(g, s)
+    bg = build_bipartite(s)
+    info = summarize(project_one_mode(bg), bg.incidence)
     assert info.node_count == 4
     assert info.edge_count == 4
     assert info.case_count == 2
@@ -107,12 +115,12 @@ def test_summarize_hand_computed():
 
 
 def test_summarize_empty_segment():
-    s = seg([])
-    g = project_one_mode(build_bipartite(s))
-    info = summarize(g, s)
+    bg = build_bipartite(seg([]))
+    info = summarize(project_one_mode(bg), bg.incidence)
     assert (info.node_count, info.edge_count, info.case_count) == (0, 0, 0)
     assert info.avg_team_size == info.avg_degree == info.density == 0.0
     assert info.isolated_nodes == info.outside_largest_component == 0
+    assert info.isolated_provider_cases == 0
 
 
 def test_summarize_counts_components():
@@ -120,9 +128,11 @@ def test_summarize_counts_components():
     s = seg([make_case("c1", providers=("a", "b", "c")),
              make_case("c2", providers=("d", "e")),
              make_case("c3", providers=("f",))])
-    info = summarize(project_one_mode(build_bipartite(s)), s)
+    bg = build_bipartite(s)
+    info = summarize(project_one_mode(bg), bg.incidence)
     assert info.isolated_nodes == 1
     assert info.outside_largest_component == 3
+    assert info.isolated_provider_cases == 1
 
 
 def test_write_edge_list_stream_and_path():
@@ -145,7 +155,8 @@ def test_projection_equals_union_of_cliques_on_random_segments():
         # solo cases of providers who work with nobody else: isolated nodes
         solos = [f"solo{k}" for k in range(int(rng.integers(0, 3)))]
         cases += [make_case(f"s{p}", providers=(p,)) for p in solos]
-        bg = build_bipartite(seg(cases))
+        s = seg(cases)
+        bg = build_bipartite(s)
         g = project_one_mode(bg)
 
         expected_edges = set()
@@ -170,4 +181,13 @@ def test_projection_equals_union_of_cliques_on_random_segments():
         for r, c in enumerate(cases):
             row = b.indices[b.indptr[r]:b.indptr[r + 1]]
             assert [bg.providers[j] for j in row] == sorted(c.providers)
-        assert bg.edges == {(c.case_id, p) for c in cases for p in c.providers}
+        assert links(bg, s.cases.case_id) == {
+            (c.case_id, p) for c in cases for p in c.providers}
+        # the case-side counts, from B, against the case records
+        info = summarize(g, bg.incidence)
+        assert info.case_count == len(cases)
+        assert info.avg_team_size == pytest.approx(
+            sum(len(c.providers) for c in cases) / len(cases))
+        alone = expected_nodes - {p for u, v in expected_edges for p in (u, v)}
+        assert info.isolated_provider_cases == sum(
+            1 for c in cases if c.providers & alone)

@@ -174,14 +174,14 @@ def test_first_segment_error_wins_whatever_finishes_first(dataset, tmp_path,
                                                           monkeypatch):
     # every segment fails its eigenvector iteration; segment 1 is held back
     # so a pooled later segment fails first in time
-    real_summarize = network.summarize
+    real_build = network.build_bipartite
 
-    def slow_first_segment(graph, segment):
+    def slow_first_segment(segment):
         if segment.index == 1:
             time.sleep(0.2)
-        return real_summarize(graph, segment)
+        return real_build(segment)
 
-    monkeypatch.setattr(network, "summarize", slow_first_segment)
+    monkeypatch.setattr(network, "build_bipartite", slow_first_segment)
     monkeypatch.setattr(centrality, "EIG_MAX_ITER", 1)
     cfg = PipelineConfig(input_path=str(dataset["cases"]),
                          output_dir=str(tmp_path / "out"), window_days=90)
@@ -326,6 +326,19 @@ def test_regression_json_round_trip(run):
     assert data["gof"]["df"] == est.gof.df
     assert [v["name"] for v in data["vif"]] == \
         [v.name for v in est.vifs]
+    # each section's keys, pinned: a renamed or added record field fails here
+    fit = {"model", "columns", "coef", "std_err", "z", "p", "ci_low",
+           "ci_high", "log_likelihood", "n_obs", "iterations", "grad_max_abs"}
+    assert set(data) == {"ols", "vif", "dropped_constant_covariates",
+                         "poisson", "gof", "negbin", "lr_alpha"}
+    assert set(data["poisson"]) == fit
+    assert set(data["negbin"]) == fit | {
+        "alpha", "ln_alpha", "alpha_std_err", "ln_alpha_std_err", "alpha_ci",
+        "ln_alpha_ci", "alpha_boundary"}
+    assert set(data["ols"]) == {"columns", "coef", "r_squared", "n_obs"}
+    assert all(set(v) == {"name", "vif", "tolerance"} for v in data["vif"])
+    assert set(data["gof"]) == {"pearson_chi2", "deviance", "df", "p_value"}
+    assert set(data["lr_alpha"]) == {"statistic", "p_value"}
 
 
 def test_recovers_generating_coefficients_loosely(run, dataset):

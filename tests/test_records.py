@@ -1,5 +1,6 @@
 """Parsing, exclusion filtering, and time segmentation."""
 
+import csv
 import io
 
 import numpy as np
@@ -67,6 +68,27 @@ def test_placeholder_providers_dropped_with_diagnostic():
     cases, diags = read_cases_text(HEADER + "\nc1,0,1,50,M,1,a;NULL;unknown;b\n")
     assert cases[0].providers == frozenset({"a", "b"})
     assert len(diags) == 1 and "2 invalid provider" in diags[0].message
+
+
+def test_ids_holding_a_tab_or_line_break_are_refused():
+    # each would split its row of network_data.tsv or node_metrics_seg<k>.tsv
+    text = io.StringIO()
+    csv.writer(text).writerows([
+        HEADER.split(","),
+        ["c\tX", "0", "1", "50", "M", "1", "a;b"],
+        ["c\nY", "0", "1", "50", "M", "1", "a"],
+        ["c\rZ", "0", "1", "50", "M", "1", "a"],
+        ["c3", "0", "1", "50", "M", "1", "a;p\tq;b\n;null;c"],
+    ])
+    cases, diags = read_cases_text(text.getvalue())
+    assert [c.case_id for c in cases] == ["c3"]
+    # a trailing break is whitespace that stripping removes
+    assert cases[0].providers == frozenset({"a", "b", "c"})
+    assert [(d.row, d.message) for d in diags] == [
+        (2, "case_id 'c\\tX' holds a tab or line break"),
+        (3, "case_id 'c\\nY' holds a tab or line break"),
+        (4, "case_id 'c\\rZ' holds a tab or line break"),
+        (5, "dropped 2 invalid provider id(s) for case c3")]
 
 
 def test_no_valid_providers_keeps_case_with_diagnostic():
