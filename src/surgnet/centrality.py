@@ -25,7 +25,8 @@ at eccentricity 2 makes 2 products, one each way. The pass's level-2
 product, read at the sources' neighbors, is the masked A^2 column block
 of SpGEMM triangle counting (Azad, Buluc & Gilbert 2015), so triangles
 need no product of their own. Components come from the graph's one
-labelling (``CoworkerGraph.component_labels``), which gives the pass its
+labelling (``CoworkerGraph.component_labels``, each node labelled with
+the least node index in its component), which gives the pass its
 component sizes and the eigenvector iteration its largest component,
 where it multiplies by A restricted to that component. The iteration's
 stopping rule lives here alone: ``EIG_TOL`` and ``EIG_MAX_ITER``.
@@ -211,7 +212,7 @@ def _labelled(g):
 
 def connected_components(g: CoworkerGraph):
     """Components as frozensets of ids, largest first (ties: earliest node)."""
-    # labels increase with the smallest node index in the component
+    # a label is the least node index in its component
     labels = g.component_labels()
     comps = {}
     for i, lab in enumerate(labels):

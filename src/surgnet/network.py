@@ -9,14 +9,15 @@ one-mode co-worker graph: the off-diagonal of B^T B (Borgatti & Everett
 unweighted: repeated collaborations collapse to one edge, with the
 co-occurrence multiplicity kept only as edge metadata. The same B gives
 each segment's case-side counts (``summarize``) and, in ``centrality``,
-its team sizes and means.
+its team sizes and means. The co-worker graph labels its own connected
+components from its CSR arrays, each node with the least node index in
+its component.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,13 +117,24 @@ class CoworkerGraph:
     def component_labels(self):
         """Connected-component label per node, aligned with ``self.nodes``.
 
-        Labels increase with the smallest node index in the component. The
-        graph is labelled on the first call only; every later call, from
-        any measure, returns the same array, so callers must not modify it.
+        A node's label is the least node index in its component. Each
+        round hooks every root to the least root among its neighbours'
+        roots, then points every node at its root's root, until a round
+        changes nothing (Shiloach & Vishkin 1982). The graph is labelled
+        on the first call only; every later call, from any measure,
+        returns the same array, so callers must not modify it.
         """
         if self._labels is None:
-            self._labels = csgraph.connected_components(
-                self.adjacency(), directed=False)[1]
+            rows = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
+            low = np.arange(self.n_nodes)
+            while True:
+                new = low.copy()
+                np.minimum.at(new, low[rows], low[self.indices])
+                new = new[new]
+                if np.array_equal(new, low):
+                    break
+                low = new
+            self._labels = low
         return self._labels
 
     def neighbors(self, node):

@@ -689,11 +689,14 @@ def write_outputs(outputs, output_dir):
 def _remove_stale_tables(output_dir, written):
     """Delete each ``node_metrics_seg<k>.tsv`` in ``output_dir`` not named
     in ``written``: tables an earlier run left for segments this run does
-    not have. Any OSError ends in a ConfigError."""
+    not have. k is a positive integer as ``str(k)`` writes it, so names
+    with leading zeros or non-ASCII digits stay. Any OSError ends in a
+    ConfigError."""
     try:
         for path in Path(output_dir).glob("node_metrics_seg*.tsv"):
-            if (path.name not in written
-                    and path.stem[len("node_metrics_seg"):].isdigit()):
+            k = path.stem[len("node_metrics_seg"):]
+            if (path.name not in written and k.isascii() and k.isdigit()
+                    and k[0] != "0"):
                 path.unlink()
     except OSError as exc:
         raise ConfigError(f"cannot remove stale tables from {output_dir}: "

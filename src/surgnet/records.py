@@ -224,9 +224,12 @@ class ParseDiagnostic:
 
 def _parse_int(raw: str, field: str, row: int, diagnostics, nonneg=True):
     """Parse an optional integer cell. Returns (value, ok); an empty cell
-    is (None, True). Values must fit in 64 bits."""
+    is (None, True). Values must fit in 64 bits, and a cell with a
+    digit-group underscore, which int() reads (5_0 as 50), is non-numeric."""
     try:
         value = int(raw)  # int() trims whitespace as str.strip() does
+        if "_" in raw:  # and reads digit-group underscores: 5_0 is 50
+            raise ValueError(raw)
     except ValueError:
         raw = raw.strip()
         if raw == "":

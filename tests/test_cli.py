@@ -275,16 +275,20 @@ def test_run_removes_tables_of_segments_it_no_longer_has(dataset, tmp_path,
         return sorted(p.name for p in outdir.glob("node_metrics*"))
 
     assert cli.main(run + ["--window-days", "80"]) == 0
-    (outdir / "node_metrics_seg_notes.tsv").write_text("not a table\n")
+    # names no run writes: str(k) has no leading zero or non-ASCII digit
+    others = ["node_metrics_seg01.tsv", "node_metrics_seg_notes.tsv",
+              "node_metrics_seg\u00b2.tsv", "node_metrics_seg\u0663.tsv"]
+    for name in others:
+        (outdir / name).write_text("not a table\n")
     # metrics --segment writes its one table and leaves the others
     assert cli.main(["metrics", str(dataset), "--window-days", "80",
                      "--segment", "2", "--output-dir", str(outdir)]) == 0
-    assert tables() == ["node_metrics_seg1.tsv", "node_metrics_seg2.tsv",
-                        "node_metrics_seg3.tsv", "node_metrics_seg_notes.tsv"]
+    assert tables() == sorted(["node_metrics_seg1.tsv", "node_metrics_seg2.tsv",
+                               "node_metrics_seg3.tsv"] + others)
     # one segment now: the tables of segments 2 and 3 go
     assert cli.main(run + ["--window-days", "100000"]) == 0
-    assert tables() == ["node_metrics_seg1.tsv", "node_metrics_seg_notes.tsv"]
-    assert len(list(outdir.iterdir())) == 11 + 1  # the run's files, the notes
+    assert tables() == sorted(["node_metrics_seg1.tsv"] + others)
+    assert len(list(outdir.iterdir())) == 11 + 4  # the run's files, others
     # a table that cannot be removed is a config error
     (outdir / "node_metrics_seg7.tsv").mkdir()
     capsys.readouterr()
@@ -440,6 +444,23 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert out.is_file()
+
+
+def test_run_leaves_scipy_linear_algebra_unloaded(dataset, tmp_path):
+    # the graph labels its own components, so a whole run needs neither
+    # csgraph nor the sparse and dense linear algebra that csgraph loads
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from surgnet import cli; "
+            f"assert cli.main(['run', '--input', {str(dataset)!r}, "
+            f"'--output-dir', {str(tmp_path / 'out')!r}]) == 0; "
+            "sys.exit(' '.join(m for m in ('scipy.sparse.csgraph', "
+            "'scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules)"
+            " or None)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "manifest.json").is_file()
 
 
 def test_env_output_dir_and_flag_precedence(dataset, tmp_path, monkeypatch,

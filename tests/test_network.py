@@ -6,6 +6,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from conftest import case_table, make_case
 from surgnet.records import Segment
@@ -191,3 +194,58 @@ def test_projection_equals_union_of_cliques_on_random_segments():
         alone = expected_nodes - {p for u, v in expected_edges for p in (u, v)}
         assert info.isolated_provider_cases == sum(
             1 for c in cases if c.providers & alone)
+
+
+def assert_labels_match_csgraph(g):
+    """``component_labels`` names each component by its least node index:
+    csgraph's labels, renumbered by each component's first node."""
+    oracle = csgraph.connected_components(g.adjacency(), directed=False)[1]
+    first = np.unique(oracle, return_index=True)[1]
+    np.testing.assert_array_equal(g.component_labels(), first[oracle])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 40), data=st.data())
+@example(n=0, data=None)  # the empty graph
+@example(n=5, data=None)  # isolated nodes only
+def test_component_labels_match_csgraph(n, data):
+    ends = st.integers(0, max(n - 1, 0))
+    edges = [] if data is None or n < 2 else data.draw(st.lists(
+        st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    assert_labels_match_csgraph(CoworkerGraph(range(n), edges))
+
+
+def test_component_labels_of_pairs_and_isolated_nodes():
+    g = CoworkerGraph(range(7), [(5, 0), (2, 6), (3, 4)])
+    assert g.component_labels().tolist() == [0, 1, 2, 3, 3, 0, 2]
+    assert_labels_match_csgraph(g)
+
+
+def _structured(shape, n):
+    """Edges of a 20 000-node path, grid, star or caterpillar over node
+    indices 0..n-1, in natural order."""
+    i = np.arange(n)
+    if shape == "path":
+        return np.column_stack([i[:-1], i[1:]])
+    if shape == "grid":  # 100 x 200, row-major
+        right = i[(i + 1) % 200 != 0]
+        return np.vstack([np.column_stack([right, right + 1]),
+                          np.column_stack([i[:-200], i[200:]])])
+    if shape == "star":
+        return np.column_stack([np.zeros(n - 1, dtype=int), i[1:]])
+    spine = i[:n // 2]  # caterpillar: a path with one leg per spine node
+    return np.vstack([np.column_stack([spine[:-1], spine[1:]]),
+                      np.column_stack([spine, spine + n // 2])])
+
+
+@pytest.mark.parametrize("shape", ["path", "grid", "star", "caterpillar"])
+def test_component_labels_on_large_structured_graphs(shape):
+    # in random node order a component's least node sits anywhere in it,
+    # and a path's labels must travel its whole length
+    n = 20_000
+    order = np.random.default_rng(0).permutation(n)
+    edges = order[_structured(shape, n)]
+    g = CoworkerGraph(range(n), edges.tolist())
+    assert g.n_edges == len(edges)
+    assert_labels_match_csgraph(g)
+    assert (g.component_labels() == 0).all()

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csgraph
 
 import oracles
 from surgnet import centrality, network, pipeline
@@ -386,13 +385,15 @@ def test_manifest_counts_cases_with_isolated_providers(dataset, tmp_path):
 
 
 def test_each_segment_is_labelled_once(dataset, tmp_path, monkeypatch):
-    real_label, labelled = csgraph.connected_components, []
+    real_label, labelled = network.CoworkerGraph.component_labels, []
 
-    def label_counting(*args, **kwargs):
-        labelled.append(args[0].shape[0])
-        return real_label(*args, **kwargs)
+    def label_counting(g):
+        if g._labels is None:
+            labelled.append(g.n_nodes)
+        return real_label(g)
 
-    monkeypatch.setattr(csgraph, "connected_components", label_counting)
+    monkeypatch.setattr(network.CoworkerGraph, "component_labels",
+                        label_counting)
     result = run_pipeline(PipelineConfig(
         input_path=str(dataset["cases"]), output_dir=str(tmp_path / "out"),
         window_days=90), write=False)

@@ -109,6 +109,10 @@ def test_malformed_numeric_rows_skipped_with_diagnostics():
             "c1,ten,1,50,M,1,a\n"        # non-numeric day
             "c2,-3,1,50,M,1,a\n"         # negative day
             "c3,0,1,50,M,one,a\n"        # non-numeric surgery type
+            # digit-group underscores, which int() reads: 5_0 is 50
+            "c5,0,1,5_0,M,1,a\n"
+            "c6,1_0,11,50,M,1,a\n"
+            "c7,0,1,50,M,1_2,a\n"
             "c4,0,1,50,M,1,a\n")
     cases, diags = read_cases_text(text)
     assert [c.case_id for c in cases] == ["c4"]
@@ -116,6 +120,10 @@ def test_malformed_numeric_rows_skipped_with_diagnostics():
     assert "non-numeric day_offset" in messages
     assert "negative day_offset" in messages
     assert "non-numeric surgery_type" in messages
+    assert [(d.row, d.message) for d in diags[3:]] == [
+        (5, "non-numeric age: '5_0'"),
+        (6, "non-numeric day_offset: '1_0'"),
+        (7, "non-numeric surgery_type: '1_2'")]
 
 
 def test_integers_beyond_64_bits_skipped_with_diagnostics():
@@ -262,14 +270,15 @@ def test_long_form_reports_every_discarded_continuation_value():
             # kept dx code: nothing is lost
             "c1,0,,95,male,1,b,998.5,\n"
             # five conflicting scalars, then two codes beyond the kept
-            # one, then an unparseable day
+            # one, then an unparseable day and age
             "c1,3,4,70,F,2,c,998.5,997.1\n"
             "c1,,,,,,d,998.5,998.5\n"
-            "c1,x,,,,,e,,\n")
+            "c1,x,,,,,e,,\n"
+            "c1,,,9_0,,,f,,\n")
     cases, diags = read_cases_text(text, provider_form="long")
     assert len(cases) == 1
     c1 = cases[0]
-    assert c1.providers == frozenset("abcde")
+    assert c1.providers == frozenset("abcdef")
     assert (c1.day_offset, c1.end_day_offset, c1.age, c1.gender,
             c1.surgery_type, c1.dx_codes) == (0, 2, 90, "male", 1, ("998.5",))
     assert [(d.row, d.message) for d in diags] == [
@@ -281,6 +290,7 @@ def test_long_form_reports_every_discarded_continuation_value():
         (4, "case c1: discarded dx code '997.1' beyond the kept codes"),
         (5, "case c1: discarded dx code '998.5' beyond the kept codes"),
         (6, "non-numeric day_offset: 'x'"),
+        (7, "non-numeric age: '9_0'"),
     ]
 
 
