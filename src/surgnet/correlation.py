@@ -2,16 +2,16 @@
 
 Ranks use average-tie assignment; rho is the Pearson correlation of the
 rank vectors and p-values come from the t approximation with n - 2
-degrees of freedom. Columns with zero variance have undefined rho against
-everything; those pairs are reported as NaN.
+degrees of freedom, by ``tails.t_p``. Columns with zero variance have
+undefined rho against everything; those pairs are reported as NaN.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import DataError
+from .tails import t_p
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _t_pvalue(rho, n):
     if abs(rho) >= 1.0:
         return 0.0
     t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return float(2.0 * stdtr(n - 2, -abs(t)))
+    return t_p(t, n - 2)
 
 
 def spearman_matrix(columns) -> SpearmanResult:

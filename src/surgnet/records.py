@@ -224,17 +224,21 @@ class ParseDiagnostic:
 
 def _parse_int(raw: str, field: str, row: int, diagnostics, nonneg=True):
     """Parse an optional integer cell. Returns (value, ok); an empty cell
-    is (None, True). Values must fit in 64 bits, and a cell with a
-    digit-group underscore, which int() reads (5_0 as 50), is non-numeric."""
+    is (None, True). A value is ``[+-]?[0-9]+`` once the surrounding
+    whitespace is stripped, and must fit in 64 bits. The other forms that
+    int() reads are non-numeric: digit-group underscores (5_0) and every
+    non-ASCII decimal digit, Arabic-Indic and full-width ones included."""
+    text = raw.strip()
+    if not text:
+        return None, True
     try:
-        value = int(raw)  # int() trims whitespace as str.strip() does
-        if "_" in raw:  # and reads digit-group underscores: 5_0 is 50
-            raise ValueError(raw)
+        # on ASCII text without an underscore, int() reads the grammar
+        # above and nothing else; this is cheaper than matching it first
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        value = int(text)
     except ValueError:
-        raw = raw.strip()
-        if raw == "":
-            return None, True
-        diagnostics.append(ParseDiagnostic(row, f"non-numeric {field}: {raw!r}"))
+        diagnostics.append(ParseDiagnostic(row, f"non-numeric {field}: {text!r}"))
         return None, False
     if nonneg and value < 0:
         diagnostics.append(ParseDiagnostic(row, f"negative {field}: {value}"))

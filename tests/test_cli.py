@@ -448,14 +448,17 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
 
 def test_run_leaves_scipy_linear_algebra_unloaded(dataset, tmp_path):
     # the graph labels its own components, so a whole run needs neither
-    # csgraph nor the sparse and dense linear algebra that csgraph loads
+    # csgraph nor the sparse and dense linear algebra that csgraph loads;
+    # its p-values and log-factorials come from surgnet.tails, not from
+    # scipy.special
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys; from surgnet import cli; "
             f"assert cli.main(['run', '--input', {str(dataset)!r}, "
             f"'--output-dir', {str(tmp_path / 'out')!r}]) == 0; "
             "sys.exit(' '.join(m for m in ('scipy.sparse.csgraph', "
-            "'scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules)"
+            "'scipy.sparse.linalg', 'scipy.linalg', 'scipy.special') "
+            "if m in sys.modules)"
             " or None)")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)

@@ -76,7 +76,7 @@ def test_matrix_shape_and_symmetry():
                 continue
             want_rho, want_p = oracles.spearman_by_scipy(cols[a], cols[b])
             assert res.rho[i, j] == pytest.approx(want_rho, abs=1e-12)
-            assert res.p[i, j] == pytest.approx(want_p, rel=1e-10)
+            assert res.p[i, j] == pytest.approx(want_p, rel=1e-12)
 
 
 def test_pair_accessor():

@@ -126,6 +126,35 @@ def test_malformed_numeric_rows_skipped_with_diagnostics():
         (7, "non-numeric surgery_type: '1_2'")]
 
 
+def test_integers_are_ascii_digits_only():
+    # int() reads any Unicode decimal digits and digit-group underscores;
+    # a cell is [+-]?[0-9]+ after its surrounding whitespace is stripped
+    text = (HEADER + "\n"
+            "c1,\u0660,\u0661,\u0665\u0660,M,1,a\n"   # Arabic-Indic 0, 1, 50
+            "c2,0,1,\uff15\uff10,M,1,a\n"              # full-width 50
+            "c3,0,1,50,M,\U0001d7d0,a\n"               # mathematical bold 2
+            "c4, +3 ,\t007 ,-0,M,+1,a\n")
+    cases, diags = read_cases_text(text)
+    assert [(d.row, d.message) for d in diags] == [
+        (2, "non-numeric day_offset: '\u0660'"),
+        (2, "non-numeric end_day_offset: '\u0661'"),
+        (2, "non-numeric age: '\u0665\u0660'"),
+        (3, "non-numeric age: '\uff15\uff10'"),
+        (4, "non-numeric surgery_type: '\U0001d7d0'")]
+    assert [(c.case_id, c.day_offset, c.end_day_offset, c.age,
+             c.surgery_type) for c in cases] == [("c4", 3, 7, 0, 1)]
+    long_text = ("case_id,day_offset,end_day_offset,age,gender,surgery_type,"
+                 "provider\n"
+                 "c1,0,1,50,M,1,a\n"
+                 "c1,\u0660,,\u0665\u0660,,\uff11,b\n")
+    cases, diags = read_cases_text(long_text, provider_form="long")
+    assert cases[0].providers == frozenset("ab")
+    assert [(d.row, d.message) for d in diags] == [
+        (3, "non-numeric day_offset: '\u0660'"),
+        (3, "non-numeric age: '\u0665\u0660'"),
+        (3, "non-numeric surgery_type: '\uff11'")]
+
+
 def test_integers_beyond_64_bits_skipped_with_diagnostics():
     big = 2 ** 63
     text = (HEADER + "\n"

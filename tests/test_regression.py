@@ -326,7 +326,8 @@ def test_gof_hand_computed_on_intercept_only():
     assert gof.deviance == pytest.approx(expected_dev)
     assert gof.df == 3
     from scipy import stats
-    assert gof.p_value == pytest.approx(stats.chi2.sf(gof.pearson_chi2, 3))
+    assert gof.p_value == pytest.approx(stats.chi2.sf(gof.pearson_chi2, 3),
+                                       rel=1e-12)
 
 
 def test_gof_rejects_overdispersed_data():
@@ -383,6 +384,9 @@ def test_negbin_gamma_terms_match_gammaln():
         assert_allclose(dig, polygamma(0, y + r) - polygamma(0, r), rtol=1e-10)
         assert_allclose(trg, polygamma(1, y + r) - polygamma(1, r),
                         rtol=1e-9, atol=1e-12)
+    # at r = 1 the sums are ln y!, which both likelihoods use
+    assert_allclose(reg._gamma_ratio_sums(y, 1.0)[0], gammaln(y + 1.0),
+                    rtol=1e-13, atol=0.0)
 
 
 def test_negbin_score_and_hessian_match_finite_differences():
