@@ -13,12 +13,15 @@ normalized to [0, 1]:
   rescaled so the maximum entry is 1; nodes outside that component get 0
 * clustering: edges among neighbors / (deg * (deg - 1) / 2)
 
-Every measure derives from the graph's sparse adjacency matrix A
-(``CoworkerGraph.adjacency``). Betweenness, closeness and clustering come
+Every measure derives from the graph's 0/1 adjacency matrix A
+(``CoworkerGraph.adjacency``), held in CSR form as a ``csr.Csr``. Its
+products with dense blocks are scipy's compiled CSR kernel, called
+directly (see ``surgnet.csr``), so their bits are those of
+``scipy.sparse``. Betweenness, closeness and clustering come
 from one pass, the algebraic form of Brandes' algorithm (Brandes 2001;
 Kepner & Gilbert 2011): a BFS from a block of sources at once is a
 sequence of sparse products with A, and the dependency sweep runs the
-same products backwards level by level. Level 1 is read from the
+same products backwards level by level. Level 1 is scattered from the
 sources' own rows of A, and a block stops as soon as every source has
 reached every node of its component, so a block whose sources all sit
 at eccentricity 2 makes 2 products, one each way. The pass's level-2
@@ -28,8 +31,9 @@ need no product of their own. Components come from the graph's one
 labelling (``CoworkerGraph.component_labels``, each node labelled with
 the least node index in its component), which gives the pass its
 component sizes and the eigenvector iteration its largest component,
-where it multiplies by A restricted to that component. The iteration's
-stopping rule lives here alone: ``EIG_TOL`` and ``EIG_MAX_ITER``.
+where it multiplies by A's principal submatrix on that component. The
+iteration's stopping rule lives here alone: ``EIG_TOL`` and
+``EIG_MAX_ITER``.
 
 ``compute_all`` returns a segment's measures as one set of columns,
 keyed by the ``node_metrics_seg<k>.tsv`` header (``COLUMNS``):
@@ -45,8 +49,8 @@ are the graph's nodes: team sizes are B's row sums k and the means are
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+from .csr import Csr
 from .errors import ConvergenceError, DataError
 from .network import CoworkerGraph
 from .records import CaseRecord
@@ -80,7 +84,7 @@ _BLOCK_CELLS = 1 << 17
 def _geodesic_measures(a, labels):
     """Betweenness, closeness and clustering arrays from one BFS pass.
 
-    ``a`` is the symmetric sparse 0/1 adjacency matrix and ``labels`` its
+    ``a`` is the symmetric 0/1 adjacency ``Csr`` and ``labels`` its
     connected-component labels. The search runs from a block of sources
     at a time; column j of the (n, len(sources)) arrays belongs to
     ``sources[j]``: ``dist`` is the hop distance (-1 where unreachable)
@@ -115,7 +119,7 @@ def _geodesic_measures(a, labels):
         sigma[sources, cols] = 1.0
         unreached = reach[start:stop] - 1
         # level 1 is the sources' own rows of the symmetric A
-        frontier, level = np.ascontiguousarray(a[start:stop].toarray().T), 0
+        frontier, level = a.rows_transposed(start, stop), 0
         while True:
             fresh = frontier > 0
             if not fresh.any():
@@ -186,7 +190,7 @@ def _eigenvector(a, labels):
     m = members.size
 
     if m >= 2:
-        sub = a[members][:, members]
+        sub = a.principal(members)
         x = np.full(m, 1.0 / np.sqrt(m))
         residual = np.inf
         for _ in range(EIG_MAX_ITER):
@@ -290,7 +294,7 @@ TEAM_MEASURES = ("betweenness", "closeness", "eigenvector", "clustering",
 def team_means(incidence, measures):
     """Team size and TEAM_MEASURES means of every case of an incidence matrix.
 
-    ``incidence`` is a case x provider CSR 0/1 matrix B whose columns are
+    ``incidence`` is a case x provider 0/1 ``Csr`` B whose columns are
     the ``provider_id`` column of ``measures`` (``compute_all``'s), with
     sorted indices per row. With M the (providers, 5) stack of the
     TEAM_MEASURES columns, team sizes are the row sums k and the means
@@ -318,8 +322,5 @@ def team_aggregate(case: CaseRecord, measures) -> TeamMetrics:
             "segment network")
     # provider ids are sorted, so the team's columns are too
     team = sorted(index[p] for p in case.providers)
-    k = len(team)
-    row = sparse.csr_matrix((np.ones(k), team, [0, k]),
-                            shape=(1, len(index)))
-    size, means = team_means(row, measures)
+    size, means = team_means(Csr([0, len(team)], team, len(index)), measures)
     return TeamMetrics(case.case_id, int(size[0]), *means[0].tolist())

@@ -26,8 +26,8 @@ ENV_OUTPUT_DIR = "SURGNET_OUTPUT_DIR"
 # and defaults to None: an absent flag leaves the value to the environment,
 # the config file or the PipelineConfig default.
 #
-# The pipeline, and scipy with it, is imported by the subcommands that run
-# a stage; synth and dump-codeset need numpy alone.
+# The pipeline, and scipy's sparse kernel with it, is imported by the
+# subcommands that run a stage; synth and dump-codeset need numpy alone.
 
 
 def _add_format_args(p):

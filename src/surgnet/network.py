@@ -1,11 +1,13 @@
 """Two-mode case-provider network construction and one-mode projection.
 
 Within one time segment, providers who were involved in a case are linked
-to that case (two-mode). The two-mode graph is held as a sparse incidence
-matrix B, one row per case and one column per provider. Removing the case
-nodes and connecting providers who share at least one case yields the
-one-mode co-worker graph: the off-diagonal of B^T B (Borgatti & Everett
-1997), whose entries count the cases each pair shares. The projection is
+to that case (two-mode). The two-mode graph is held as a 0/1 incidence
+matrix B in CSR form (``csr.Csr``), one row per case and one column per
+provider. Removing the case nodes and connecting providers who share at
+least one case yields the one-mode co-worker graph: the off-diagonal of
+B^T B (Borgatti & Everett 1997), whose entries count the cases each pair
+shares. It is counted from each case's provider pairs (``csr.pair_counts``)
+rather than multiplied out. The projection is
 unweighted: repeated collaborations collapse to one edge, with the
 co-occurrence multiplicity kept only as edge metadata. The same B gives
 each segment's case-side counts (``summarize``) and, in ``centrality``,
@@ -17,7 +19,8 @@ its component.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+
+from . import csr
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,47 +34,45 @@ class BipartiteGraph:
     """
 
     providers: tuple
-    incidence: sparse.csr_matrix
+    incidence: csr.Csr
 
 
 class CoworkerGraph:
     """Undirected simple graph over provider ids.
 
-    Nodes are kept sorted and adjacency is stored as CSR index arrays
-    (scipy's int32 index type) with sorted neighbor lists, so iteration
-    order (and everything derived from it) is deterministic. The CSR
-    values, kept alongside, count how often each pair occurs.
+    Nodes are kept sorted and adjacency is stored as int32 CSR index
+    arrays with sorted neighbor lists, so iteration order (and everything
+    derived from it) is deterministic. The integer CSR values, kept
+    alongside, count how often each pair occurs.
     """
 
     def __init__(self, nodes, edges):
         nodes = tuple(sorted(set(nodes)))
         index = {u: i for i, u in enumerate(nodes)}
-        ends = np.array([(index[u], index[v]) for u, v in edges],
-                        dtype=np.int32).reshape(-1, 2)
+        try:
+            ends = np.array([(index[u], index[v]) for u, v in edges],
+                            dtype=np.int32).reshape(-1, 2)
+        except KeyError as e:
+            raise ValueError(f"edge end {e.args[0]!r} is not a node") from None
         loops = ends[:, 0] == ends[:, 1]
         if loops.any():
             raise ValueError(f"self-loop on {nodes[ends[loops][0, 0]]!r}")
-        n = len(nodes)
-        # both directions; a pair listed twice sums to a count of 2
-        self._set(nodes, sparse.csr_matrix(
-            (np.ones(2 * len(ends)), (ends.ravel(), ends[:, ::-1].ravel())),
-            shape=(n, n)))
+        self._set(nodes, ends[:, 0], ends[:, 1])
 
     @classmethod
-    def _from_counts(cls, nodes, shared):
-        """Graph on sorted ``nodes`` from a symmetric CSR matrix of pair
-        counts with zero diagonal; its nonzeros are the edges."""
+    def _from_pairs(cls, nodes, u, v):
+        """Graph on sorted ``nodes`` with an edge between node indices
+        ``u[k]`` and ``v[k]`` for every k, where ``u[k] != v[k]``."""
         g = cls.__new__(cls)
-        g._set(nodes, shared)
+        g._set(nodes, u, v)
         return g
 
-    def _set(self, nodes, counts):
-        counts.sort_indices()
+    def _set(self, nodes, u, v):
         self.nodes = nodes
-        self._index = {u: i for i, u in enumerate(nodes)}
-        self.indptr = counts.indptr.astype(np.int32, copy=False)
-        self.indices = counts.indices.astype(np.int32, copy=False)
-        self._counts = counts.data
+        self._index = {node: i for i, node in enumerate(nodes)}
+        # both directions; a pair listed twice sums to a count of 2
+        self.indptr, self.indices, self._counts = csr.pair_counts(
+            len(nodes), np.concatenate([u, v]), np.concatenate([v, u]))
         self._labels = None
 
     @property
@@ -104,15 +105,13 @@ class CoworkerGraph:
         return np.diff(self.indptr)
 
     def adjacency(self):
-        """The 0/1 adjacency matrix as a ``scipy.sparse.csr_matrix``.
+        """The symmetric 0/1 adjacency matrix as a ``csr.Csr``.
 
-        Symmetric, float64, rows and columns aligned with ``self.nodes``;
-        it shares ``indptr`` and ``indices`` with the graph, so callers
-        must not modify it in place.
+        Rows and columns are aligned with ``self.nodes``; it shares
+        ``indptr`` and ``indices`` with the graph, so callers must not
+        modify it in place.
         """
-        n = self.n_nodes
-        return sparse.csr_matrix(
-            (np.ones(self.indices.size), self.indices, self.indptr), shape=(n, n))
+        return csr.Csr(self.indptr, self.indices, self.n_nodes)
 
     def component_labels(self):
         """Connected-component label per node, aligned with ``self.nodes``.
@@ -177,12 +176,9 @@ def build_bipartite(segment) -> BipartiteGraph:
     """
     cases = segment.cases
     used, columns = np.unique(cases.team, return_inverse=True)
-    incidence = sparse.csr_matrix(
-        (np.ones(columns.size), columns.astype(np.int32),
-         cases.team_ptr.astype(np.int32)), shape=(len(cases), used.size))
     return BipartiteGraph(
         providers=tuple(cases.provider_ids[j] for j in used.tolist()),
-        incidence=incidence)
+        incidence=csr.Csr(cases.team_ptr, columns, used.size))
 
 
 def project_one_mode(bg: BipartiteGraph) -> CoworkerGraph:
@@ -195,10 +191,15 @@ def project_one_mode(bg: BipartiteGraph) -> CoworkerGraph:
     isolated nodes.
     """
     b = bg.incidence
-    shared = (b.T @ b).tocsr()
-    shared.setdiag(0)
-    shared.eliminate_zeros()
-    return CoworkerGraph._from_counts(bg.providers, shared)
+    # each case's provider pairs once: the entry at position p of B pairs
+    # with the `later[p]` entries after it in its row, its k-th pair
+    # being (p, p + 1 + k)
+    at = np.arange(b.nnz)
+    later = np.repeat(b.indptr[1:], np.diff(b.indptr)) - at - 1
+    first = np.repeat(at, later)
+    k = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    return CoworkerGraph._from_pairs(
+        bg.providers, b.indices[first], b.indices[first + 1 + k])
 
 
 def summarize(g: CoworkerGraph, incidence) -> GraphSummary:

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import sparse
 
 import oracles
 from conftest import case_table, make_case
 from surgnet import centrality
+from surgnet.csr import Csr
 from surgnet.errors import DataError
 from surgnet.centrality import (
     betweenness_centrality,
@@ -347,17 +347,11 @@ def test_block_stop_rule_matches_oracles(components, order_seed, block_cells):
 
 def _products_per_pass(g, block_cells):
     """Sparse products one BFS pass over ``g`` makes."""
-    products = []
-
-    class CountingCSR(sparse.csr_matrix):
-        def __matmul__(self, other):
-            products.append(other.shape)
-            return super().__matmul__(other)
-
-    a, labels = centrality._labelled(g)
-    with mock.patch.object(centrality, "_BLOCK_CELLS", block_cells):
-        centrality._geodesic_measures(CountingCSR(a), labels)
-    return len(products)
+    with mock.patch.object(centrality, "_BLOCK_CELLS", block_cells), \
+            mock.patch.object(Csr, "__matmul__", autospec=True,
+                              side_effect=Csr.__matmul__) as product:
+        centrality._geodesic_measures(*centrality._labelled(g))
+    return product.call_count
 
 
 def test_bfs_pass_makes_only_the_products_it_uses():

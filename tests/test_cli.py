@@ -450,16 +450,37 @@ def test_run_leaves_scipy_linear_algebra_unloaded(dataset, tmp_path):
     # the graph labels its own components, so a whole run needs neither
     # csgraph nor the sparse and dense linear algebra that csgraph loads;
     # its p-values and log-factorials come from surgnet.tails, not from
-    # scipy.special
+    # scipy.special; and its sparse products call scipy's compiled kernel
+    # loaded from its file, so scipy.sparse, whose array-API layer loads
+    # numpy's lazy submodules, stays out too. A later ordinary import of
+    # scipy.sparse still works and multiplies as the run did, and so does
+    # the fallback load through scipy.sparse.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys; from surgnet import cli; "
-            f"assert cli.main(['run', '--input', {str(dataset)!r}, "
-            f"'--output-dir', {str(tmp_path / 'out')!r}]) == 0; "
-            "sys.exit(' '.join(m for m in ('scipy.sparse.csgraph', "
-            "'scipy.sparse.linalg', 'scipy.linalg', 'scipy.special') "
-            "if m in sys.modules)"
-            " or None)")
+    unloaded = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+                "scipy.linalg", "scipy.special", "scipy._lib._array_api",
+                "numpy.f2py", "numpy.testing", "numpy.ma")
+    code = f"""
+import sys
+from unittest import mock
+import numpy as np
+from surgnet import cli, csr
+assert cli.main(['run', '--input', {str(dataset)!r},
+                 '--output-dir', {str(tmp_path / 'out')!r}]) == 0
+loaded = [m for m in {unloaded!r} if m in sys.modules]
+assert not loaded, loaded
+with mock.patch.object(csr, '_kernel_path', return_value=None):
+    fallback = csr._load_kernel()
+import scipy.sparse
+assert fallback is scipy.sparse._sparsetools
+m = scipy.sparse.random(50, 40, density=0.2, format='csr', random_state=3)
+m.data[:] = 1.0
+a = csr.Csr(m.indptr, m.indices, 40)
+x = np.random.default_rng(3).standard_normal((40, 7))
+assert np.array_equal(a @ x, m @ x) and np.array_equal(a @ x[:, 0], m @ x[:, 0])
+with mock.patch.object(csr, '_KERNEL', fallback):
+    assert np.array_equal(a @ x, m @ x)
+"""
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

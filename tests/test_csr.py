@@ -1,0 +1,151 @@
+"""The 0/1 CSR matrices and scipy's kernel behind their products, checked
+bit for bit against ``scipy.sparse``."""
+
+import itertools
+import sys
+from collections import Counter
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+
+from surgnet import csr
+from surgnet.csr import Csr, pair_counts
+from surgnet.network import BipartiteGraph, CoworkerGraph, project_one_mode
+
+# exact zeros of both signs, subnormals and the smallest normal
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308)
+
+
+@st.composite
+def matrices(draw, square=False, sorted_rows=False):
+    """A 0/1 ``Csr`` with up to 9 rows and columns, empty rows and
+    unused columns among them, rows in sorted or drawn column order."""
+    m = draw(st.integers(0, 9))
+    n = m if square else draw(st.integers(0, 9))
+    rows = [sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+            if n else [] for _ in range(m)]
+    if not sorted_rows:
+        rows = [draw(st.permutations(row)) for row in rows]
+    return Csr(np.cumsum([0] + [len(r) for r in rows]),
+               [j for r in rows for j in r], n)
+
+
+def scipy_of(a):
+    return sparse.csr_matrix((np.ones(a.nnz), a.indices, a.indptr),
+                             shape=a.shape)
+
+
+@st.composite
+def right_hand_sides(draw, n):
+    """A vector of length n, or an (n, k) block in C or Fortran order."""
+    values = st.one_of(st.sampled_from(EDGE_VALUES),
+                       st.floats(-1e300, 1e300))
+    k = draw(st.sampled_from([None, 1, 2, 5]))
+    size = n * (k or 1)
+    x = np.array(draw(st.lists(values, min_size=size, max_size=size)),
+                 dtype=np.float64)
+    if k is None:
+        return x
+    return x.reshape(k, n).T if draw(st.booleans()) else x.reshape(n, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=matrices(), data=st.data())
+def test_products_equal_scipy_bit_for_bit(a, data):
+    x = data.draw(right_hand_sides(a.shape[1]))
+    got, want = a @ x, scipy_of(a) @ x
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    # the signs of the zeros too
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 2), (6, 1), (5, 2, 1)])
+def test_a_mismatched_right_hand_side_is_refused(shape):
+    # the kernel reads x unchecked, so its length is checked first
+    with pytest.raises(ValueError, match="cannot multiply"):
+        Csr([0, 1, 2], [0, 4], 5) @ np.zeros(shape)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=matrices(), data=st.data())
+def test_level_one_block_is_the_rows_transposed(a, data):
+    start = data.draw(st.integers(0, a.shape[0]))
+    stop = data.draw(st.integers(start, a.shape[0]))
+    block = a.rows_transposed(start, stop)
+    assert block.flags.c_contiguous
+    assert np.array_equal(block, scipy_of(a)[start:stop].toarray().T)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=matrices(square=True), data=st.data())
+def test_principal_submatrix_equals_scipy_indexing(a, data):
+    n = a.shape[0]
+    members = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1))))
+                       if n else [], dtype=np.intp)
+    sub, want = a.principal(members), scipy_of(a)[members][:, members]
+    assert sub.shape == want.shape
+    assert np.array_equal(sub.indptr, want.indptr)
+    # index order included
+    assert np.array_equal(sub.indices, want.indices)
+
+
+@settings(max_examples=50, deadline=None)
+@given(b=matrices(sorted_rows=True))
+def test_projection_pair_counts_equal_scipy_btb(b):
+    n = b.shape[1]
+    btb = (scipy_of(b).T @ scipy_of(b)).tocsr()
+    btb.setdiag(0)
+    btb.eliminate_zeros()
+    btb.sort_indices()
+    g = project_one_mode(BipartiteGraph(tuple(range(n)), b))
+    assert np.array_equal(g.indptr, btb.indptr)
+    assert np.array_equal(g.indices, btb.indices)
+    assert g.pair_counts == {
+        (int(i), int(j)): int(btb[i, j])
+        for i, j in zip(*btb.nonzero()) if i < j}
+    # the Counter of each case's clique pairs
+    rows = [b.indices[b.indptr[r]:b.indptr[r + 1]].tolist()
+            for r in range(b.shape[0])]
+    pairs = Counter(p for row in rows for p in itertools.permutations(row, 2))
+    u, v = np.array(list(pairs.elements()), dtype=np.int64).reshape(-1, 2).T
+    indptr, indices, counts = pair_counts(n, u, v)
+    assert (np.array_equal(indptr, g.indptr)
+            and np.array_equal(indices, g.indices))
+    got = {(int(i), int(j)): int(c) for i, j, c in zip(
+        np.repeat(np.arange(n), np.diff(indptr)), indices, counts)}
+    assert got == pairs
+
+
+@settings(max_examples=50, deadline=None)
+@given(edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
+    lambda e: e[0] != e[1]), max_size=20))
+@example(edges=[(0, 1), (1, 2), (1, 0)])  # a pair listed twice counts 2
+def test_a_graph_counts_each_listing_of_a_pair(edges):
+    g = CoworkerGraph(range(8), edges)
+    assert g.pair_counts == Counter(tuple(sorted(e)) for e in edges)
+
+
+def test_both_load_routes_give_the_same_products():
+    rng = np.random.default_rng(7)
+    m = sparse.random(30, 40, density=0.2, format="csr", random_state=1)
+    a = Csr(m.indptr, m.indices, 40)
+    x, v = rng.standard_normal((40, 6)), rng.standard_normal(40)
+    want = (scipy_of(a) @ x, scipy_of(a) @ v)
+    # both routes run as if scipy.sparse had not loaded its kernel yet
+    with mock.patch.dict(sys.modules):
+        sys.modules.pop(csr._KERNEL_NAME)
+        from_file = csr._load_kernel()
+        # the file load leaves sys.modules as it found it
+        assert csr._KERNEL_NAME not in sys.modules
+        with mock.patch.object(csr, "_kernel_path", return_value=None):
+            ordinary = csr._load_kernel()
+    assert ordinary is sparse._sparsetools
+    for kernel in (from_file, ordinary):
+        with mock.patch.object(csr, "_KERNEL", kernel):
+            got = (a @ x, a @ v)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

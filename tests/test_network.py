@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from conftest import case_table, make_case
@@ -83,6 +84,12 @@ def test_graph_container_invariants():
 def test_graph_rejects_self_loops():
     with pytest.raises(ValueError, match="self-loop"):
         CoworkerGraph(["a"], [("a", "a")])
+
+
+@pytest.mark.parametrize("edge", [("a", "c"), ("c", "a")])
+def test_graph_rejects_an_edge_to_an_unknown_node(edge):
+    with pytest.raises(ValueError, match="'c' is not a node"):
+        CoworkerGraph(["a", "b"], [edge])
 
 
 def test_graph_deduplicates_edges_either_orientation():
@@ -199,7 +206,10 @@ def test_projection_equals_union_of_cliques_on_random_segments():
 def assert_labels_match_csgraph(g):
     """``component_labels`` names each component by its least node index:
     csgraph's labels, renumbered by each component's first node."""
-    oracle = csgraph.connected_components(g.adjacency(), directed=False)[1]
+    n = g.n_nodes
+    a = sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
+                          shape=(n, n))
+    oracle = csgraph.connected_components(a, directed=False)[1]
     first = np.unique(oracle, return_index=True)[1]
     np.testing.assert_array_equal(g.component_labels(), first[oracle])
 
