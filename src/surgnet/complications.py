@@ -171,9 +171,9 @@ def count_complications(cases, codeset: ComplicationCodeset, distinct=False):
     position = {e: k for k, e in enumerate(codeset.entries)}
     entry = np.array([position.get(match_complication(normalize_icd9(code),
                                                       codeset), -1)
-                      for code in cases.codes], dtype=np.int64)[cases.dx]
+                      for code in cases.codes], dtype=np.int64)[cases.dx.indices]
     hit = entry >= 0
-    rows = np.repeat(np.arange(len(cases)), np.diff(cases.dx_ptr))[hit]
+    rows = cases.dx.rows()[hit]
     if distinct:  # one hit per (row, entry) pair
         rows = np.unique(np.stack([rows, entry[hit]]), axis=1)[0]
     return np.bincount(rows, minlength=len(cases))

@@ -6,14 +6,14 @@ matrix B in CSR form (``csr.Csr``), one row per case and one column per
 provider. Removing the case nodes and connecting providers who share at
 least one case yields the one-mode co-worker graph: the off-diagonal of
 B^T B (Borgatti & Everett 1997), whose entries count the cases each pair
-shares. It is counted from each case's provider pairs (``csr.pair_counts``)
-rather than multiplied out. The projection is
+shares. It is counted from each case's provider pairs (``Csr.row_pairs``,
+``csr.pair_counts``) rather than multiplied out. The projection is
 unweighted: repeated collaborations collapse to one edge, with the
 co-occurrence multiplicity kept only as edge metadata. The same B gives
 each segment's case-side counts (``summarize``) and, in ``centrality``,
-its team sizes and means. The co-worker graph labels its own connected
-components from its CSR arrays, each node with the least node index in
-its component.
+its team sizes and means. The co-worker graph holds its adjacency as
+one ``csr.Csr`` and labels its own connected components from it, each
+node with the least node index in its component.
 """
 
 from dataclasses import dataclass
@@ -40,10 +40,10 @@ class BipartiteGraph:
 class CoworkerGraph:
     """Undirected simple graph over provider ids.
 
-    Nodes are kept sorted and adjacency is stored as int32 CSR index
-    arrays with sorted neighbor lists, so iteration order (and everything
-    derived from it) is deterministic. The integer CSR values, kept
-    alongside, count how often each pair occurs.
+    Nodes are kept sorted and the adjacency is held as one ``csr.Csr``
+    with sorted neighbor lists, so iteration order (and everything
+    derived from it) is deterministic. An int64 count per stored entry,
+    kept alongside, says how often each pair occurs.
     """
 
     def __init__(self, nodes, edges):
@@ -71,8 +71,8 @@ class CoworkerGraph:
         self.nodes = nodes
         self._index = {node: i for i, node in enumerate(nodes)}
         # both directions; a pair listed twice sums to a count of 2
-        self.indptr, self.indices, self._counts = csr.pair_counts(
-            len(nodes), np.concatenate([u, v]), np.concatenate([v, u]))
+        self._adjacency, self._counts = csr.pair_counts(
+            (len(nodes),) * 2, np.concatenate([u, v]), np.concatenate([v, u]))
         self._labels = None
 
     @property
@@ -85,12 +85,11 @@ class CoworkerGraph:
             rows.tolist(), cols.tolist(), self._counts[at].tolist())}
 
     def _upper(self):
-        """Row, column and position in ``indices`` of every stored entry
+        """Row, column and position in the adjacency of every stored entry
         above the diagonal: each edge once, in lexicographic order."""
-        rows = np.repeat(np.arange(self.n_nodes, dtype=np.int32),
-                         np.diff(self.indptr))
-        at = np.flatnonzero(self.indices > rows)
-        return rows[at], self.indices[at], at
+        rows, cols = self._adjacency.rows(), self._adjacency.indices
+        at = np.flatnonzero(cols > rows)
+        return rows[at], cols[at], at
 
     @property
     def n_nodes(self):
@@ -98,20 +97,20 @@ class CoworkerGraph:
 
     @property
     def n_edges(self):
-        return self.indices.size // 2
+        return self._adjacency.nnz // 2
 
     def degrees(self):
         """Raw degree per node, aligned with ``self.nodes``."""
-        return np.diff(self.indptr)
+        return np.diff(self._adjacency.indptr)
 
     def adjacency(self):
         """The symmetric 0/1 adjacency matrix as a ``csr.Csr``.
 
-        Rows and columns are aligned with ``self.nodes``; it shares
-        ``indptr`` and ``indices`` with the graph, so callers must not
-        modify it in place.
+        Rows and columns are aligned with ``self.nodes``, and each row's
+        columns are sorted. It is the matrix the graph holds, the same
+        object on every call, so callers must not modify it in place.
         """
-        return csr.Csr(self.indptr, self.indices, self.n_nodes)
+        return self._adjacency
 
     def component_labels(self):
         """Connected-component label per node, aligned with ``self.nodes``.
@@ -124,11 +123,11 @@ class CoworkerGraph:
         returns the same array, so callers must not modify it.
         """
         if self._labels is None:
-            rows = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
+            rows, cols = self._adjacency.rows(), self._adjacency.indices
             low = np.arange(self.n_nodes)
             while True:
                 new = low.copy()
-                np.minimum.at(new, low[rows], low[self.indices])
+                np.minimum.at(new, low[rows], low[cols])
                 new = new[new]
                 if np.array_equal(new, low):
                     break
@@ -137,8 +136,7 @@ class CoworkerGraph:
         return self._labels
 
     def neighbors(self, node):
-        i = self._index[node]
-        return tuple(self.nodes[j] for j in self.indices[self.indptr[i]:self.indptr[i + 1]])
+        return tuple(self.nodes[j] for j in self._adjacency.row(self._index[node]))
 
     def edges(self):
         """Edges as sorted (u, v) id pairs, u < v, in lexicographic order."""
@@ -174,11 +172,11 @@ def build_bipartite(segment) -> BipartiteGraph:
     B is the segment's rows of its case table's case x provider matrix,
     keeping the columns of the providers that occur in them.
     """
-    cases = segment.cases
-    used, columns = np.unique(cases.team, return_inverse=True)
+    team = segment.cases.team
+    used, columns = np.unique(team.indices, return_inverse=True)
     return BipartiteGraph(
-        providers=tuple(cases.provider_ids[j] for j in used.tolist()),
-        incidence=csr.Csr(cases.team_ptr, columns, used.size))
+        providers=tuple(segment.cases.provider_ids[j] for j in used.tolist()),
+        incidence=csr.Csr(team.indptr, columns, used.size))
 
 
 def project_one_mode(bg: BipartiteGraph) -> CoworkerGraph:
@@ -190,16 +188,7 @@ def project_one_mode(bg: BipartiteGraph) -> CoworkerGraph:
     ``pair_counts`` metadata. Providers who share no case stay as
     isolated nodes.
     """
-    b = bg.incidence
-    # each case's provider pairs once: the entry at position p of B pairs
-    # with the `later[p]` entries after it in its row, its k-th pair
-    # being (p, p + 1 + k)
-    at = np.arange(b.nnz)
-    later = np.repeat(b.indptr[1:], np.diff(b.indptr)) - at - 1
-    first = np.repeat(at, later)
-    k = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
-    return CoworkerGraph._from_pairs(
-        bg.providers, b.indices[first], b.indices[first + 1 + k])
+    return CoworkerGraph._from_pairs(bg.providers, *bg.incidence.row_pairs())
 
 
 def summarize(g: CoworkerGraph, incidence) -> GraphSummary:

@@ -7,8 +7,8 @@ repaired row produces a diagnostic.
 
 The parsed cases are one columnar ``CaseTable``, streamed from the file
 without keeping its rows: an array per scalar field, the providers as one
-case x provider CSR matrix over the sorted provider ids, and the dx codes
-as one case x code CSR matrix over the distinct codes. Exclusion rules are
+case x provider ``csr.Csr`` over the sorted provider ids, and the dx codes
+as one case x code ``csr.Csr`` over the distinct codes. Exclusion rules are
 boolean masks over the table, and segments are runs of its rows sorted by
 (segment, day, case_id). A ``CaseRecord`` is one row read back from a
 table. Tables come only from ``parse_cases``, so the parser alone decides
@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import csr
 from .errors import ConfigError, DataError
 
 # Provider tokens treated as generic/placeholder entries and dropped.
@@ -63,27 +64,18 @@ def _optional(value):
     return None if value == MISSING else value
 
 
-def _gather(ptr, values, rows):
-    """Rows ``rows`` of the CSR arrays (ptr, values), in that order."""
-    starts, ends = ptr[rows], ptr[rows + 1]
-    new_ptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(ends - starts, out=new_ptr[1:])
-    at = np.arange(new_ptr[-1]) + np.repeat(starts - new_ptr[:-1], ends - starts)
-    return new_ptr, values[at]
-
-
 @dataclass(frozen=True, eq=False)
 class CaseTable:
     """Cases as columns, one row per case.
 
     ``day_offset``, ``end_day_offset``, ``age`` and ``surgery_type`` are
     int64 arrays holding MISSING for an empty cell; ``gender`` indexes
-    GENDERS. Row i's providers are ``provider_ids[j]`` for j in
-    ``team[team_ptr[i]:team_ptr[i + 1]]``, ascending, and its dx codes are
-    ``codes[k]`` for k in ``dx[dx_ptr[i]:dx_ptr[i + 1]]``, in dx column
-    order. Indexing (which raises IndexError past the end, so iteration
-    works too) gives CaseRecord views; two tables are equal when their
-    records are.
+    GENDERS. ``team`` is the case x provider ``csr.Csr`` over
+    ``provider_ids``, rows ascending and distinct, and ``dx`` the case x
+    code ``csr.Csr`` over ``codes``, rows in dx column order with repeated
+    codes kept. Indexing (which raises IndexError past the end, so
+    iteration works too) gives CaseRecord views; two tables are equal when
+    their records are.
     """
 
     case_id: list
@@ -92,24 +84,17 @@ class CaseTable:
     age: np.ndarray
     surgery_type: np.ndarray
     gender: np.ndarray
-    team_ptr: np.ndarray
-    team: np.ndarray
+    team: csr.Csr
     provider_ids: tuple
-    dx_ptr: np.ndarray
-    dx: np.ndarray
+    dx: csr.Csr
     codes: tuple
 
     def __len__(self):
         return len(self.case_id)
 
-    @property
-    def team_sizes(self):
-        return np.diff(self.team_ptr)
-
     def __getitem__(self, i):
         i = range(len(self))[i]
-        team = self.team[self.team_ptr[i]:self.team_ptr[i + 1]].tolist()
-        dx = self.dx[self.dx_ptr[i]:self.dx_ptr[i + 1]].tolist()
+        team, dx = self.team.row(i).tolist(), self.dx.row(i).tolist()
         return CaseRecord(
             case_id=self.case_id[i],
             day_offset=_optional(int(self.day_offset[i])),
@@ -126,15 +111,13 @@ class CaseTable:
     def take(self, rows):
         """The table of rows ``rows`` (an index array), in that order."""
         rows = np.asarray(rows, dtype=np.int64)
-        team_ptr, team = _gather(self.team_ptr, self.team, rows)
-        dx_ptr, dx = _gather(self.dx_ptr, self.dx, rows)
         return CaseTable(
             case_id=[self.case_id[i] for i in rows.tolist()],
             day_offset=self.day_offset[rows],
             end_day_offset=self.end_day_offset[rows],
             age=self.age[rows], surgery_type=self.surgery_type[rows],
-            gender=self.gender[rows], team_ptr=team_ptr, team=team,
-            provider_ids=self.provider_ids, dx_ptr=dx_ptr, dx=dx,
+            gender=self.gender[rows], team=self.team.take(rows),
+            provider_ids=self.provider_ids, dx=self.dx.take(rows),
             codes=self.codes)
 
 
@@ -174,27 +157,23 @@ class _TableBuilder:
 
     def build(self) -> CaseTable:
         provider_ids, codes = sorted(set(self.team)), list(dict.fromkeys(self.dx))
-        # one sorted, duplicate-free key per (case, provider) link
-        width = max(len(provider_ids), 1)
-        key = np.sort(np.array(self.team_case, dtype=np.int64) * width
-                      + _numbered(self.team, provider_ids))
-        key = key[np.diff(key, prepend=-1) != 0]
-        team_case, team = np.divmod(key, width)
+        # a provider listed twice on a case (long form) links it once
+        team, _ = csr.pair_counts((len(self.case_id), len(provider_ids)),
+                                  self.team_case, _numbered(self.team, provider_ids))
         return CaseTable(
             case_id=self.case_id,
             day_offset=_int_column(self.day), end_day_offset=_int_column(self.end),
             age=_int_column(self.age), surgery_type=_int_column(self.styp),
             gender=np.array(self.gender, dtype=np.int8),
-            team_ptr=np.searchsorted(team_case, np.arange(len(self.case_id) + 1)),
             team=team, provider_ids=tuple(provider_ids),
-            dx_ptr=np.array(self.dx_ptr, dtype=np.int64),
-            dx=_numbered(self.dx, codes), codes=tuple(codes))
+            dx=csr.Csr(self.dx_ptr, _numbered(self.dx, codes), len(codes)),
+            codes=tuple(codes))
 
 
 def _numbered(values, names):
     """Each value's position in ``names``."""
     index = {name: k for k, name in enumerate(names)}
-    return np.fromiter(map(index.__getitem__, values), dtype=np.int64,
+    return np.fromiter(map(index.__getitem__, values), dtype=np.int32,
                        count=len(values))
 
 
@@ -369,7 +348,9 @@ def _parse_stream(stream, delimiter, provider_form):
     missing = [f for f in required if f not in col_index]
     if missing:
         raise ConfigError(f"column(s) not found in header: {missing}")
-    dx_names = [n for n in col_index if n.startswith("dx_") and n[3:].isdigit()]
+    # a dx column is dx_<k>, k in ASCII digits: the [0-9]+ of integer cells
+    dx_names = [n for n in col_index
+                if n.startswith("dx_") and n[3:].isascii() and n[3:].isdigit()]
     repeated = [n for n, count in Counter(header).items()
                 if count > 1 and (n in required or n in dx_names)]
     if repeated:
@@ -478,7 +459,7 @@ EXCLUSION_RULES = (
     ("missing dates", lambda t: (t.day_offset == MISSING)
                                 | (t.end_day_offset == MISSING)),
     ("same-day discharge", lambda t: t.end_day_offset <= t.day_offset),
-    ("providers", lambda t: t.team_sizes == 0),
+    ("providers", lambda t: np.diff(t.team.indptr) == 0),
 )
 
 

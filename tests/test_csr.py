@@ -21,12 +21,14 @@ EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308)
 
 
 @st.composite
-def matrices(draw, square=False, sorted_rows=False):
+def matrices(draw, square=False, sorted_rows=False, repeats=False):
     """A 0/1 ``Csr`` with up to 9 rows and columns, empty rows and
-    unused columns among them, rows in sorted or drawn column order."""
+    unused columns among them, rows in sorted or drawn column order;
+    with ``repeats``, a row may list a column more than once."""
     m = draw(st.integers(0, 9))
     n = m if square else draw(st.integers(0, 9))
-    rows = [sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    columns = st.lists if repeats else st.sets
+    rows = [sorted(draw(columns(st.integers(0, n - 1), max_size=n + 2)))
             if n else [] for _ in range(m)]
     if not sorted_rows:
         rows = [draw(st.permutations(row)) for row in rows]
@@ -54,8 +56,9 @@ def right_hand_sides(draw, n):
 
 
 @settings(max_examples=100, deadline=None)
-@given(a=matrices(), data=st.data())
+@given(a=st.one_of(matrices(), matrices(repeats=True)), data=st.data())
 def test_products_equal_scipy_bit_for_bit(a, data):
+    # scipy sums a column listed twice in a row once per listing
     x = data.draw(right_hand_sides(a.shape[1]))
     got, want = a @ x, scipy_of(a) @ x
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -69,6 +72,72 @@ def test_a_mismatched_right_hand_side_is_refused(shape):
     # the kernel reads x unchecked, so its length is checked first
     with pytest.raises(ValueError, match="cannot multiply"):
         Csr([0, 1, 2], [0, 4], 5) @ np.zeros(shape)
+
+
+def test_a_column_listed_twice_adds_twice():
+    a = Csr([0, 3, 3], [1, 0, 1], 2)
+    x = np.array([0.1, 0.7])
+    assert np.array_equal(a @ x, scipy_of(a) @ x)
+    assert (a @ x)[0] == 0.7 + 0.1 + 0.7
+
+
+@pytest.mark.parametrize("indptr, indices, n_cols, fault", [
+    ([0, 1], [100000000], 2, "outside"),
+    ([0, 3], [1], 2, "ends at 3"),
+    ([0, 1], [-1], 2, "outside"),
+    ([1, 1], [], 2, "start at 0"),
+    ([], [], 2, "start at 0"),
+    ([0, 2, 1], [0, 1], 2, "decreases"),
+    ([[0, 1]], [0], 2, "1-D"),
+    ([0, 1], [[0]], 2, "1-D"),
+    ([0, 1], [0], -1, "column count"),
+    ([0, 1], [0], 2**31, "column count"),
+    # values past int32 are refused, not wrapped by the cast
+    ([0, 1], np.array([2**32], dtype=np.int64), 2, "outside"),
+    (np.array([0, 2**32 + 1], dtype=np.int64), [0], 2, "ends at"),
+])
+def test_malformed_arrays_are_refused_at_construction(indptr, indices,
+                                                      n_cols, fault):
+    # scipy's kernel reads the arrays unchecked, so nothing here multiplies
+    with pytest.raises(ValueError, match=fault):
+        Csr(indptr, indices, n_cols)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=matrices(repeats=True), data=st.data())
+def test_take_equals_scipy_row_indexing(a, data):
+    m = a.shape[0]
+    rows = data.draw(st.lists(st.integers(0, m - 1), max_size=12)) if m else []
+    for order in (rows, rows[::-1], list(range(m))[::-1], []):
+        got, want = a.take(order), scipy_of(a)[np.array(order, dtype=np.intp)]
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=matrices(repeats=True))
+def test_row_expansions_equal_scipy_and_itertools(a):
+    assert np.array_equal(a.rows(), scipy_of(a).tocoo().row)
+    u, v = a.row_pairs()
+    assert list(zip(u.tolist(), v.tolist())) == [
+        p for i in range(a.shape[0])
+        for p in itertools.combinations(a.row(i).tolist(), 2)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.integers(0, 6), n=st.integers(0, 6), data=st.data())
+def test_pair_counts_of_any_shape_count_each_pair(m, n, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                         st.integers(0, n - 1)),
+                               max_size=20)) if m and n else []
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    a, counts = pair_counts((m, n), u, v)
+    assert a.shape == (m, n)
+    assert all((np.diff(a.row(i)) > 0).all() for i in range(m))
+    assert Counter(pairs) == dict(zip(
+        zip(scipy_of(a).tocoo().row.tolist(), a.indices.tolist()),
+        counts.tolist()))
 
 
 @settings(max_examples=50, deadline=None)
@@ -103,8 +172,9 @@ def test_projection_pair_counts_equal_scipy_btb(b):
     btb.eliminate_zeros()
     btb.sort_indices()
     g = project_one_mode(BipartiteGraph(tuple(range(n)), b))
-    assert np.array_equal(g.indptr, btb.indptr)
-    assert np.array_equal(g.indices, btb.indices)
+    adj = g.adjacency()
+    assert np.array_equal(adj.indptr, btb.indptr)
+    assert np.array_equal(adj.indices, btb.indices)
     assert g.pair_counts == {
         (int(i), int(j)): int(btb[i, j])
         for i, j in zip(*btb.nonzero()) if i < j}
@@ -113,11 +183,11 @@ def test_projection_pair_counts_equal_scipy_btb(b):
             for r in range(b.shape[0])]
     pairs = Counter(p for row in rows for p in itertools.permutations(row, 2))
     u, v = np.array(list(pairs.elements()), dtype=np.int64).reshape(-1, 2).T
-    indptr, indices, counts = pair_counts(n, u, v)
-    assert (np.array_equal(indptr, g.indptr)
-            and np.array_equal(indices, g.indices))
+    a, counts = pair_counts((n, n), u, v)
+    assert (np.array_equal(a.indptr, adj.indptr)
+            and np.array_equal(a.indices, adj.indices))
     got = {(int(i), int(j)): int(c) for i, j, c in zip(
-        np.repeat(np.arange(n), np.diff(indptr)), indices, counts)}
+        np.repeat(np.arange(n), np.diff(a.indptr)), a.indices, counts)}
     assert got == pairs
 
 

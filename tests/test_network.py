@@ -107,8 +107,8 @@ def test_graph_construction_is_input_order_independent():
     a = CoworkerGraph(reversed(nodes), shuffled)
     b = CoworkerGraph(nodes, edges)
     assert a.nodes == b.nodes
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.adjacency().indptr, b.adjacency().indptr)
+    assert np.array_equal(a.adjacency().indices, b.adjacency().indices)
 
 
 def test_summarize_hand_computed():
@@ -206,8 +206,8 @@ def test_projection_equals_union_of_cliques_on_random_segments():
 def assert_labels_match_csgraph(g):
     """``component_labels`` names each component by its least node index:
     csgraph's labels, renumbered by each component's first node."""
-    n = g.n_nodes
-    a = sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
+    n, adj = g.n_nodes, g.adjacency()
+    a = sparse.csr_matrix((np.ones(adj.nnz), adj.indices, adj.indptr),
                           shape=(n, n))
     oracle = csgraph.connected_components(a, directed=False)[1]
     first = np.unique(oracle, return_index=True)[1]

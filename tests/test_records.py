@@ -5,6 +5,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import case_table, make_case
 from surgnet.errors import ConfigError, DataError
@@ -62,6 +64,20 @@ def test_dx_columns_ordered_by_suffix_with_gaps():
             "c1,997.3,0,1,50,M,1,a,996.0\n")
     cases, _ = read_cases_text(text)
     assert cases[0].dx_codes == ("996.0", "997.3")
+
+
+@pytest.mark.parametrize("name", ["dx_\u00b2",   # superscript two
+                                  "dx_\u0661"])  # Arabic-Indic one
+def test_dx_header_with_a_non_ascii_digit_is_an_ignored_column(name):
+    # a dx column is dx_ and ASCII digits, as integer cells are [0-9]+;
+    # int() reads neither suffix as the same number str.isdigit() accepts
+    text = (HEADER + f",dx_1,{name}\n"
+            "c1,0,1,50,M,1,a,996.1,998.5\n"
+            "c2,0,1,50,M,1,a,,998.5\n"
+            "c3,0,1,50,M,1,b,997.3,\n")
+    cases, diags = read_cases_text(text)
+    assert diags == []
+    assert [c.dx_codes for c in cases] == [("996.1",), (), ("997.3",)]
 
 
 def test_placeholder_providers_dropped_with_diagnostic():
@@ -289,6 +305,29 @@ def test_long_form_merges_providers():
     assert len(cases) == 2
     assert cases[0].providers == frozenset({"a", "b", "c"})
     assert cases[1].providers == frozenset({"c"})
+
+
+# repeated dx codes in a row, and providers merged from later rows, one
+# of them listed twice
+TAKE_TEXT = ("case_id,day_offset,end_day_offset,age,gender,surgery_type,"
+             "provider,dx_1,dx_2,dx_3\n"
+             "c1,0,2,50,M,1,b,996.1,996.1,250.0\n"
+             "c2,1,3,,F,,c,,,\n"
+             "c1,,,,,,a,,,\n"
+             "c3,2,4,70,M,2,,997.3,,997.3\n"
+             "c1,,,,,,b,,,\n"
+             "c4,5,6,30,F,1,d,250.0,996.1,250.0\n"
+             "c2,,,,,,a,,,\n")
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.integers(0, 3), max_size=12))
+def test_take_gives_the_selected_records(rows):
+    cases, _ = read_cases_text(TAKE_TEXT, provider_form="long")
+    assert cases[0].providers == frozenset("ab")
+    assert cases[3].dx_codes == ("250.0", "996.1", "250.0")
+    for order in (rows, rows[::-1]):  # repeats, reversed, empty
+        assert list(cases.take(order)) == [cases[i] for i in order]
 
 
 def test_long_form_reports_every_discarded_continuation_value():
