@@ -31,9 +31,8 @@ need no product of their own. Components come from the graph's one
 labelling (``CoworkerGraph.component_labels``, each node labelled with
 the least node index in its component), which gives the pass its
 component sizes and the eigenvector iteration its largest component,
-where it multiplies by A's principal submatrix on that component. The
-iteration's stopping rule lives here alone: ``EIG_TOL`` and
-``EIG_MAX_ITER``.
+off which its iterate is zero. The iteration's stopping rule lives here
+alone: ``EIG_TOL`` and ``EIG_MAX_ITER``.
 
 ``compute_all`` returns a segment's measures as one set of columns,
 keyed by the ``node_metrics_seg<k>.tsv`` header (``COLUMNS``):
@@ -178,35 +177,33 @@ def _eigenvector(a, labels):
     ``EIG_TOL``; the final vector is rescaled so its maximum entry is 1.
     Nodes outside the largest component get 0. Raises ConvergenceError
     with the last residual after ``EIG_MAX_ITER`` steps.
+    The iterate is zero off the component, which no edge leaves, and the
+    norm sums the members alone.
     """
     n = a.shape[0]
-    values = np.zeros(n, dtype=np.float64)
+    x = np.zeros(n)
     if n == 0:
-        return values
-
-    sizes = np.bincount(labels)
-    lcc = int(np.argmax(sizes))  # ties: smallest label = earliest node
+        return x
+    lcc = np.argmax(np.bincount(labels))  # ties: smallest label = earliest node
     members = np.flatnonzero(labels == lcc)
-    m = members.size
+    if members.size < 2:
+        return x
 
-    if m >= 2:
-        sub = a.principal(members)
-        x = np.full(m, 1.0 / np.sqrt(m))
-        residual = np.inf
-        for _ in range(EIG_MAX_ITER):
-            y = x + sub @ x
-            y /= np.linalg.norm(y)
-            residual = float(np.max(np.abs(y - x)))
-            x = y
-            if residual < EIG_TOL:
-                break
-        else:
-            raise ConvergenceError(
-                f"eigenvector power iteration did not converge in "
-                f"{EIG_MAX_ITER} iterations (last residual {residual:.3e})",
-                trace={"iterations": EIG_MAX_ITER, "residual": residual})
-        values[members] = x / x.max()
-    return values
+    x[members] = 1.0 / np.sqrt(members.size)
+    residual = np.inf
+    for _ in range(EIG_MAX_ITER):
+        y = x + a @ x
+        y /= np.linalg.norm(y[members])
+        residual = float(np.max(np.abs(y - x)))
+        x = y
+        if residual < EIG_TOL:
+            break
+    else:
+        raise ConvergenceError(
+            f"eigenvector power iteration did not converge in "
+            f"{EIG_MAX_ITER} iterations (last residual {residual:.3e})",
+            trace={"iterations": EIG_MAX_ITER, "residual": residual})
+    return x / x.max()
 
 
 def _labelled(g):

@@ -126,16 +126,6 @@ class Csr:
             np.arange(stop - start), np.diff(self.indptr[start:stop + 1]))] = 1.0
         return block
 
-    def principal(self, members):
-        """The submatrix of a square matrix on rows and columns
-        ``members``, which are sorted and distinct; each row keeps its
-        entries' order."""
-        at = np.full(self.shape[1], -1, dtype=np.int32)
-        at[members] = np.arange(members.size)
-        rows, cols = at[self.rows()], at[self.indices]
-        keep = (rows >= 0) & (cols >= 0)
-        return Csr(_indptr(rows[keep], members.size), cols[keep], members.size)
-
 
 def _check(indptr, indices, n_cols):
     """Raise a ValueError naming the fault unless the arrays, as given, are

@@ -3,7 +3,9 @@
 Raw input is delimited text with a header row, one case per row ("wide" form,
 providers semicolon-joined in one column) or one provider per row ("long"
 form). Parsing never drops a malformed row silently: every skipped or
-repaired row produces a diagnostic.
+repaired row produces a diagnostic. One header pass keys each column read
+(a name, or ``dx_<k>`` by its slot ``int(k)``), and first and long-form
+continuation rows share ``_parse_ints`` and ``_split_providers``.
 
 The parsed cases are one columnar ``CaseTable``, streamed from the file
 without keeping its rows: an array per scalar field, the providers as one
@@ -31,6 +33,9 @@ from .errors import ConfigError, DataError
 # Provider tokens treated as generic/placeholder entries and dropped.
 PLACEHOLDER_IDS = frozenset({"", "null", "none", "unknown", "na", "n/a"})
 
+# the required header columns; long form reads "provider" for "providers"
+COLUMNS = ("case_id", "day_offset", "end_day_offset", "age", "gender",
+           "surgery_type", "providers")
 MAX_DX_CODES = 50
 WINDOW_DAYS = 365  # the default segment length
 AGE_CAP = 90
@@ -149,7 +154,7 @@ class _TableBuilder:
         self.team_case += [row] * len(providers)
 
     def kept(self, row):
-        """Row ``row``'s scalar fields and dx codes, as first parsed."""
+        """Row ``row``'s values: ``_parse_ints``'s, then gender and dx codes."""
         return {"day_offset": self.day[row], "end_day_offset": self.end[row],
                 "age": self.age[row], "surgery_type": self.styp[row],
                 "gender": GENDERS[self.gender[row]],
@@ -243,14 +248,34 @@ def _breaks_line(text: str) -> bool:
     return "\t" in text or "\n" in text or "\r" in text
 
 
-def _split_providers(raw: str) -> tuple[frozenset, int]:
-    """Split a semicolon-joined provider cell; returns (ids, dropped_count).
-    Placeholders and ids holding a tab or line break are dropped."""
+def _split_providers(raw, case_id, row_no, diagnostics):
+    """The set of ids in a semicolon-joined provider cell. Placeholders and
+    ids holding a tab or line break are dropped, with one diagnostic that
+    counts the tokens not kept (a repeated id among them)."""
     tokens = [t.strip() for t in raw.split(";")]
     kept = {t for t in tokens if t.lower() not in PLACEHOLDER_IDS}
     if _breaks_line(raw):
         kept = {t for t in kept if not _breaks_line(t)}
-    return frozenset(kept), len(tokens) - len(kept)
+    if len(tokens) > len(kept):
+        diagnostics.append(ParseDiagnostic(
+            row_no, f"dropped {len(tokens) - len(kept)} invalid provider "
+                    f"id(s) for case {case_id}"))
+    return kept
+
+
+def _parse_ints(row, cols, row_no, diagnostics):
+    """(day, end_day, age, surgery_type, ok) from a row's cells ``cols``: the
+    offsets non-negative, the age capped at AGE_CAP, None for an empty or
+    refused cell, and ``ok`` False when ``_parse_int`` refused one."""
+    i_day, i_end, i_age, i_styp = cols
+    day, ok1 = _parse_int(row[i_day], "day_offset", row_no, diagnostics)
+    end_day, ok2 = _parse_int(row[i_end], "end_day_offset", row_no, diagnostics)
+    age, ok3 = _parse_int(row[i_age], "age", row_no, diagnostics, nonneg=False)
+    styp, ok4 = _parse_int(row[i_styp], "surgery_type", row_no, diagnostics,
+                           nonneg=False)
+    if age is not None and age > AGE_CAP:
+        age = AGE_CAP
+    return day, end_day, age, styp, ok1 and ok2 and ok3 and ok4
 
 
 def parse_cases(source, delimiter=",", provider_form="wide"):
@@ -267,12 +292,13 @@ def parse_cases(source, delimiter=",", provider_form="wide"):
         Delimited text (a file is read as UTF-8, a leading byte-order
         mark skipped) with a header row naming the columns case_id,
         day_offset, end_day_offset, age, gender, surgery_type and
-        providers (provider in long form); a missing one, or one of
-        these or a dx_<k> named twice, raises ConfigError. A row csv
-        cannot read, such as one with a cell past csv's field limit, is
-        skipped with a diagnostic; an unreadable header row raises
-        DataError. A row's non-empty cells past the header's columns
-        are dropped with a diagnostic.
+        providers (provider in long form), and dx_<k> columns read in order
+        of int(k); a missing one, or one of these named twice (dx_1 and
+        dx_01 name one), raises ConfigError. A row csv cannot read, such
+        as one with a cell past csv's field limit, is skipped with a
+        diagnostic; an unreadable header row raises DataError. A row's
+        non-empty cells past the header's columns are dropped with a
+        diagnostic.
     delimiter : str
         Field delimiter, default comma.
     provider_form : {"wide", "long"}
@@ -311,21 +337,16 @@ def parse_cases(source, delimiter=",", provider_form="wide"):
             stream.close()
 
 
-def _report_discarded(case_id, kept, raw, dx, row_no, diagnostics):
+def _report_discarded(case_id, kept, ints, gender, dx, row_no, diagnostics):
     """One diagnostic per value of a long-form continuation row that the
     merge discards: a scalar that differs from the case's first row, and
     each dx code beyond those the case already holds. ``kept`` holds the
-    case's values (``_TableBuilder.kept``), ``raw`` the row's cells by
-    field. Empty cells and repeated values discard nothing."""
-    found = {f: _parse_int(raw[f], f, row_no, diagnostics,
-                           nonneg=f.endswith("offset"))[0]
-             for f in ("day_offset", "end_day_offset", "age", "surgery_type")}
-    if found["age"] is not None:
-        found["age"] = min(found["age"], AGE_CAP)
-    if raw["gender"].strip():
-        found["gender"] = _parse_gender(raw["gender"])
+    case's values (``_TableBuilder.kept``), ``ints`` the row's integer
+    values as ``_parse_ints`` read them and ``gender`` its gender cell.
+    Empty or refused cells and repeated values discard nothing."""
+    found = zip(kept, [*ints, _parse_gender(gender) if gender.strip() else None])
     lost = [f"conflicting {f} {v!r} (kept {kept[f]!r})"
-            for f, v in found.items() if v is not None and v != kept[f]]
+            for f, v in found if v is not None and v != kept[f]]
     lost += [f"dx code {code!r} beyond the kept codes"
              for code in (Counter(dx) - Counter(kept["dx_codes"])).elements()]
     diagnostics.extend(ParseDiagnostic(row_no, f"case {case_id}: "
@@ -339,28 +360,30 @@ def _parse_stream(stream, delimiter, provider_form):
         header = next(reader)
     except StopIteration:
         raise DataError("case file is empty (no header row)")
-    header = [h.strip() for h in header]
-    col_index = {name: i for i, name in enumerate(header)}
-
     long_form = provider_form == "long"
-    required = ["case_id", "day_offset", "end_day_offset", "age", "gender",
-                "surgery_type", "provider" if long_form else "providers"]
-    missing = [f for f in required if f not in col_index]
+    required = COLUMNS[:-1] + ("provider" if long_form else "providers",)
+    names = [h.strip() for h in header]
+    at, repeated = {}, set()
+    for i, name in enumerate(names):
+        if name in required:
+            key = name
+        # k in ASCII digits, the [0-9]+ of integer cells
+        elif name.startswith("dx_") and name[3:].isascii() and name[3:].isdigit():
+            key = int(name[3:])
+        else:
+            continue
+        if key in at:
+            repeated.add(name)
+        at[key] = i
+    missing = [f for f in required if f not in at]
     if missing:
         raise ConfigError(f"column(s) not found in header: {missing}")
-    # a dx column is dx_<k>, k in ASCII digits: the [0-9]+ of integer cells
-    dx_names = [n for n in col_index
-                if n.startswith("dx_") and n[3:].isascii() and n[3:].isdigit()]
-    repeated = [n for n, count in Counter(header).items()
-                if count > 1 and (n in required or n in dx_names)]
     if repeated:
-        raise ConfigError(f"column(s) repeated in header: {repeated}")
-    field_idx = {f: col_index[f] for f in required}
-    i_case, i_day, i_end, i_age, i_gender, i_styp, i_prov = (
-        field_idx[f] for f in required)
-
-    # dx columns: header names dx_<k>, ordered by k
-    dx_idx = [i for _, i in sorted((int(n[3:]), col_index[n]) for n in dx_names)]
+        raise ConfigError(f"column(s) repeated in header: "
+                          f"{sorted(repeated, key=names.index)}")
+    i_case, i_day, i_end, i_age, i_gender, i_styp, i_prov = map(at.get, required)
+    int_cols = i_day, i_end, i_age, i_styp
+    dx_idx = [at[k] for k in sorted(k for k in at if isinstance(k, int))]
     dx_cells = itemgetter(*dx_idx) if len(dx_idx) > 1 else \
         (lambda row: [row[i] for i in dx_idx])
 
@@ -405,12 +428,9 @@ def _parse_stream(stream, delimiter, provider_form):
         seen = by_id.get(case_id)
         if long_form and seen is not None:
             # merge: providers add up; other values stay from the first row
-            pids, dropped = _split_providers(row[i_prov])
-            if dropped:
-                diagnostics.append(ParseDiagnostic(
-                    row_no, f"dropped {dropped} invalid provider id(s) for case {case_id}"))
-            _report_discarded(case_id, table.kept(seen),
-                              {f: row[i] for f, i in field_idx.items()},
+            pids = _split_providers(row[i_prov], case_id, row_no, diagnostics)
+            *ints, _ = _parse_ints(row, int_cols, row_no, diagnostics)
+            _report_discarded(case_id, table.kept(seen), ints, row[i_gender],
                               dx, row_no, diagnostics)
             table.add_providers(seen, pids)
             continue
@@ -418,20 +438,10 @@ def _parse_stream(stream, delimiter, provider_form):
             diagnostics.append(ParseDiagnostic(row_no, f"duplicate case_id {case_id}"))
             continue
 
-        day, ok1 = _parse_int(row[i_day], "day_offset", row_no, diagnostics)
-        end_day, ok2 = _parse_int(row[i_end], "end_day_offset", row_no, diagnostics)
-        age, ok3 = _parse_int(row[i_age], "age", row_no, diagnostics, nonneg=False)
-        styp, ok4 = _parse_int(row[i_styp], "surgery_type", row_no,
-                               diagnostics, nonneg=False)
-        if not (ok1 and ok2 and ok3 and ok4):
+        day, end, age, styp, ok = _parse_ints(row, int_cols, row_no, diagnostics)
+        if not ok:
             continue
-        if age is not None and age > AGE_CAP:
-            age = AGE_CAP
-
-        pids, dropped = _split_providers(row[i_prov])
-        if dropped:
-            diagnostics.append(ParseDiagnostic(
-                row_no, f"dropped {dropped} invalid provider id(s) for case {case_id}"))
+        pids = _split_providers(row[i_prov], case_id, row_no, diagnostics)
         if not pids:
             diagnostics.append(ParseDiagnostic(
                 row_no, f"case {case_id} has no valid providers"))
@@ -445,7 +455,7 @@ def _parse_stream(stream, delimiter, provider_form):
         if gender is None:
             gender = gender_code[row[i_gender]] = GENDERS.index(
                 _parse_gender(row[i_gender]))
-        by_id[case_id] = table.add(case_id, day, end_day, age, gender, styp,
+        by_id[case_id] = table.add(case_id, day, end, age, gender, styp,
                                    pids, dx)
 
     return table.build(), diagnostics

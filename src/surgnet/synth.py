@@ -18,7 +18,7 @@ import numpy as np
 
 from .complications import ComplicationCodeset
 from .errors import ConfigError
-from .records import INT_MAX, MAX_DX_CODES, WINDOW_DAYS, write_staged
+from .records import COLUMNS, INT_MAX, MAX_DX_CODES, WINDOW_DAYS, write_staged
 
 # dx filler codes that never match the 996-999 complication set
 _BENIGN_CODES = ("250.00", "401.9", "414.01", "427.31", "272.4",
@@ -252,8 +252,7 @@ def generate_cases(seed, n_cases, n_providers, window_days=WINDOW_DAYS,
     dx, kept = _draw_dx(rng, counts, comp_prefixes, _BENIGN_CODES)
     max_dx = max(1, max(map(len, dx)))
     case_pad = len(str(n_cases))
-    header = ["case_id", "day_offset", "end_day_offset", "age", "gender",
-              "surgery_type", "providers"] + [f"dx_{k + 1}" for k in range(max_dx)]
+    header = [*COLUMNS, *(f"dx_{k + 1}" for k in range(max_dx))]
     rows = [
         [f"c{i:0{case_pad}d}", str(day), str(end), str(age),
          "M" if is_male else "F", str(kind),

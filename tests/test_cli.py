@@ -50,7 +50,8 @@ def test_synth_bad_coef_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [
     ["--alpha", "nan"], ["--alpha", "inf"], ["--coef", "age=nan"],
-    ["--coef", "age=1e6"], ["--coef", "_cons=800"], ["--seed", "-1"],
+    ["--coef", "age=1e6"], ["--coef", "_cons=800"], ["--coef", "age=abc"],
+    ["--seed", "-1"],
     ["--window-days", "3000000000000000000"]])
 def test_synth_bad_numbers_are_config_errors(tmp_path, capsys, bad):
     rc = cli.main(["synth", "--cases", "20", "--providers", "5",
@@ -264,6 +265,20 @@ def test_run_with_a_directory_in_the_way_is_config_error(dataset, tmp_path,
     assert err.count("\n") == 1
     # nothing written beside it, and no temporary file left behind
     assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
+
+
+def test_run_under_a_regular_file_is_config_error(dataset, tmp_path, capsys):
+    (tmp_path / "file").write_text("not a directory\n")
+    outdir = tmp_path / "file" / "out"
+    rc = cli.main(["run", "--input", str(dataset), "--window-days", "80",
+                   "--output-dir", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: stage emit: cannot create output dir {outdir}")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
 def test_run_removes_tables_of_segments_it_no_longer_has(dataset, tmp_path,

@@ -151,19 +151,6 @@ def test_level_one_block_is_the_rows_transposed(a, data):
 
 
 @settings(max_examples=50, deadline=None)
-@given(a=matrices(square=True), data=st.data())
-def test_principal_submatrix_equals_scipy_indexing(a, data):
-    n = a.shape[0]
-    members = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1))))
-                       if n else [], dtype=np.intp)
-    sub, want = a.principal(members), scipy_of(a)[members][:, members]
-    assert sub.shape == want.shape
-    assert np.array_equal(sub.indptr, want.indptr)
-    # index order included
-    assert np.array_equal(sub.indices, want.indices)
-
-
-@settings(max_examples=50, deadline=None)
 @given(b=matrices(sorted_rows=True))
 def test_projection_pair_counts_equal_scipy_btb(b):
     n = b.shape[1]

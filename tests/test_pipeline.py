@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from surgnet import centrality, network, pipeline
 from surgnet.errors import ConfigError, ConvergenceError, DataError
-from surgnet.records import MISSING
+from surgnet.records import MISSING, PLACEHOLDER_IDS
 from surgnet.pipeline import (
     CORRELATION_COLUMNS,
     REGRESSION_COLUMNS,
@@ -73,6 +73,15 @@ def test_readme_lists_exactly_the_config_keys():
     assert listed, "README no longer introduces the config keys"
     assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(
         f.name for f in fields(PipelineConfig))
+
+
+def test_readme_names_every_placeholder_id():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"placeholder ids \((.*?)\)\. A\s+placeholder or an "
+                       r"empty id is dropped", readme, re.S)
+    assert listed, "README no longer lists the placeholder ids"
+    assert sorted(re.findall(r"`([^`]+)`", listed.group(1))) == sorted(
+        PLACEHOLDER_IDS - {""})
 
 
 def test_config_from_file_with_overrides(tmp_path):

@@ -247,7 +247,10 @@ def test_missing_column_raises_config_error():
     # a column the parser reads may not be named twice, a stray one may
     for header, name in ((HEADER + ",age", "age"),
                          (HEADER + ",dx_1, dx_1 ", "dx_1"),
-                         (HEADER + ",dx_1,dx_2,dx_1", "dx_1")):
+                         (HEADER + ",dx_1,dx_2,dx_1", "dx_1"),
+                         # one dx slot, int(k), under two names
+                         (HEADER + ",dx_01,dx_1", "dx_1"),
+                         (HEADER + ",dx_1,dx_01", "dx_01")):
         with pytest.raises(ConfigError, match=f"repeated in header: \\['{name}'\\]"):
             read_cases_text(header + "\nc1,0,1,50,M,1,a,,,\n")
     cases, diags = read_cases_text(HEADER + ",note,note\nc1,0,1,50,M,1,a,x,y\n")

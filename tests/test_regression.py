@@ -576,6 +576,31 @@ def test_negbin_huge_ln_alpha_is_rejected_without_warnings():
     assert cand[-1] < 1000.0 and np.isfinite(ll_new) and ll_new > ll
 
 
+def test_line_step_without_an_acceptable_halving():
+    # no candidate has a finite log-likelihood, so every halving fails
+    theta, h = np.zeros(2), -np.eye(2)
+
+    def ll_fn(params):
+        return -np.inf
+
+    # a score below GRAD_TOL: the point is the optimum, and it stands
+    g = np.array([0.5 * reg.GRAD_TOL, 0.0])
+    cand, ll = reg._line_step(theta, -3.0, g, h, ll_fn, "poisson")
+    assert cand is theta and ll == -3.0
+    # a larger one: the search has failed
+    with pytest.raises(ConvergenceError,
+                       match="^poisson: step-halving exhausted") as exc_info:
+        reg._line_step(theta, -3.0, np.array([0.5, -2.0]), h, ll_fn, "poisson")
+    assert exc_info.value.trace == {"ll": -3.0, "grad_max_abs": 2.0}
+
+
+def test_std_errors_of_a_singular_information_are_a_convergence_error():
+    x = np.column_stack([np.arange(4.0), np.ones(4)])
+    with pytest.raises(ConvergenceError,
+                       match="^negbin: observed information is singular"):
+        reg._std_errors(np.ones((2, 2)), reg._Scaler(x), "negbin")
+
+
 def test_negbin_explicit_start_agrees_with_warm_start():
     rng = np.random.default_rng(17)
     dm = simulated_design(rng, 800, alpha=0.8)
