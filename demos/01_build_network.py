@@ -47,9 +47,11 @@ print(f"\ntwo-mode: {n_cases} cases, {n_providers} providers, "
 
 graph = project_one_mode(two_mode)
 print(f"one-mode: {graph.n_nodes} providers, {graph.n_edges} edges")
+# the shared-case counts are not kept with the graph: one call counts
+# them all again from B
+shared = graph.pair_counts
 for u, v in graph.edges():
-    shared = graph.pair_counts[(u, v)]
-    print(f"  {u} -- {v}  (shared cases: {shared})")
+    print(f"  {u} -- {v}  (shared cases: {shared[(u, v)]})")
 
 # Compute all five node measures. Everything is normalized to [0, 1];
 # see the docstrings in surgnet.centrality for the exact conventions.

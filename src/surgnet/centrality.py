@@ -80,29 +80,100 @@ EIG_MAX_ITER = 10000
 _BLOCK_CELLS = 1 << 17
 
 
+def _count_type(n):
+    """The least signed integer type of ``Csr``'s exact products that holds
+    ``n``: hop distances and level-2 path counts in an n-node graph are
+    below n."""
+    return np.int16 if n <= np.iinfo(np.int16).max else np.int32
+
+
+def _search_block(a, start, stop, reach, count_type):
+    """The BFS of ``_geodesic_measures`` from sources ``start:stop``, which
+    reach ``reach`` nodes each, and its dependency sweep. Returns each
+    node's dependency summed over the block's sources, and each source's
+    twice-triangle count and sum of distances. The block's arrays live
+    only in this call."""
+    n, h = a.shape[0], stop - start
+    sources, cols = np.arange(start, stop), np.arange(h)
+    dist = np.full((n, h), -1, dtype=count_type)
+    sigma = np.zeros((n, h))
+    dist[sources, cols] = 0
+    sigma[sources, cols] = 1.0
+    unreached = reach - 1
+    twice_triangles, dist_sum = np.zeros(h), np.zeros(h, dtype=np.int64)
+    # level 1 is the sources' own rows of the symmetric A
+    frontier, level = a.rows_transposed(start, stop, count_type), 0
+    while True:
+        fresh = frontier > 0
+        if not fresh.any():
+            break
+        level += 1
+        dist[fresh] = level
+        sigma += frontier
+        count = np.count_nonzero(fresh, axis=0)
+        unreached -= count
+        dist_sum += level * count
+        # never at level 1: the level-2 product also gives the triangles
+        if level > 1 and not unreached.any():
+            break
+        if level == 2:
+            # path counts past level 2 can outgrow any integer type
+            frontier = frontier.astype(np.float64)
+        frontier = a @ frontier
+        if level == 1:
+            twice_triangles[:] = frontier.sum(axis=0, where=dist == 1)
+        frontier[dist >= 0] = 0
+    del frontier, fresh  # the sweep needs neither
+    if not np.isfinite(sigma).all():
+        raise DataError("shortest-path counts overflow float64; "
+                        "betweenness is not computable")
+
+    # the sweep stops at level 1: a source gains no dependency
+    delta, w = np.zeros_like(sigma), np.empty_like(sigma)
+    on = np.empty(dist.shape, dtype=bool)
+    for k in range(level, 1, -1):
+        np.equal(dist, k, out=on)
+        w.fill(0.0)
+        np.add(delta, 1.0, out=w, where=on)
+        np.divide(w, sigma, out=w, where=on)
+        pushed = a @ w
+        np.equal(dist, k - 1, out=on)
+        np.multiply(pushed, sigma, out=pushed, where=on)
+        np.add(delta, pushed, out=delta, where=on)
+        del pushed  # before the next product makes its own
+    return delta.sum(axis=1), twice_triangles, dist_sum
+
+
 def _geodesic_measures(a, labels):
     """Betweenness, closeness and clustering arrays from one BFS pass.
 
     ``a`` is the symmetric 0/1 adjacency ``Csr`` and ``labels`` its
     connected-component labels. The search runs from a block of sources
-    at a time; column j of the (n, len(sources)) arrays belongs to
-    ``sources[j]``: ``dist`` is the hop distance (-1 where unreachable)
-    and ``sigma`` the number of shortest paths. Level 1 is read from the
-    sources' own rows of A. Each further level multiplies the frontier's
-    path counts by the adjacency (``a @ frontier``, the transpose of
-    frontier @ A since A is symmetric) and keeps the entries of unvisited
-    nodes, so path counts are summed over all predecessors and ties need
-    no breaking. The level-2 product, read before that mask at the
-    source's neighbors, is A^2 there: twice the source's triangles; it
-    runs whenever a source has a neighbor. The search stops once every
+    at a time (``_search_block``); column j of the (n, len(sources))
+    arrays belongs to ``sources[j]``: ``dist`` is the hop distance (-1
+    where unreachable) and ``sigma`` the number of shortest paths. Level 1
+    is read from the sources' own rows of A. Each further level multiplies
+    the frontier's path counts by the adjacency (``a @ frontier``, the
+    transpose of frontier @ A since A is symmetric) and keeps the entries
+    of unvisited nodes, so path counts are summed over all predecessors
+    and ties need no breaking. The level-2 product, read before that mask
+    at the source's neighbors, is A^2 there: twice the source's triangles;
+    it runs whenever a source has a neighbor. The search stops once every
     source has reached every node of its component, so a block whose
     sources reach depth 2 makes 2 products: one forward and one back. A
     backward sweep then pushes pair dependencies down the shortest-path
     DAG: with W = (1 + delta) / sigma on level k, the nodes on level
     k - 1 gain sigma * (A @ W). A path count past float64's range raises
     DataError.
+
+    ``dist``, the level-1 frontier and the level-2 product are exact
+    integers of ``_count_type(n)``; ``sigma``, later frontiers and the
+    sweep are float64. The integers are exact in float64 too, so the
+    results are bit for bit those of an all-float64 pass. The sweep
+    writes W, the product and delta in place, through ``where=`` masks.
     """
     n = a.shape[0]
+    count_type = _count_type(n)
     dependency = np.zeros(n)
     twice_triangles = np.zeros(n)
     dist_sum = np.zeros(n, dtype=np.int64)
@@ -111,43 +182,9 @@ def _geodesic_measures(a, labels):
     height = max(1, _BLOCK_CELLS // max(n, 1))
     for start in range(0, n, height):
         stop = min(start + height, n)
-        sources, cols = np.arange(start, stop), np.arange(stop - start)
-        dist = np.full((n, cols.size), -1, dtype=np.int32)
-        sigma = np.zeros((n, cols.size))
-        dist[sources, cols] = 0
-        sigma[sources, cols] = 1.0
-        unreached = reach[start:stop] - 1
-        # level 1 is the sources' own rows of the symmetric A
-        frontier, level = a.rows_transposed(start, stop), 0
-        while True:
-            fresh = frontier > 0
-            if not fresh.any():
-                break
-            level += 1
-            dist[fresh] = level
-            sigma += frontier
-            count = np.count_nonzero(fresh, axis=0)
-            unreached -= count
-            dist_sum[start:stop] += level * count
-            # never at level 1: the level-2 product also gives the triangles
-            if level > 1 and not unreached.any():
-                break
-            frontier = a @ frontier
-            if level == 1:
-                twice_triangles[start:stop] = (
-                    frontier * (dist == 1)).sum(axis=0)
-            frontier[dist >= 0] = 0.0
-        if not np.isfinite(sigma).all():
-            raise DataError("shortest-path counts overflow float64; "
-                            "betweenness is not computable")
-
-        delta = np.zeros_like(sigma)
-        # the sweep stops at level 1: a source gains no dependency
-        for k in range(level, 1, -1):
-            w = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma),
-                          where=dist == k)
-            delta += np.where(dist == k - 1, (a @ w) * sigma, 0.0)
-        dependency += delta.sum(axis=1)
+        block, twice_triangles[start:stop], dist_sum[start:stop] = \
+            _search_block(a, start, stop, reach[start:stop], count_type)
+        dependency += block
 
     betweenness = np.zeros(n)
     if n >= 3:

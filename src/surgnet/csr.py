@@ -3,15 +3,16 @@
 The case tables' provider and dx matrices, each segment's incidence B
 and each co-worker graph's adjacency are ``Csr`` objects, and only this
 module does index arithmetic on their ``indptr``: building them from
-(row, column) pairs (``pair_counts``), gathering and expanding rows, and
-multiplying. A ``Csr`` is its ``indptr`` and ``indices`` arrays and a
-column count, with no value array: ``@`` is one call of scipy's compiled
-``csr_matvec`` or ``csr_matvecs`` on all-ones values made for the call,
-the routine that ``scipy.sparse.csr_matrix @`` calls on the same arrays,
-so the bits are scipy's. It lives in scipy's private ``_sparsetools``
-extension, loaded here from its file at import: importing
-``scipy.sparse`` would also load numpy's lazy submodules (``f2py``,
-``testing``, ``ma`` and more) through scipy's array-API layer.
+(row, column) pairs (``from_pairs``, and ``pair_counts``, which also
+counts each pair), gathering and expanding rows, and multiplying. A
+``Csr`` is its ``indptr`` and ``indices`` arrays and a column count, with
+no value array: ``@`` is one call of scipy's compiled ``csr_matvec`` or
+``csr_matvecs`` on all-ones values made for the call, the routine that
+``scipy.sparse.csr_matrix @`` calls on the same arrays, so the bits are
+scipy's. It lives in scipy's private ``_sparsetools`` extension, loaded
+here from its file at import: importing ``scipy.sparse`` would also load
+numpy's lazy submodules (``f2py``, ``testing``, ``ma`` and more) through
+scipy's array-API layer.
 """
 
 import importlib.machinery
@@ -56,6 +57,9 @@ def _load_kernel():
 
 _KERNEL = _load_kernel()
 
+# operand types multiplied in their own type, exactly
+_EXACT = (np.dtype(np.int16), np.dtype(np.int32))
+
 
 class Csr:
     """A 0/1 matrix: row i has ones at columns
@@ -63,8 +67,11 @@ class Csr:
     counts twice: ``@`` adds it once per listing, as ``csr_matvec`` does.
 
     Both arrays are int32, checked by ``_check`` before the cast. ``A @ x``
-    takes a float64 vector of length ``n_cols`` or an (n_cols, k) block and
-    returns a new array whose rows sum each row's columns of ``x`` in order.
+    takes a vector of length ``n_cols`` or an (n_cols, k) block and returns
+    a new array whose rows sum each row's columns of ``x`` in order. An
+    int16 or int32 ``x`` gives an array of its type, and a ValueError when
+    the longest row times max |x| passes that type's maximum; any other
+    ``x`` is taken as float64.
     """
 
     def __init__(self, indptr, indices, n_cols):
@@ -76,17 +83,24 @@ class Csr:
         self.nnz = self.indices.size
 
     def __matmul__(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
+        if x.dtype not in _EXACT:
+            x = x.astype(np.float64, copy=False)
         m, n = self.shape
-        if x.shape[0] != n or x.ndim > 2:
+        if not 0 < x.ndim <= 2 or x.shape[0] != n:
             raise ValueError(f"cannot multiply {self.shape} by {x.shape}")
-        a = (self.indptr, self.indices, np.ones(self.nnz))
+        if x.dtype in _EXACT and self.nnz and x.size:
+            bound = (int(np.diff(self.indptr).max())
+                     * max(-int(x.min()), int(x.max())))
+            if bound > np.iinfo(x.dtype).max:
+                raise ValueError(f"{x.dtype} sums of up to {bound} overflow")
+        a = (self.indptr, self.indices, np.ones(self.nnz, dtype=x.dtype))
         # scipy's own dispatch: a vector or one column takes csr_matvec
         if x.ndim == 1 or x.shape[1] == 1:
-            out = np.zeros(m)
+            out = np.zeros(m, dtype=x.dtype)
             _KERNEL.csr_matvec(m, n, *a, x.ravel(), out)
             return out.reshape(m, *x.shape[1:])
-        out = np.zeros((m, x.shape[1]))
+        out = np.zeros((m, x.shape[1]), dtype=x.dtype)
         _KERNEL.csr_matvecs(m, n, x.shape[1], *a, x.ravel(), out.ravel())
         return out
 
@@ -117,13 +131,13 @@ class Csr:
         k = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
         return self.indices[first], self.indices[first + 1 + k]
 
-    def rows_transposed(self, start, stop):
+    def rows_transposed(self, start, stop, dtype=np.float64):
         """Rows ``start:stop`` as a dense C-ordered (n_cols, stop - start)
-        float64 array: column j is row ``start + j``."""
+        array of ``dtype``: column j is row ``start + j``."""
         lo, hi = self.indptr[start], self.indptr[stop]
-        block = np.zeros((self.shape[1], stop - start))
+        block = np.zeros((self.shape[1], stop - start), dtype=dtype)
         block[self.indices[lo:hi], np.repeat(
-            np.arange(stop - start), np.diff(self.indptr[start:stop + 1]))] = 1.0
+            np.arange(stop - start), np.diff(self.indptr[start:stop + 1]))] = 1
         return block
 
 
@@ -145,21 +159,45 @@ def _check(indptr, indices, n_cols):
         raise ValueError(f"a column index lies outside [0, {n_cols})")
 
 
-def _indptr(rows, n):
-    """CSR row pointers of entries whose sorted row numbers are ``rows``."""
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr
+def _sorted_keys(shape, u, v):
+    """One integer key per (row, column) pair, ``row * n_cols + column``,
+    sorted."""
+    # int32 keys, where they fit, sort in about half the time
+    key = np.int32 if shape[0] * shape[1] < 2**31 else np.int64
+    keys = np.asarray(u, dtype=key) * shape[1] + np.asarray(v, dtype=key)
+    keys.sort()
+    return keys
+
+
+def _is_first(keys):
+    """Whether each of the sorted ``keys`` differs from the one before it.
+    (``np.unique`` without counts takes a hash table from numpy 2.3 on,
+    some 30 times slower than the sort on a projection's keys.)"""
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _of_keys(shape, keys):
+    """The matrix with a one at each of the sorted, distinct ``keys``."""
+    rows, cols = np.divmod(keys, shape[1])
+    # the rows are sorted: row i starts at the first entry of a row >= i
+    return Csr(np.searchsorted(rows, np.arange(shape[0] + 1, dtype=rows.dtype)),
+               cols, shape[1])
+
+
+def from_pairs(shape, u, v):
+    """The matrix with a one at each (i, j) in ``zip(u, v)``, its rows
+    sorted and distinct."""
+    keys = _sorted_keys(shape, u, v)
+    keys = keys[_is_first(keys)]  # and the repeats are freed
+    return _of_keys(shape, keys)
 
 
 def pair_counts(shape, u, v):
-    """``(a, counts)``: ``a`` has a one at each (i, j) in ``zip(u, v)``, its
-    rows sorted and distinct, and ``counts`` (int64) how often each of its
-    entries occurs."""
-    m, n = shape
-    # int32 keys, where they fit, sort in about half the time
-    key = np.int32 if m * n < 2**31 else np.int64
-    keys, counts = np.unique(np.asarray(u, dtype=key) * n
-                             + np.asarray(v, dtype=key), return_counts=True)
-    rows = keys // n
-    return Csr(_indptr(rows, m), keys - rows * n, n), counts
+    """``(a, counts)``: ``a`` is ``from_pairs(shape, u, v)`` and ``counts``
+    (int64) how often each of its entries occurs."""
+    keys = _sorted_keys(shape, u, v)
+    at = np.flatnonzero(_is_first(keys))
+    return _of_keys(shape, keys[at]), np.diff(at, append=keys.size)

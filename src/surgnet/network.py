@@ -6,14 +6,16 @@ matrix B in CSR form (``csr.Csr``), one row per case and one column per
 provider. Removing the case nodes and connecting providers who share at
 least one case yields the one-mode co-worker graph: the off-diagonal of
 B^T B (Borgatti & Everett 1997), whose entries count the cases each pair
-shares. It is counted from each case's provider pairs (``Csr.row_pairs``,
-``csr.pair_counts``) rather than multiplied out. The projection is
-unweighted: repeated collaborations collapse to one edge, with the
-co-occurrence multiplicity kept only as edge metadata. The same B gives
-each segment's case-side counts (``summarize``) and, in ``centrality``,
-its team sizes and means. The co-worker graph holds its adjacency as
-one ``csr.Csr`` and labels its own connected components from it, each
-node with the least node index in its component.
+shares. Its nonzeros are found from each case's provider pairs
+(``Csr.row_pairs``), each distinct pair kept once (``csr.from_pairs``),
+rather than multiplied out. The projection is unweighted: repeated
+collaborations collapse to one edge. The graph keeps no count per edge;
+``CoworkerGraph.pair_counts`` counts the shared cases again from B when
+asked, and no measure reads them. The same B gives each segment's
+case-side counts (``summarize``) and, in ``centrality``, its team sizes
+and means. The co-worker graph holds its adjacency as one ``csr.Csr``
+and labels its own connected components from it, each node with the
+least node index in its component.
 """
 
 from dataclasses import dataclass
@@ -42,8 +44,10 @@ class CoworkerGraph:
 
     Nodes are kept sorted and the adjacency is held as one ``csr.Csr``
     with sorted neighbor lists, so iteration order (and everything
-    derived from it) is deterministic. An int64 count per stored entry,
-    kept alongside, says how often each pair occurs.
+    derived from it) is deterministic. The graph is the projection of an
+    incidence matrix whose rows are node sets: a segment's B, or for a
+    graph built from edges, one two-node row per listed edge. It keeps
+    that matrix, the adjacency and, once asked, the component labels.
     """
 
     def __init__(self, nodes, edges):
@@ -57,39 +61,45 @@ class CoworkerGraph:
         loops = ends[:, 0] == ends[:, 1]
         if loops.any():
             raise ValueError(f"self-loop on {nodes[ends[loops][0, 0]]!r}")
-        self._set(nodes, ends[:, 0], ends[:, 1])
+        self._set(nodes, csr.Csr(np.arange(0, ends.size + 1, 2), ends.ravel(),
+                                 len(nodes)))
 
     @classmethod
-    def _from_pairs(cls, nodes, u, v):
-        """Graph on sorted ``nodes`` with an edge between node indices
-        ``u[k]`` and ``v[k]`` for every k, where ``u[k] != v[k]``."""
+    def _projection(cls, nodes, incidence):
+        """Graph on sorted ``nodes`` linking every two columns that share a
+        row of ``incidence``, whose rows list each column at most once."""
         g = cls.__new__(cls)
-        g._set(nodes, u, v)
+        g._set(nodes, incidence)
         return g
 
-    def _set(self, nodes, u, v):
+    def _set(self, nodes, incidence):
         self.nodes = nodes
         self._index = {node: i for i, node in enumerate(nodes)}
-        # both directions; a pair listed twice sums to a count of 2
-        self._adjacency, self._counts = csr.pair_counts(
+        self._incidence = incidence
+        u, v = incidence.row_pairs()
+        # both directions
+        self._adjacency = csr.from_pairs(
             (len(nodes),) * 2, np.concatenate([u, v]), np.concatenate([v, u]))
         self._labels = None
 
     @property
     def pair_counts(self):
-        """``{(u, v): count}`` per edge, u < v: the cases the pair shares
-        in a projected graph, the times the pair is listed in a graph
-        built from edges. Ignored by all metrics."""
-        rows, cols, at = self._upper()
+        """``{(u, v): count}`` per edge, u < v: the rows of the incidence
+        matrix that hold both, i.e. the cases the pair shares in a
+        projected graph, the times the pair is listed in a graph built
+        from edges. Counted again on every access; no measure reads it."""
+        u, v = self._incidence.row_pairs()
+        a, counts = csr.pair_counts((self.n_nodes,) * 2, np.minimum(u, v),
+                                    np.maximum(u, v))
         return {(self.nodes[i], self.nodes[j]): int(c) for i, j, c in zip(
-            rows.tolist(), cols.tolist(), self._counts[at].tolist())}
+            a.rows().tolist(), a.indices.tolist(), counts.tolist())}
 
     def _upper(self):
-        """Row, column and position in the adjacency of every stored entry
-        above the diagonal: each edge once, in lexicographic order."""
+        """Row and column of every stored entry above the diagonal: each
+        edge once, in lexicographic order."""
         rows, cols = self._adjacency.rows(), self._adjacency.indices
-        at = np.flatnonzero(cols > rows)
-        return rows[at], cols[at], at
+        upper = cols > rows
+        return rows[upper], cols[upper]
 
     @property
     def n_nodes(self):
@@ -140,7 +150,7 @@ class CoworkerGraph:
 
     def edges(self):
         """Edges as sorted (u, v) id pairs, u < v, in lexicographic order."""
-        rows, cols, _ = self._upper()
+        rows, cols = self._upper()
         for i, j in zip(rows.tolist(), cols.tolist()):
             yield self.nodes[i], self.nodes[j]
 
@@ -184,11 +194,11 @@ def project_one_mode(bg: BipartiteGraph) -> CoworkerGraph:
 
     Each case's provider set becomes a clique; the result is the union of
     those cliques as a simple graph, the off-diagonal nonzeros of B^T B.
-    Its values, the number of cases each pair shares, are retained as
-    ``pair_counts`` metadata. Providers who share no case stay as
-    isolated nodes.
+    Its values, the number of cases each pair shares, are not kept:
+    ``pair_counts`` counts them again from B. Providers who share no case
+    stay as isolated nodes.
     """
-    return CoworkerGraph._from_pairs(bg.providers, *bg.incidence.row_pairs())
+    return CoworkerGraph._projection(bg.providers, bg.incidence)
 
 
 def summarize(g: CoworkerGraph, incidence) -> GraphSummary:

@@ -264,10 +264,12 @@ def analyze_segments(cfg: PipelineConfig, retained):
     Segments are independent, so each is one task on a thread pool with a
     worker per usable CPU; the sparse products and array work of the
     measures release the GIL. Results, and the first error, come back in
-    segment order, as from a serial loop.
+    segment order, as from a serial loop. The segments copy their cases,
+    so the reference to ``retained`` is dropped once they are cut.
     """
     with _stage("segment"):
         segments = records.segment_cases(retained, window_days=cfg.window_days)
+    del retained
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
         return list(pool.map(_analyze_segment, segments))
 
@@ -348,14 +350,16 @@ def run_pipeline(cfg: PipelineConfig, write=True) -> RunResult:
     artifacts into ``cfg.output_dir``."""
     cfg.validate()
     codeset = load_codeset(cfg.codeset)
-    diagnostics, report, retained = load_cases(cfg)
-    analyses = analyze_segments(cfg, retained)
+    # retained is a one-item list, so that analyze_segments gets the case
+    # table's only reference and can drop it once the segments are cut
+    diagnostics, report, *retained = load_cases(cfg)
+    analyses = analyze_segments(cfg, retained.pop())
     table = assemble_rows(cfg, analyses, codeset)
     spearman = correlate_rows(table)
     est = estimate(cfg, table)
 
-    manifest = _build_manifest(cfg, diagnostics, report, retained, analyses,
-                               table, spearman, est)
+    manifest = _build_manifest(cfg, diagnostics, report, analyses, table,
+                               spearman, est)
     result = RunResult(config=cfg, diagnostics=diagnostics,
                        exclusion_report=report, analyses=analyses, table=table,
                        spearman=spearman, estimation=est, manifest=manifest)
@@ -593,9 +597,11 @@ def _fit_record(fit: regression.FitResult):
             if f.name not in skip}
 
 
-def _build_manifest(cfg, diagnostics, report, retained, analyses, table,
-                    spearman, est):
+def _build_manifest(cfg, diagnostics, report, analyses, table, spearman,
+                    est):
     excluded = dict(report)
+    # the segments partition the retained cases
+    retained = sum(sa.summary.case_count for sa in analyses)
     per_segment = [{
         "segment": sa.segment.index,
         "cases": sa.summary.case_count,
@@ -610,9 +616,9 @@ def _build_manifest(cfg, diagnostics, report, retained, analyses, table,
         "config_hash": cfg.config_hash(),
         "conventions": dict(CONVENTIONS),
         "stages": {
-            "parse": {"cases": len(retained) + sum(excluded.values()),
+            "parse": {"cases": retained + sum(excluded.values()),
                       "diagnostics": len(diagnostics)},
-            "exclusions": {"removed": excluded, "retained": len(retained)},
+            "exclusions": {"removed": excluded, "retained": retained},
             "segments": {"count": len(analyses),
                          "cases_per_segment":
                              [sa.summary.case_count for sa in analyses]},

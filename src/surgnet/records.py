@@ -163,8 +163,8 @@ class _TableBuilder:
     def build(self) -> CaseTable:
         provider_ids, codes = sorted(set(self.team)), list(dict.fromkeys(self.dx))
         # a provider listed twice on a case (long form) links it once
-        team, _ = csr.pair_counts((len(self.case_id), len(provider_ids)),
-                                  self.team_case, _numbered(self.team, provider_ids))
+        team = csr.from_pairs((len(self.case_id), len(provider_ids)),
+                              self.team_case, _numbered(self.team, provider_ids))
         return CaseTable(
             case_id=self.case_id,
             day_offset=_int_column(self.day), end_day_offset=_int_column(self.end),

@@ -8,7 +8,10 @@ instead of the library's own, a literal prefix scan for ICD-9 matching,
 a cell-by-cell renderer for the joined table, and numpy's own
 ``Generator.choice``, ``integers`` and ``shuffle`` for the synthetic teams
 and dx codes. Agreement between the
-two routes is the evidence the tests rely on.
+two routes is the evidence the tests rely on. One reference is the same
+algorithm on purpose: ``geodesic_measures_float64`` is the blocked Brandes
+pass in float64 throughout, against which the library's integer-typed,
+in-place pass must agree bit for bit.
 """
 
 import itertools
@@ -170,6 +173,66 @@ def degree_by_counting(nodes, edges):
     if n < 2:
         return {u: 0.0 for u in order}
     return {u: len(adj[u]) / (n - 1) for u in order}
+
+
+def geodesic_measures_float64(a, labels, block_cells):
+    """Betweenness, closeness and clustering of the blocked Brandes pass
+    with every array float64 and a sweep that makes new arrays at each
+    level: ``centrality._geodesic_measures`` as it was before it counted
+    in integer types, with ``block_cells`` in place of ``_BLOCK_CELLS``."""
+    n = a.shape[0]
+    dependency = np.zeros(n)
+    twice_triangles = np.zeros(n)
+    dist_sum = np.zeros(n, dtype=np.int64)
+    reach = np.bincount(labels)[labels]
+    height = max(1, block_cells // max(n, 1))
+    for start in range(0, n, height):
+        stop = min(start + height, n)
+        sources, cols = np.arange(start, stop), np.arange(stop - start)
+        dist = np.full((n, cols.size), -1, dtype=np.int32)
+        sigma = np.zeros((n, cols.size))
+        dist[sources, cols] = 0
+        sigma[sources, cols] = 1.0
+        unreached = reach[start:stop] - 1
+        frontier, level = a.rows_transposed(start, stop), 0
+        while True:
+            fresh = frontier > 0
+            if not fresh.any():
+                break
+            level += 1
+            dist[fresh] = level
+            sigma += frontier
+            count = np.count_nonzero(fresh, axis=0)
+            unreached -= count
+            dist_sum[start:stop] += level * count
+            if level > 1 and not unreached.any():
+                break
+            frontier = a @ frontier
+            if level == 1:
+                twice_triangles[start:stop] = (
+                    frontier * (dist == 1)).sum(axis=0)
+            frontier[dist >= 0] = 0.0
+
+        delta = np.zeros_like(sigma)
+        for k in range(level, 1, -1):
+            w = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma),
+                          where=dist == k)
+            delta += np.where(dist == k - 1, (a @ w) * sigma, 0.0)
+        dependency += delta.sum(axis=1)
+
+    betweenness = np.zeros(n)
+    if n >= 3:
+        betweenness = dependency / 2.0
+        betweenness /= (n - 1) * (n - 2) / 2.0
+    closeness = np.zeros(n)
+    ok = reach > 1
+    closeness[ok] = (reach[ok] - 1) / dist_sum[ok] * (reach[ok] - 1) / (n - 1)
+    deg = np.diff(a.indptr).astype(np.float64)
+    possible = deg * (deg - 1) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        clustering = np.where(possible > 0, twice_triangles / 2.0 / possible,
+                              0.0)
+    return betweenness, closeness, clustering
 
 
 def random_edge_set(rng, max_nodes=7):

@@ -1,6 +1,7 @@
 """Node-level network measures against fixtures and independent oracles."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,8 @@ from surgnet.centrality import (
     eigenvector_centrality,
     team_aggregate,
 )
-from surgnet.network import CoworkerGraph, build_bipartite, project_one_mode
+from surgnet.network import (BipartiteGraph, CoworkerGraph, build_bipartite,
+                             project_one_mode)
 from surgnet.records import Segment
 
 
@@ -305,6 +307,18 @@ def _disjoint_union(components, order_seed):
             parts.append((arg, list(itertools.combinations(range(arg), 2))))
         elif kind == "path":
             parts.append((arg, [(i, i + 1) for i in range(arg - 1)]))
+        elif kind == "diamonds":
+            # joints 0..arg; diamond i has sides arg+1+2i and arg+2+2i
+            parts.append((3 * arg + 1, [
+                (joint, side) for i in range(arg)
+                for side in (arg + 1 + 2 * i, arg + 2 + 2 * i)
+                for joint in (i, i + 1)]))
+        elif kind == "dense":
+            rng = np.random.default_rng(arg)
+            size = int(rng.integers(10, 41))
+            parts.append((size, [
+                (i, j) for i, j in itertools.combinations(range(size), 2)
+                if rng.uniform() < 0.3]))
         else:
             parts.extend((1, []) for _ in range(arg))
     total = sum(size for size, _ in parts)
@@ -343,6 +357,48 @@ def test_block_stop_rule_matches_oracles(components, order_seed, block_cells):
     assert_allclose(m["closeness"], [cl[v] for v in g.nodes],
                     rtol=0, atol=1e-12)
     assert m["clustering"].tolist() == [cc[v] for v in g.nodes]
+
+
+# _COMPONENT's kinds and deep ones: long paths and chains of diamonds,
+# whose path counts double at every diamond, and denser random graphs
+_DEEP_COMPONENT = st.one_of(
+    _COMPONENT,
+    st.tuples(st.just("path"), st.integers(10, 40)),
+    st.tuples(st.just("diamonds"), st.integers(1, 30)),
+    st.tuples(st.just("dense"), st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(components=st.lists(_DEEP_COMPONENT, min_size=1, max_size=4),
+       order_seed=st.integers(0, 2**32 - 1),
+       block_cells=st.one_of(st.integers(1, 512),
+                             st.just(centrality._BLOCK_CELLS)),
+       count_type=st.sampled_from([None, np.int32]))
+# a chain of 60 diamonds counts up to 2**60 paths, past 2**53, above
+# which float64 no longer holds every integer
+@example(components=[("diamonds", 60), ("isolated", 2)], order_seed=0,
+         block_cells=centrality._BLOCK_CELLS, count_type=None)
+@example(components=[("dense", 1), ("path", 30), ("complete", 4)],
+         order_seed=5, block_cells=64, count_type=None)
+def test_integer_pass_equals_the_float64_reference_bit_for_bit(
+        components, order_seed, block_cells, count_type):
+    # count_type int32 runs the pass of graphs past 32 767 nodes
+    nodes, edges = _disjoint_union(components, order_seed)
+    a, labels = centrality._labelled(CoworkerGraph(nodes, edges))
+    least = centrality._count_type
+    with mock.patch.object(centrality, "_BLOCK_CELLS", block_cells), \
+            mock.patch.object(centrality, "_count_type",
+                              side_effect=lambda n: count_type or least(n)):
+        got = centrality._geodesic_measures(a, labels)
+    want = oracles.geodesic_measures_float64(a, labels, block_cells)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_count_type_is_the_least_that_holds_n():
+    assert [centrality._count_type(n) for n in (0, 2**15 - 1, 2**15)] == \
+        [np.int16, np.int16, np.int32]
 
 
 def _products_per_pass(g, block_cells):
@@ -415,6 +471,47 @@ def test_metric_ranges_on_random_graph():
     m = compute_all(CoworkerGraph(nodes, edges))
     for name in centrality.TEAM_MEASURES:
         assert m[name].min() >= 0.0 and m[name].max() <= 1.0
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_dense_segment_allocates_only_what_its_graph_and_blocks_need():
+    # 5 000 cases of 2-6 providers each among 1 200: a connected graph of
+    # mean degree 58, 3 hops deep from its first node. It has fewer
+    # adjacency entries than a block has cells, so the sweep's arrays, not
+    # a product's all-ones values, set the peak of the measures.
+    rng = np.random.default_rng(9)
+    n = 1200
+    sizes = rng.integers(2, 7, size=5000)
+    teams = [np.sort(rng.choice(n, size=k, replace=False)) for k in sizes]
+    b = Csr(np.concatenate([[0], np.cumsum(sizes)]), np.concatenate(teams), n)
+    g, peak = _traced_peak(project_one_mode,
+                           BipartiteGraph(tuple(range(n)), b))
+    pairs, entries = int((sizes * (sizes - 1) // 2).sum()), g.adjacency().nnz
+    # The projection expands the clique pairs with int64 positions (36
+    # bytes a pair), then holds their ends and both directions of them as
+    # int32 (24 bytes a pair) while the distinct keys, split into rows and
+    # columns, take 12 bytes an adjacency entry. An int64 count per entry
+    # would add 8 bytes an entry, and counting them 16 more.
+    assert peak <= max(36 * pairs, 24 * pairs + 12 * entries) + (256 << 10)
+    # as in a run, the components are labelled first (by summarize)
+    g.component_labels()
+    _, peak = _traced_peak(compute_all, g)
+    cells = n * (centrality._BLOCK_CELLS // n)
+    assert entries < cells
+    # A block's sweep holds sigma, delta, W and the product in float64,
+    # dist in int16 and one mask: 35 bytes a cell; the product's all-ones
+    # values take 8 bytes an adjacency entry, and the node vectors fit in
+    # 256 KiB. An int32 dist would add 2 bytes a cell, and a sweep that
+    # made its temporaries again at least 8.
+    assert peak <= 35 * cells + 8 * entries + (256 << 10)
 
 
 def test_team_aggregate_averages_member_metrics():

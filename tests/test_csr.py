@@ -67,11 +67,54 @@ def test_products_equal_scipy_bit_for_bit(a, data):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("shape", [(4,), (4, 2), (6, 1), (5, 2, 1)])
+@pytest.mark.parametrize("shape", [(), (4,), (4, 2), (6, 1), (5, 2, 1)])
 def test_a_mismatched_right_hand_side_is_refused(shape):
     # the kernel reads x unchecked, so its length is checked first
     with pytest.raises(ValueError, match="cannot multiply"):
         Csr([0, 1, 2], [0, 4], 5) @ np.zeros(shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.one_of(matrices(), matrices(repeats=True)), data=st.data())
+def test_integer_products_keep_their_type_and_equal_float64(a, data):
+    dtype = data.draw(st.sampled_from([np.int16, np.int32]))
+    top = np.iinfo(dtype).max // max(1, int(np.diff(a.indptr).max(initial=0)))
+    x = data.draw(right_hand_sides(a.shape[1])).astype(np.float64)
+    x = np.clip(np.nan_to_num(x), -top, top).round().astype(dtype)
+    got = a @ x
+    assert got.dtype == dtype and got.shape == (a @ x.astype(float)).shape
+    assert np.array_equal(got.astype(float), a @ x.astype(float))
+
+
+def _star(leaves):
+    """Node 0 joined to nodes 1..leaves, as a symmetric ``Csr``."""
+    indptr = np.concatenate([[0], leaves + np.arange(leaves + 1)])
+    indices = np.concatenate([np.arange(1, leaves + 1), np.zeros(leaves)])
+    return Csr(indptr, indices, leaves + 1)
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_an_int16_product_reaches_its_type_maximum_exactly(k):
+    # 2**15 columns: the hub row sums 2**15 - 1 ones, int16's maximum
+    star = _star(2**15 - 1)
+    x = np.ones(2**15 if k is None else (2**15, k), dtype=np.int16)
+    got, want = star @ x, star @ x.astype(np.float64)
+    assert got.dtype == np.int16 and got[0].max() == 2**15 - 1
+    assert got.astype(np.float64).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("a, x", [
+    # one more leaf: the hub could sum 2**15 ones
+    (_star(2**15), np.ones(2**15 + 1, dtype=np.int16)),
+    # a longest row of 2 times a value of 2**30
+    (Csr([0, 2, 2], [0, 1], 2), np.array([1, 2**30], dtype=np.int32)),
+    (Csr([0, 2, 2], [0, 1], 2), np.array([[-2**30], [0]], dtype=np.int32)),
+])
+def test_an_integer_product_that_could_overflow_is_refused(a, x):
+    with pytest.raises(ValueError, match="overflow"):
+        a @ x
+    # one less fits
+    assert (a @ (x - np.sign(x)).astype(x.dtype)).dtype == x.dtype
 
 
 def test_a_column_listed_twice_adds_twice():
