@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Each pipeline stage is independently invocable for debugging; ``run``
-executes the whole flow. Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numeric non-convergence. The output directory can be
+``run`` executes the whole analysis and writes every artifact;
+``ingest-check`` parses a case file and reports what the parse and the
+exclusions did; ``synth`` and ``dump-codeset`` make and show inputs.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
+non-convergence. The output directory can be
 overridden with the SURGNET_OUTPUT_DIR environment variable (an explicit
 --output-dir flag still wins). The solvers' stopping rules are constants,
 not options: ``centrality.EIG_TOL``/``EIG_MAX_ITER`` for the eigenvector,
@@ -10,13 +12,12 @@ not options: ``centrality.EIG_TOL``/``EIG_MAX_ITER`` for the eigenvector,
 """
 
 import argparse
-import io
 import os
 import sys
 from dataclasses import fields
 
 from . import __version__, records, synth
-from .complications import ComplicationCodeset, count_complications
+from .complications import ComplicationCodeset
 from .errors import ConfigError, ConvergenceError, DataError
 
 ENV_OUTPUT_DIR = "SURGNET_OUTPUT_DIR"
@@ -26,8 +27,9 @@ ENV_OUTPUT_DIR = "SURGNET_OUTPUT_DIR"
 # and defaults to None: an absent flag leaves the value to the environment,
 # the config file or the PipelineConfig default.
 #
-# The pipeline, and scipy's sparse kernel with it, is imported by the
-# subcommands that run a stage; synth and dump-codeset need numpy alone.
+# The pipeline, and scipy's sparse kernel with it, is imported by run and
+# ingest-check, which resolve a PipelineConfig; synth and dump-codeset
+# need numpy alone.
 
 
 def _add_format_args(p):
@@ -37,23 +39,9 @@ def _add_format_args(p):
                         "provider per row (long)")
 
 
-def _add_ingest_args(p):
-    p.add_argument("input_path", metavar="input",
-                   help="case file (delimited text with header)")
-    _add_format_args(p)
-
-
 def _add_window_args(p):
     p.add_argument("--window-days", type=int,
                    help="segment window length in days")
-
-
-def _add_codeset_args(p):
-    p.add_argument("--codeset",
-                   help="complication codeset file, or 'embedded'")
-    p.add_argument("--distinct", dest="distinct_complications",
-                   action="store_true", default=None,
-                   help="count each matching code once per case")
 
 
 def _config(args):
@@ -70,7 +58,9 @@ def _config(args):
         cfg = pipeline.PipelineConfig(
             **{k: v for k, v in overrides.items() if v is not None})
     if not cfg.input_path:
-        raise ConfigError("run needs --input (or --config with input_path)")
+        need = ("--input (or --config with input_path)" if "config" in given
+                else "an input file")
+        raise ConfigError(f"{args.command} needs {need}")
     return cfg.validate()
 
 
@@ -85,45 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest-check",
                        help="parse a case file and report diagnostics "
                             "and exclusion counts")
-    _add_ingest_args(p)
+    p.add_argument("input_path", metavar="input",
+                   help="case file (delimited text with header)")
+    _add_format_args(p)
     p.set_defaults(func=cmd_ingest_check)
-
-    p = sub.add_parser("segment", help="show the time-segment breakdown")
-    _add_ingest_args(p)
-    _add_window_args(p)
-    p.set_defaults(func=cmd_segment)
-
-    p = sub.add_parser("metrics",
-                       help="compute per-segment node metrics tables")
-    _add_ingest_args(p)
-    _add_window_args(p)
-    p.add_argument("--segment", type=int, default=None,
-                   help="restrict output to one segment index")
-    p.add_argument("--output-dir",
-                   help="where to write node_metrics_seg<k>.tsv")
-    p.add_argument("--save-edges", action="store_true",
-                   help="also write edges_seg<k>.tsv edge lists")
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("outcomes",
-                       help="print per-case complication counts")
-    _add_ingest_args(p)
-    _add_codeset_args(p)
-    p.set_defaults(func=cmd_outcomes)
-
-    p = sub.add_parser("correlate",
-                       help="Spearman matrix of the team-average measures")
-    _add_ingest_args(p)
-    _add_window_args(p)
-    _add_codeset_args(p)
-    p.set_defaults(func=cmd_correlate)
-
-    p = sub.add_parser("regress",
-                       help="screening, Poisson, and negative binomial fits")
-    _add_ingest_args(p)
-    _add_window_args(p)
-    _add_codeset_args(p)
-    p.set_defaults(func=cmd_regress)
 
     p = sub.add_parser("run", help="full pipeline, all artifacts to disk")
     p.add_argument("--config", help="JSON config file")
@@ -132,7 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir")
     _add_format_args(p)
     _add_window_args(p)
-    _add_codeset_args(p)
+    p.add_argument("--codeset",
+                   help="complication codeset file, or 'embedded'")
+    p.add_argument("--distinct", dest="distinct_complications",
+                   action="store_true", default=None,
+                   help="count each matching code once per case")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a synthetic case file")
@@ -177,85 +136,6 @@ def cmd_ingest_check(args):
     for rule, count in report.items():
         print(f"excluded ({rule})\t{count}")
     print(f"retained\t{len(retained)}")
-    return 0
-
-
-def cmd_segment(args):
-    from . import pipeline
-    cfg = _config(args)
-    _, _, retained = pipeline.load_cases(cfg)
-    segments = records.segment_cases(retained, window_days=cfg.window_days)
-    print("segment\tstart_day\tend_day_exclusive\tdays\tcases")
-    for seg in segments:
-        print(f"{seg.index}\t{seg.start_day}\t{seg.end_day_exclusive}"
-              f"\t{seg.span_days}\t{len(seg.cases)}")
-    return 0
-
-
-def cmd_metrics(args):
-    from . import pipeline
-    from .network import write_edge_list
-    cfg = _config(args)
-    _, _, retained = pipeline.load_cases(cfg)
-    analyses = pipeline.analyze_segments(cfg, retained)
-    if args.segment is not None:
-        analyses = [sa for sa in analyses if sa.segment.index == args.segment]
-        if not analyses:
-            raise ConfigError(f"no segment with index {args.segment}")
-    outdir = cfg.output_dir
-    outputs = {}
-    for sa in analyses:
-        outputs[f"node_metrics_seg{sa.segment.index}.tsv"] = \
-            pipeline.render_node_metrics(sa)
-        if args.save_edges:
-            edges = io.StringIO()
-            write_edge_list(sa.graph, edges)
-            outputs[f"edges_seg{sa.segment.index}.tsv"] = edges.getvalue()
-    pipeline.write_outputs(outputs, outdir)
-    for sa in analyses:
-        s = sa.summary
-        print(f"segment {sa.segment.index}: nodes {s.node_count}, "
-              f"edges {s.edge_count}, cases {s.case_count}, "
-              f"density {s.density:.6g}")
-    print(f"wrote {len(analyses)} node-metrics table(s) to {outdir}")
-    return 0
-
-
-def cmd_outcomes(args):
-    from . import pipeline
-    cfg = _config(args)
-    codeset = pipeline.load_codeset(cfg.codeset)
-    _, _, retained = pipeline.load_cases(cfg)
-    counts = count_complications(retained, codeset,
-                                 distinct=cfg.distinct_complications).tolist()
-    print("case_id\tC")
-    for case_id, count in sorted(zip(retained.case_id, counts)):
-        print(f"{case_id}\t{count}")
-    return 0
-
-
-def _joined_table(args):
-    from . import pipeline
-    cfg = _config(args)
-    codeset = pipeline.load_codeset(cfg.codeset)
-    _, _, retained = pipeline.load_cases(cfg)
-    analyses = pipeline.analyze_segments(cfg, retained)
-    return cfg, pipeline.assemble_rows(cfg, analyses, codeset)
-
-
-def cmd_correlate(args):
-    from . import pipeline
-    _, table = _joined_table(args)
-    sp = pipeline.correlate_rows(table)
-    sys.stdout.write(pipeline.render_correlation(sp))
-    return 0
-
-
-def cmd_regress(args):
-    from . import pipeline
-    cfg, table = _joined_table(args)
-    est = pipeline.estimate(cfg, table)
-    sys.stdout.write(pipeline.render_regression(est))
     return 0
 
 

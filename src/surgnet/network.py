@@ -222,10 +222,3 @@ def summarize(g: CoworkerGraph, incidence) -> GraphSummary:
         isolated_provider_cases=int(np.count_nonzero(
             incidence @ (g.degrees() == 0).astype(float))),
     )
-
-
-def write_edge_list(g: CoworkerGraph, target):
-    """Write the graph to the text stream ``target`` as tab-separated
-    ``u<TAB>v`` lines, sorted."""
-    for u, v in g.edges():
-        target.write(f"{u}\t{v}\n")

@@ -217,12 +217,6 @@ def _stage(name):
         raise type(exc)(f"stage {name}: {exc.args[0]}") from exc
 
 
-def load_codeset(source: str) -> ComplicationCodeset:
-    """``ComplicationCodeset.load``, its errors naming the stage."""
-    with _stage("codeset"):
-        return ComplicationCodeset.load(source)
-
-
 def load_cases(cfg: PipelineConfig):
     """Parse and filter; returns (diagnostics, exclusion_report, retained
     CaseTable)."""
@@ -349,7 +343,8 @@ def run_pipeline(cfg: PipelineConfig, write=True) -> RunResult:
     """Execute every stage and, unless ``write`` is false, emit all
     artifacts into ``cfg.output_dir``."""
     cfg.validate()
-    codeset = load_codeset(cfg.codeset)
+    with _stage("codeset"):
+        codeset = ComplicationCodeset.load(cfg.codeset)
     # retained is a one-item list, so that analyze_segments gets the case
     # table's only reference and can drop it once the segments are cut
     diagnostics, report, *retained = load_cases(cfg)
@@ -501,11 +496,6 @@ def _tsv_pieces(table):
         cells = _column_cells(chunk, names[1:], "{:.6g}".format, "NA")
         yield "\n".join(map("\t".join, zip(chunk[names[0]],
                                           *cells.values()))) + "\n"
-
-
-def render_node_metrics(sa: SegmentAnalysis):
-    """node_metrics_seg<k>.tsv: one row per provider, in id order."""
-    return "".join(_tsv_pieces(sa.measures))
 
 
 def _network_json_pieces(table):
@@ -675,9 +665,9 @@ def _render_outputs(result: RunResult):
         }),
         "manifest.json": _json_text(result.manifest),
     }
-    for sa in analyses:
+    for sa in analyses:  # one row per provider, in id order
         outputs[f"node_metrics_seg{sa.segment.index}.tsv"] = \
-            render_node_metrics(sa)
+            "".join(_tsv_pieces(sa.measures))
     return outputs
 
 

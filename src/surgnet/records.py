@@ -195,10 +195,6 @@ class Segment:
     end_day_exclusive: int
     cases: CaseTable
 
-    @property
-    def span_days(self) -> int:
-        return self.end_day_exclusive - self.start_day
-
 
 @dataclass(frozen=True)
 class ParseDiagnostic:

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, output routing."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -146,93 +148,6 @@ def test_oversized_header_cell_is_data_error(tmp_path, capsys):
     assert str(case) in err and "field limit" in err and err.count("\n") == 1
 
 
-def test_segment_table(dataset, capsys):
-    rc = cli.main(["segment", str(dataset), "--window-days", "80"])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("segment\tstart_day")
-    assert len(lines) == 4  # header + 3 segments
-    assert lines[1].split("\t")[0] == "1"
-
-
-def test_metrics_writes_tables_and_edges(dataset, tmp_path, capsys):
-    outdir = tmp_path / "m"
-    rc = cli.main(["metrics", str(dataset), "--window-days", "80",
-                   "--output-dir", str(outdir), "--save-edges"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    for k in (1, 2, 3):
-        table = outdir / f"node_metrics_seg{k}.tsv"
-        assert table.is_file()
-        header = table.read_text().splitlines()[0]
-        assert header.split("\t") == [
-            "provider_id", "degree_raw", "degree", "betweenness",
-            "closeness", "eigenvector", "clustering"]
-        # one sorted u<TAB>v line per edge of the printed count
-        edges = (outdir / f"edges_seg{k}.tsv").read_text().splitlines()
-        assert edges == sorted(edges)
-        assert all(u < v for u, v in (e.split("\t") for e in edges))
-        assert f"segment {k}: nodes " in out
-        assert f", edges {len(edges)}, " in out.split(f"segment {k}: ")[1]
-    assert "wrote 3 node-metrics table(s)" in out
-
-
-def test_metrics_edges_with_a_directory_in_the_way_is_config_error(
-        dataset, tmp_path, capsys):
-    outdir = tmp_path / "m"
-    (outdir / "edges_seg1.tsv").mkdir(parents=True)
-    rc = cli.main(["metrics", str(dataset), "--window-days", "80",
-                   "--output-dir", str(outdir), "--save-edges"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot write {outdir}")
-    assert err.count("\n") == 1
-    # no node table written beside it, and no temporary file left behind
-    assert [p.name for p in outdir.iterdir()] == ["edges_seg1.tsv"]
-
-
-def test_metrics_segment_filter(dataset, tmp_path, capsys):
-    outdir = tmp_path / "one"
-    rc = cli.main(["metrics", str(dataset), "--window-days", "80",
-                   "--segment", "2", "--output-dir", str(outdir)])
-    assert rc == 0
-    assert (outdir / "node_metrics_seg2.tsv").is_file()
-    assert not (outdir / "node_metrics_seg1.tsv").exists()
-    rc = cli.main(["metrics", str(dataset), "--window-days", "80",
-                   "--segment", "9", "--output-dir", str(outdir)])
-    assert rc == 2
-    assert "no segment" in capsys.readouterr().err
-
-
-def test_outcomes_lists_counts(dataset, capsys):
-    rc = cli.main(["outcomes", str(dataset)])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "case_id\tC"
-    assert len(lines) == 151
-    ids = [ln.split("\t")[0] for ln in lines[1:]]
-    assert ids == sorted(ids)
-    assert all(int(ln.split("\t")[1]) >= 0 for ln in lines[1:])
-
-
-def test_correlate_prints_matrix(dataset, capsys):
-    rc = cli.main(["correlate", str(dataset), "--window-days", "80"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0].split("\t") == [
-        "variable", "avgBtwn", "avgClos", "avgEigen", "avgClust", "avgDeg"]
-    assert "number of observations: 150" in out
-
-
-def test_regress_prints_fits(dataset, capsys):
-    rc = cli.main(["regress", str(dataset), "--window-days", "80"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "== poisson ==" in out
-    assert "== negative binomial ==" in out
-    assert "Likelihood-ratio test of alpha=0" in out
-
-
 def test_run_full_pipeline(dataset, tmp_path, capsys, monkeypatch):
     def whole_texts(result):
         raise AssertionError("run rendered every artifact's whole text")
@@ -251,6 +166,11 @@ def test_run_full_pipeline(dataset, tmp_path, capsys, monkeypatch):
     assert len(list(outdir.iterdir())) == 13
     assert (outdir / "manifest.json").is_file()
     assert (outdir / "regression.tsv").is_file()
+    for k in (1, 2, 3):
+        header = (outdir / f"node_metrics_seg{k}.tsv").read_text().split("\n")[0]
+        assert header.split("\t") == [
+            "provider_id", "degree_raw", "degree", "betweenness",
+            "closeness", "eigenvector", "clustering"]
 
 
 def test_run_with_a_directory_in_the_way_is_config_error(dataset, tmp_path,
@@ -295,9 +215,6 @@ def test_run_removes_tables_of_segments_it_no_longer_has(dataset, tmp_path,
               "node_metrics_seg\u00b2.tsv", "node_metrics_seg\u0663.tsv"]
     for name in others:
         (outdir / name).write_text("not a table\n")
-    # metrics --segment writes its one table and leaves the others
-    assert cli.main(["metrics", str(dataset), "--window-days", "80",
-                     "--segment", "2", "--output-dir", str(outdir)]) == 0
     assert tables() == sorted(["node_metrics_seg1.tsv", "node_metrics_seg2.tsv",
                                "node_metrics_seg3.tsv"] + others)
     # one segment now: the tables of segments 2 and 3 go
@@ -315,7 +232,16 @@ def test_run_removes_tables_of_segments_it_no_longer_has(dataset, tmp_path,
 def test_run_without_input_is_config_error(capsys):
     rc = cli.main(["run"])
     assert rc == 2
-    assert "needs --input" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: run needs --input (or --config with input_path)\n")
+
+
+def test_ingest_check_without_input_is_config_error(capsys):
+    # the message names the command run, and ingest-check takes no --config
+    rc = cli.main(["ingest-check", ""])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: ingest-check needs an input file\n")
 
 
 def test_run_with_config_file(dataset, tmp_path, capsys):
@@ -367,10 +293,15 @@ def test_run_mistyped_config_value_is_config_error(dataset, tmp_path, capsys,
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["ingest-check", "segment"])
-def test_bad_delimiter_flag_is_config_error(dataset, capsys, command):
-    rc = cli.main([command, str(dataset), "--delimiter", "ab"])
+@pytest.mark.parametrize("command", ["ingest-check", "run"])
+def test_bad_delimiter_flag_is_config_error(dataset, tmp_path, capsys,
+                                            command):
+    argv = {"ingest-check": ["ingest-check", str(dataset)],
+            "run": ["run", "--input", str(dataset),
+                    "--output-dir", str(tmp_path / "o")]}[command]
+    rc = cli.main(argv + ["--delimiter", "ab"])
     assert rc == 2
+    assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
     assert "delimiter" in err and err.count("\n") == 1
 
@@ -564,6 +495,28 @@ def test_dump_codeset_from_file(tmp_path, capsys):
     rc = cli.main(["dump-codeset", "--codeset", str(path)])
     assert rc == 0
     assert capsys.readouterr().out == "996.5\tMechanical complication\n"
+
+
+@pytest.mark.parametrize("name", ["segment", "metrics", "outcomes",
+                                  "correlate", "regress"])
+def test_removed_stage_commands_are_usage_errors(dataset, capsys, name):
+    # run writes everything these printed; argparse rejects the name
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main([name, str(dataset)])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: surgnet ")
+    assert f"invalid choice: {name!r}" in captured.err
+
+
+def test_readme_cli_table_names_exactly_the_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([\w-]+)` \|", section, re.M)
+    (commands,) = [a.choices for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(listed) == sorted(commands)
 
 
 def test_version_flag(capsys):

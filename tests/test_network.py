@@ -1,6 +1,5 @@
 """Two-mode construction, one-mode projection, and the graph container."""
 
-import io
 import itertools
 from collections import Counter
 
@@ -18,7 +17,6 @@ from surgnet.network import (
     build_bipartite,
     project_one_mode,
     summarize,
-    write_edge_list,
 )
 
 
@@ -143,13 +141,6 @@ def test_summarize_counts_components():
     assert info.isolated_nodes == 1
     assert info.outside_largest_component == 3
     assert info.isolated_provider_cases == 1
-
-
-def test_write_edge_list_stream_and_path():
-    g = CoworkerGraph(["a", "b", "c"], [("b", "c"), ("a", "c")])
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    assert buf.getvalue() == "a\tc\nb\tc\n"
 
 
 def test_projection_equals_union_of_cliques_on_random_segments():

@@ -211,23 +211,18 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     cases, _ = synth_generate(seed=7, n_cases=12000, n_providers=200,
                               n_segments=2, out_path=tmp_path / "cases.csv")
     src = str(Path(pipeline.__file__).resolve().parents[1])
-    outputs, printed = {}, {}
+    outputs = {}
     for threads in ("1", "2", "4"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         proc = subprocess.run(
             [sys.executable, "-c", _RUN_AND_PRINT_OUTPUTS, str(cases)],
             env=env, capture_output=True, text=True, check=True)
         outputs[threads] = json.loads(proc.stdout)
-        printed[threads] = subprocess.run(
-            [sys.executable, "-m", "surgnet.cli", "regress", str(cases)],
-            env=env, capture_output=True, text=True, check=True).stdout
     for threads in ("2", "4"):
         assert outputs[threads].keys() == outputs["1"].keys()
         for name, text in outputs["1"].items():
             assert outputs[threads][name] == text, \
                 f"{name} differs at {threads} BLAS threads"
-        assert printed[threads] == printed["1"], \
-            f"regress output differs at {threads} BLAS threads"
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +281,15 @@ def test_segments_table(run):
     stats = json.loads(run.outputs["segments.json"])
     assert [s["segment"] for s in stats] == [1, 2, 3, 4]
     assert sum(s["cases"] for s in stats) == 300
+    # the bounds are the run's segments: each starts where the one before
+    # ends, and the last ends the day after the latest case starts
+    assert [(s["start_day"], s["end_day_exclusive"]) for s in stats] == [
+        (sa.segment.start_day, sa.segment.end_day_exclusive)
+        for sa in run.analyses]
+    for before, after in zip(stats, stats[1:]):
+        assert after["start_day"] == before["end_day_exclusive"]
+    days = np.concatenate([sa.segment.cases.day_offset for sa in run.analyses])
+    assert stats[-1]["end_day_exclusive"] == int(days.max()) + 1
 
 
 def test_correlation_table_is_lower_triangular(run):

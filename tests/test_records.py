@@ -441,8 +441,7 @@ def test_segment_windows_anchor_at_min_day():
     segments = segment_cases(case_table(cases))
     assert segments[0].start_day == 100
     assert segments[0].end_day_exclusive == 465
-    assert segments[1].end_day_exclusive == 501
-    assert segments[1].span_days == 36
+    assert (segments[1].start_day, segments[1].end_day_exclusive) == (465, 501)
 
 
 def test_segment_output_is_input_order_independent():
