@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output routing."""
 
 import argparse
+import csv
 import json
 import os
 import re
@@ -146,6 +147,82 @@ def test_oversized_header_cell_is_data_error(tmp_path, capsys):
     assert cli.main(["ingest-check", str(case)]) == 3
     err = capsys.readouterr().err
     assert str(case) in err and "field limit" in err and err.count("\n") == 1
+
+
+# What the stage commands printed, read from the files `run` writes.
+
+@pytest.fixture(scope="module")
+def run_outdir(dataset, tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("clirun") / "out"
+    rc = cli.main(["run", "--input", str(dataset), "--window-days", "80",
+                   "--output-dir", str(outdir)])
+    assert rc == 0
+    return outdir
+
+
+def test_segment_table(run_outdir):
+    header = (run_outdir / "segments.tsv").read_text().splitlines()[0]
+    assert header.split("\t") == ["measure", "1", "2", "3"]
+    stats = json.loads((run_outdir / "segments.json").read_text())
+    assert [s["segment"] for s in stats] == [1, 2, 3]
+    # 80-day windows anchored at the earliest case
+    assert [(s["start_day"], s["end_day_exclusive"]) for s in stats] == [
+        (0, 80), (80, 160), (160, 240)]
+
+
+def test_metrics_writes_tables_and_edges(run_outdir):
+    stats = json.loads((run_outdir / "segments.json").read_text())
+    for k, seg in zip((1, 2, 3), stats):
+        lines = (run_outdir / f"node_metrics_seg{k}.tsv").read_text().splitlines()
+        assert lines[0].split("\t") == [
+            "provider_id", "degree_raw", "degree", "betweenness",
+            "closeness", "eigenvector", "clustering"]
+        rows = [ln.split("\t") for ln in lines[1:]]
+        ids = [r[0] for r in rows]
+        assert ids == sorted(ids) and len(ids) == seg["nodes"]
+        # each edge counts once at both of its ends
+        assert sum(int(r[1]) for r in rows) == 2 * seg["edges"]
+
+
+def test_metrics_edges_with_a_directory_in_the_way_is_config_error(
+        dataset, tmp_path, capsys):
+    outdir = tmp_path / "m"
+    (outdir / "node_metrics_seg1.tsv").mkdir(parents=True)
+    rc = cli.main(["run", "--input", str(dataset), "--window-days", "80",
+                   "--output-dir", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: stage emit: cannot write {outdir}")
+    assert err.count("\n") == 1
+    # no node table written beside it, and no temporary file left behind
+    assert [p.name for p in outdir.iterdir()] == ["node_metrics_seg1.tsv"]
+
+
+def test_outcomes_lists_counts(dataset, run_outdir):
+    lines = (run_outdir / "network_data.tsv").read_text().splitlines()
+    header = lines[0].split("\t")
+    assert header[:3] == ["case_id", "segment", "C"]
+    assert len(lines) == 151
+    rows = [ln.split("\t") for ln in lines[1:]]
+    # one row per case of the input, each with its count
+    with dataset.open(newline="") as f:
+        case_ids = [row["case_id"] for row in csv.DictReader(f)]
+    assert sorted(r[0] for r in rows) == sorted(case_ids)
+    assert all(int(r[2]) >= 0 for r in rows)
+
+
+def test_correlate_prints_matrix(run_outdir):
+    out = (run_outdir / "correlation.tsv").read_text()
+    assert out.splitlines()[0].split("\t") == [
+        "variable", "avgBtwn", "avgClos", "avgEigen", "avgClust", "avgDeg"]
+    assert "number of observations: 150" in out
+
+
+def test_regress_prints_fits(run_outdir):
+    out = (run_outdir / "regression.tsv").read_text()
+    assert "== poisson ==" in out
+    assert "== negative binomial ==" in out
+    assert "Likelihood-ratio test of alpha=0" in out
 
 
 def test_run_full_pipeline(dataset, tmp_path, capsys, monkeypatch):
