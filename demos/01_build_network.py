@@ -10,6 +10,8 @@ case-provider network, projected onto providers, and measured.
 # case file holds them: one row per case, the providers joined by ";".
 # The second year starts at day 365, with c5.
 import io
+from collections import Counter
+from itertools import combinations
 
 from surgnet.records import parse_cases, segment_cases
 
@@ -47,9 +49,10 @@ print(f"\ntwo-mode: {n_cases} cases, {n_providers} providers, "
 
 graph = project_one_mode(two_mode)
 print(f"one-mode: {graph.n_nodes} providers, {graph.n_edges} edges")
-# the shared-case counts are not kept with the graph: one call counts
-# them all again from B
-shared = graph.pair_counts
+# the graph is unweighted and keeps no shared-case counts: count them
+# from the segment's own cases, each case's team pairs in id order
+shared = Counter(pair for case in segments[0].cases
+                 for pair in combinations(sorted(case.providers), 2))
 for u, v in graph.edges():
     print(f"  {u} -- {v}  (shared cases: {shared[(u, v)]})")
 

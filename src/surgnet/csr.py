@@ -3,16 +3,15 @@
 The case tables' provider and dx matrices, each segment's incidence B
 and each co-worker graph's adjacency are ``Csr`` objects, and only this
 module does index arithmetic on their ``indptr``: building them from
-(row, column) pairs (``from_pairs``, and ``pair_counts``, which also
-counts each pair), gathering and expanding rows, and multiplying. A
-``Csr`` is its ``indptr`` and ``indices`` arrays and a column count, with
-no value array: ``@`` is one call of scipy's compiled ``csr_matvec`` or
-``csr_matvecs`` on all-ones values made for the call, the routine that
-``scipy.sparse.csr_matrix @`` calls on the same arrays, so the bits are
-scipy's. It lives in scipy's private ``_sparsetools`` extension, loaded
-here from its file at import: importing ``scipy.sparse`` would also load
-numpy's lazy submodules (``f2py``, ``testing``, ``ma`` and more) through
-scipy's array-API layer.
+(row, column) pairs (``from_pairs``), gathering and expanding rows, and
+multiplying. A ``Csr`` is its ``indptr`` and ``indices`` arrays and a
+column count, with no value array: ``@`` is one call of scipy's compiled
+``csr_matvec`` or ``csr_matvecs`` on all-ones values made for the call,
+the routine that ``scipy.sparse.csr_matrix @`` calls on the same arrays,
+so the bits are scipy's. It lives in scipy's private ``_sparsetools``
+extension, loaded here from its file at import: importing
+``scipy.sparse`` would also load numpy's lazy submodules (``f2py``,
+``testing``, ``ma`` and more) through scipy's array-API layer.
 """
 
 import importlib.machinery
@@ -159,45 +158,23 @@ def _check(indptr, indices, n_cols):
         raise ValueError(f"a column index lies outside [0, {n_cols})")
 
 
-def _sorted_keys(shape, u, v):
-    """One integer key per (row, column) pair, ``row * n_cols + column``,
-    sorted."""
+def from_pairs(shape, u, v):
+    """The matrix with a one at each (i, j) in ``zip(u, v)``, its rows
+    sorted and distinct: one integer key per pair, ``i * n_cols + j``,
+    sorted, each kept where it differs from the one before it."""
     # int32 keys, where they fit, sort in about half the time
     key = np.int32 if shape[0] * shape[1] < 2**31 else np.int64
     keys = np.asarray(u, dtype=key) * shape[1] + np.asarray(v, dtype=key)
     keys.sort()
-    return keys
-
-
-def _is_first(keys):
-    """Whether each of the sorted ``keys`` differs from the one before it.
-    (``np.unique`` without counts takes a hash table from numpy 2.3 on,
-    some 30 times slower than the sort on a projection's keys.)"""
+    # the first of each run of equal keys: ``np.unique`` without counts
+    # takes a hash table from numpy 2.3 on, some 30 times slower than the
+    # sort on a projection's keys
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return first
-
-
-def _of_keys(shape, keys):
-    """The matrix with a one at each of the sorted, distinct ``keys``."""
+    keys = keys[first]
+    del first  # the repeats and the mask are freed before the split
     rows, cols = np.divmod(keys, shape[1])
     # the rows are sorted: row i starts at the first entry of a row >= i
     return Csr(np.searchsorted(rows, np.arange(shape[0] + 1, dtype=rows.dtype)),
                cols, shape[1])
-
-
-def from_pairs(shape, u, v):
-    """The matrix with a one at each (i, j) in ``zip(u, v)``, its rows
-    sorted and distinct."""
-    keys = _sorted_keys(shape, u, v)
-    keys = keys[_is_first(keys)]  # and the repeats are freed
-    return _of_keys(shape, keys)
-
-
-def pair_counts(shape, u, v):
-    """``(a, counts)``: ``a`` is ``from_pairs(shape, u, v)`` and ``counts``
-    (int64) how often each of its entries occurs."""
-    keys = _sorted_keys(shape, u, v)
-    at = np.flatnonzero(_is_first(keys))
-    return _of_keys(shape, keys[at]), np.diff(at, append=keys.size)

@@ -4,14 +4,12 @@ Within one time segment, providers who were involved in a case are linked
 to that case (two-mode). The two-mode graph is held as a 0/1 incidence
 matrix B in CSR form (``csr.Csr``), one row per case and one column per
 provider. Removing the case nodes and connecting providers who share at
-least one case yields the one-mode co-worker graph: the off-diagonal of
-B^T B (Borgatti & Everett 1997), whose entries count the cases each pair
-shares. Its nonzeros are found from each case's provider pairs
-(``Csr.row_pairs``), each distinct pair kept once (``csr.from_pairs``),
-rather than multiplied out. The projection is unweighted: repeated
-collaborations collapse to one edge. The graph keeps no count per edge;
-``CoworkerGraph.pair_counts`` counts the shared cases again from B when
-asked, and no measure reads them. The same B gives each segment's
+least one case yields the one-mode co-worker graph: the nonzeros off the
+diagonal of B^T B (Borgatti & Everett 1997). They are found from each
+case's provider pairs (``Csr.row_pairs``), each distinct pair kept once
+(``csr.from_pairs``), rather than multiplied out. The projection is
+unweighted: repeated collaborations collapse to one edge, and how many
+cases a pair shares is not kept. The same B gives each segment's
 case-side counts (``summarize``) and, in ``centrality``, its team sizes
 and means. The co-worker graph holds its adjacency as one ``csr.Csr``
 and labels its own connected components from it, each node with the
@@ -44,10 +42,10 @@ class CoworkerGraph:
 
     Nodes are kept sorted and the adjacency is held as one ``csr.Csr``
     with sorted neighbor lists, so iteration order (and everything
-    derived from it) is deterministic. The graph is the projection of an
-    incidence matrix whose rows are node sets: a segment's B, or for a
-    graph built from edges, one two-node row per listed edge. It keeps
-    that matrix, the adjacency and, once asked, the component labels.
+    derived from it) is deterministic. Built from a list of edges or
+    projected from a segment's B, it is made from index pairs of linked
+    nodes by one builder, and keeps only its nodes, its adjacency and,
+    once asked, its component labels.
     """
 
     def __init__(self, nodes, edges):
@@ -61,45 +59,24 @@ class CoworkerGraph:
         loops = ends[:, 0] == ends[:, 1]
         if loops.any():
             raise ValueError(f"self-loop on {nodes[ends[loops][0, 0]]!r}")
-        self._set(nodes, csr.Csr(np.arange(0, ends.size + 1, 2), ends.ravel(),
-                                 len(nodes)))
+        self._build(nodes, ends[:, 0], ends[:, 1])
 
     @classmethod
     def _projection(cls, nodes, incidence):
         """Graph on sorted ``nodes`` linking every two columns that share a
         row of ``incidence``, whose rows list each column at most once."""
         g = cls.__new__(cls)
-        g._set(nodes, incidence)
+        g._build(nodes, *incidence.row_pairs())
         return g
 
-    def _set(self, nodes, incidence):
+    def _build(self, nodes, u, v):
+        """Hold sorted ``nodes`` linked at each index pair of ``zip(u, v)``,
+        in either orientation, repeats allowed."""
         self.nodes = nodes
-        self._index = {node: i for i, node in enumerate(nodes)}
-        self._incidence = incidence
-        u, v = incidence.row_pairs()
         # both directions
         self._adjacency = csr.from_pairs(
             (len(nodes),) * 2, np.concatenate([u, v]), np.concatenate([v, u]))
         self._labels = None
-
-    @property
-    def pair_counts(self):
-        """``{(u, v): count}`` per edge, u < v: the rows of the incidence
-        matrix that hold both, i.e. the cases the pair shares in a
-        projected graph, the times the pair is listed in a graph built
-        from edges. Counted again on every access; no measure reads it."""
-        u, v = self._incidence.row_pairs()
-        a, counts = csr.pair_counts((self.n_nodes,) * 2, np.minimum(u, v),
-                                    np.maximum(u, v))
-        return {(self.nodes[i], self.nodes[j]): int(c) for i, j, c in zip(
-            a.rows().tolist(), a.indices.tolist(), counts.tolist())}
-
-    def _upper(self):
-        """Row and column of every stored entry above the diagonal: each
-        edge once, in lexicographic order."""
-        rows, cols = self._adjacency.rows(), self._adjacency.indices
-        upper = cols > rows
-        return rows[upper], cols[upper]
 
     @property
     def n_nodes(self):
@@ -145,17 +122,12 @@ class CoworkerGraph:
             self._labels = low
         return self._labels
 
-    def neighbors(self, node):
-        return tuple(self.nodes[j] for j in self._adjacency.row(self._index[node]))
-
     def edges(self):
         """Edges as sorted (u, v) id pairs, u < v, in lexicographic order."""
-        rows, cols = self._upper()
-        for i, j in zip(rows.tolist(), cols.tolist()):
+        rows, cols = self._adjacency.rows(), self._adjacency.indices
+        upper = cols > rows
+        for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
             yield self.nodes[i], self.nodes[j]
-
-    def __contains__(self, node):
-        return node in self._index
 
     def __repr__(self):
         return f"CoworkerGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
@@ -194,9 +166,7 @@ def project_one_mode(bg: BipartiteGraph) -> CoworkerGraph:
 
     Each case's provider set becomes a clique; the result is the union of
     those cliques as a simple graph, the off-diagonal nonzeros of B^T B.
-    Its values, the number of cases each pair shares, are not kept:
-    ``pair_counts`` counts them again from B. Providers who share no case
-    stay as isolated nodes.
+    Providers who share no case stay as isolated nodes.
     """
     return CoworkerGraph._projection(bg.providers, bg.incidence)
 

@@ -246,16 +246,19 @@ def _breaks_line(text: str) -> bool:
 
 def _split_providers(raw, case_id, row_no, diagnostics):
     """The set of ids in a semicolon-joined provider cell. Placeholders and
-    ids holding a tab or line break are dropped, with one diagnostic that
-    counts the tokens not kept (a repeated id among them)."""
+    ids holding a tab or line break are dropped as invalid, and a repeat of
+    a kept id as repeated, with one diagnostic that counts both."""
     tokens = [t.strip() for t in raw.split(";")]
     kept = {t for t in tokens if t.lower() not in PLACEHOLDER_IDS}
     if _breaks_line(raw):
         kept = {t for t in kept if not _breaks_line(t)}
     if len(tokens) > len(kept):
+        invalid = sum(t not in kept for t in tokens)
+        repeated = len(tokens) - invalid - len(kept)
+        counts = " and ".join(f"{n} {kind}" for n, kind in (
+            (invalid, "invalid"), (repeated, "repeated")) if n)
         diagnostics.append(ParseDiagnostic(
-            row_no, f"dropped {len(tokens) - len(kept)} invalid provider "
-                    f"id(s) for case {case_id}"))
+            row_no, f"dropped {counts} provider id(s) for case {case_id}"))
     return kept
 
 

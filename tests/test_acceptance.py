@@ -139,10 +139,10 @@ def test_criterion_2_projection_cliques_and_edge_union():
                           cases=case_table(cases))
             g = project_one_mode(build_bipartite(seg))
 
-            union, pairs = set(), g.pair_counts
+            union, edges = set(), set(g.edges())
             for case in cases:
                 for u, v in itertools.combinations(sorted(case.providers), 2):
-                    assert (u, v) in pairs, \
+                    assert (u, v) in edges, \
                         f"missing clique edge {u}-{v} in trial {trial}"
                     union.add((u, v))
             # clique containment plus equal counts pins the edge sets equal

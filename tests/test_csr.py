@@ -3,7 +3,6 @@ bit for bit against ``scipy.sparse``."""
 
 import itertools
 import sys
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from surgnet import csr
-from surgnet.csr import Csr, pair_counts
+from surgnet.csr import Csr
 from surgnet.network import BipartiteGraph, CoworkerGraph, project_one_mode
 
 # exact zeros of both signs, subnormals and the smallest normal
@@ -168,19 +167,30 @@ def test_row_expansions_equal_scipy_and_itertools(a):
         for p in itertools.combinations(a.row(i).tolist(), 2)]
 
 
+@st.composite
+def shaped_pairs(draw):
+    """A shape, small or with m * n >= 2**31, and (row, column) pairs in
+    it in drawn order, every other one listed twice."""
+    m, n = draw(st.one_of(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                          st.sampled_from([(2**16, 2**16), (3, 2**30)])))
+    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=12)) if m and n else []
+    return (m, n), draw(st.permutations(pairs + pairs[::2]))
+
+
 @settings(max_examples=50, deadline=None)
-@given(m=st.integers(0, 6), n=st.integers(0, 6), data=st.data())
-def test_pair_counts_of_any_shape_count_each_pair(m, n, data):
-    pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1),
-                                         st.integers(0, n - 1)),
-                               max_size=20)) if m and n else []
+@given(shaped_pairs())
+# int64 keys: 65535 * 2**16 + 65535 overflows int32
+@example(((2**16, 2**16), [(65535, 65535), (0, 1), (65535, 65535), (4, 3)]))
+def test_from_pairs_of_any_shape_keeps_each_pair_once(shaped):
+    (m, n), pairs = shaped
     u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    a, counts = pair_counts((m, n), u, v)
+    a = csr.from_pairs((m, n), u, v)
     assert a.shape == (m, n)
-    assert all((np.diff(a.row(i)) > 0).all() for i in range(m))
-    assert Counter(pairs) == dict(zip(
-        zip(scipy_of(a).tocoo().row.tolist(), a.indices.tolist()),
-        counts.tolist()))
+    # rows in order, each row's columns sorted and distinct
+    assert list(zip(a.rows().tolist(), a.indices.tolist())) == \
+        sorted(set(pairs))
 
 
 @settings(max_examples=50, deadline=None)
@@ -195,7 +205,7 @@ def test_level_one_block_is_the_rows_transposed(a, data):
 
 @settings(max_examples=50, deadline=None)
 @given(b=matrices(sorted_rows=True))
-def test_projection_pair_counts_equal_scipy_btb(b):
+def test_projection_adjacency_equals_scipy_btb(b):
     n = b.shape[1]
     btb = (scipy_of(b).T @ scipy_of(b)).tocsr()
     btb.setdiag(0)
@@ -205,29 +215,17 @@ def test_projection_pair_counts_equal_scipy_btb(b):
     adj = g.adjacency()
     assert np.array_equal(adj.indptr, btb.indptr)
     assert np.array_equal(adj.indices, btb.indices)
-    assert g.pair_counts == {
-        (int(i), int(j)): int(btb[i, j])
-        for i, j in zip(*btb.nonzero()) if i < j}
-    # the Counter of each case's clique pairs
-    rows = [b.indices[b.indptr[r]:b.indptr[r + 1]].tolist()
-            for r in range(b.shape[0])]
-    pairs = Counter(p for row in rows for p in itertools.permutations(row, 2))
-    u, v = np.array(list(pairs.elements()), dtype=np.int64).reshape(-1, 2).T
-    a, counts = pair_counts((n, n), u, v)
-    assert (np.array_equal(a.indptr, adj.indptr)
-            and np.array_equal(a.indices, adj.indices))
-    got = {(int(i), int(j)): int(c) for i, j, c in zip(
-        np.repeat(np.arange(n), np.diff(a.indptr)), a.indices, counts)}
-    assert got == pairs
 
 
 @settings(max_examples=50, deadline=None)
-@given(edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
-    lambda e: e[0] != e[1]), max_size=20))
-@example(edges=[(0, 1), (1, 2), (1, 0)])  # a pair listed twice counts 2
-def test_a_graph_counts_each_listing_of_a_pair(edges):
-    g = CoworkerGraph(range(8), edges)
-    assert g.pair_counts == Counter(tuple(sorted(e)) for e in edges)
+@given(b=matrices(sorted_rows=True))
+def test_a_graph_built_from_its_edges_equals_the_projection(b):
+    g = project_one_mode(BipartiteGraph(tuple(range(b.shape[1])), b))
+    h = CoworkerGraph(g.nodes, g.edges())
+    assert h.nodes == g.nodes
+    assert np.array_equal(h.adjacency().indptr, g.adjacency().indptr)
+    assert np.array_equal(h.adjacency().indices, g.adjacency().indices)
+    assert np.array_equal(h.component_labels(), g.component_labels())
 
 
 def test_both_load_routes_give_the_same_products():

@@ -86,6 +86,27 @@ def test_placeholder_providers_dropped_with_diagnostic():
     assert len(diags) == 1 and "2 invalid provider" in diags[0].message
 
 
+@pytest.mark.parametrize("cell, message", [
+    ("p1;p2;p1", "dropped 1 repeated provider id(s) for case c1"),
+    ("p1;unknown;p1", "dropped 1 invalid and 1 repeated provider id(s) "
+                      "for case c1"),
+])
+@pytest.mark.parametrize("form, rows", [
+    ("wide", ["c1,0,1,50,M,1,{}"]),
+    ("long", ["c1,0,1,50,M,1,{}"]),
+    ("long", ["c1,0,1,50,M,1,p0", "c1,,,,,,{}"]),  # a continuation row
+])
+def test_a_repeated_provider_id_is_named_repeated(cell, message, form, rows):
+    header = HEADER if form == "wide" else HEADER[:-1]
+    text = "\n".join([header] + [r.format(cell) for r in rows]) + "\n"
+    cases, diags = read_cases_text(text, provider_form=form)
+    kept = {t for t in cell.split(";") if t != "unknown"}
+    if len(rows) == 2:
+        kept.add("p0")
+    assert cases[0].providers == kept
+    assert [(d.row, d.message) for d in diags] == [(len(rows) + 1, message)]
+
+
 def test_ids_holding_a_tab_or_line_break_are_refused():
     # each would split its row of network_data.tsv or node_metrics_seg<k>.tsv
     text = io.StringIO()
