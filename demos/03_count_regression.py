@@ -10,7 +10,7 @@ and lets the NB2 negative binomial recover the generating parameters.
 import numpy as np
 
 from surgnet.regression import (DesignMatrix, lr_test_alpha, negbin_fit,
-                                poisson_fit, poisson_gof)
+                                negbin_start, poisson_fit, poisson_gof)
 
 # Simulate counts with mean exp(0.4 * x + 0.2) and NB2 heterogeneity
 # alpha = 1.2 (variance mu + alpha * mu^2) via the gamma-Poisson mixture.
@@ -38,8 +38,8 @@ print(f"goodness of fit: pearson chi2 {gof.pearson_chi2:.1f} "
       f"on {gof.df} df, p = {gof.p_value:.3g}")
 
 # The NB2 model absorbs the extra variance into alpha and recovers the
-# generating coefficients.
-nb = negbin_fit(dm)
+# generating coefficients. Its iteration starts from the Poisson fit.
+nb = negbin_fit(dm, start=negbin_start(pois, dm))
 print("\nnegative binomial fit")
 for name, b, se in zip(nb.columns, nb.coef, nb.std_err):
     print(f"  {name:<6} {b:8.4f}  (se {se:.4f})")

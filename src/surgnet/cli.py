@@ -50,8 +50,8 @@ def _config(args):
     given = vars(args)
     overrides = {f.name: given.get(f.name)
                  for f in fields(pipeline.PipelineConfig)}
-    overrides["output_dir"] = (overrides["output_dir"]
-                               or os.environ.get(ENV_OUTPUT_DIR) or None)
+    if overrides["output_dir"] is None:  # an empty variable is unset too
+        overrides["output_dir"] = os.environ.get(ENV_OUTPUT_DIR) or None
     if given.get("config"):
         cfg = pipeline.PipelineConfig.from_file(given["config"], **overrides)
     else:

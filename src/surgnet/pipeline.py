@@ -96,6 +96,7 @@ class PipelineConfig:
             expect(key, isinstance(getattr(self, key), str), "a string")
         if not self.input_path:
             raise ConfigError("input_path is required")
+        expect("output_dir", self.output_dir, "a non-empty path")
         expect("window_days", isinstance(self.window_days, int)
                and not isinstance(self.window_days, bool)
                and 1 <= self.window_days <= records.INT_MAX,
@@ -576,7 +577,7 @@ def render_regression(est: EstimationResult):
 
 
 # FitResult fields regression.json leaves out, and those only NB2 writes
-_FIT_UNWRITTEN = ("design_key", "trace")
+_FIT_UNWRITTEN = ("design_key",)
 _NB2_ONLY = ("alpha", "ln_alpha", "alpha_std_err", "ln_alpha_std_err",
              "alpha_ci", "ln_alpha_ci", "alpha_boundary")
 

@@ -30,7 +30,7 @@ Every p-value (Wald, goodness of fit, LR) comes from ``tails``.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,8 @@ COLLINEAR_TOL = 1e-12  # tolerance 1 - R_j^2 at or below this is collinear
 class DesignMatrix:
     """Response vector plus covariate matrix with named columns; the last
     column is the intercept ``_cons``. ``n_dropped_missing`` and
-    ``dropped_constant`` record how ``build`` chose the sample."""
+    ``dropped_constant`` record how ``build`` chose the sample. A design
+    with no more rows than columns cannot be made, so no fit sees one."""
 
     y: np.ndarray
     x: np.ndarray
@@ -64,13 +65,14 @@ class DesignMatrix:
     n_dropped_missing: int = 0
     dropped_constant: tuple = ()
 
+    def __post_init__(self):
+        n, p = self.x.shape
+        if n <= p:
+            raise DataError(f"need more observations ({n}) than parameters ({p})")
+
     @property
     def n_obs(self):
         return self.y.size
-
-    @property
-    def n_params(self):
-        return self.x.shape[1]
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -109,10 +111,6 @@ class DesignMatrix:
             raise DataError("no complete rows left after dropping missing values")
         if np.any(y < 0) or np.any(y != np.floor(y)):
             raise DataError("response must be non-negative integer counts")
-        if "dMale" in names:
-            d = mats[names.index("dMale")]
-            if not np.all((d == 0) | (d == 1)):
-                raise DataError("dMale must be a 0/1 dummy")
 
         constant = tuple(n for n, m in zip(names, mats) if np.ptp(m) == 0.0)
         kept = [(n, m) for n, m in zip(names, mats) if n not in constant]
@@ -175,12 +173,6 @@ def _screen(dm: DesignMatrix):
     return mean, spread, corr, tolerance
 
 
-def _check_rows(dm: DesignMatrix):
-    n, p = dm.x.shape
-    if n <= p:
-        raise DataError(f"need more observations ({n}) than parameters ({p})")
-
-
 def ols_fit(dm: DesignMatrix) -> OlsResult:
     """Least squares of the response on the design, solved from the
     centered cross products of ``_screen``; R-squared is centered (the
@@ -190,7 +182,6 @@ def ols_fit(dm: DesignMatrix) -> OlsResult:
     Raises DataError naming every covariate that ``vif`` reports as
     collinear: tolerance at or below ``COLLINEAR_TOL``, or constant.
     """
-    _check_rows(dm)
     mean, spread, corr, tolerance = _screen(dm)
     collinear = [name for name, t in zip(dm.columns, tolerance)
                  if t <= COLLINEAR_TOL]
@@ -214,7 +205,6 @@ def vif(dm: DesignMatrix):
     A collinear covariate (tolerance at or below ``COLLINEAR_TOL``, or
     constant) reports an infinite VIF and tolerance 0 rather than
     failing."""
-    _check_rows(dm)
     out = []
     for name, t in zip(dm.columns, _screen(dm)[3]):
         t = float(t)
@@ -254,7 +244,6 @@ class FitResult:
     alpha_ci: tuple | None = None
     ln_alpha_ci: tuple | None = None
     alpha_boundary: bool = False
-    trace: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -305,14 +294,12 @@ def poisson_hessian(beta, x, y) -> np.ndarray:
 def poisson_fit(dm: DesignMatrix) -> FitResult:
     """Poisson MLE by Newton-Raphson with step-halving.
 
-    Converges when the relative log-likelihood change drops below 1e-9
-    and the score's max-abs component below 1e-6. Raises
+    Converges by ``_newton``'s rule (``LL_RTOL``, ``GRAD_TOL``). Raises
     ConvergenceError with an iteration trace on failure, including the
     boundary case of an all-zero response (no finite optimum).
     """
     x, y = dm.x, dm.y
     n, p = x.shape
-    _check_rows(dm)
     if y.sum() == 0:
         raise ConvergenceError(
             "Poisson MLE diverges: response is identically zero, the "
@@ -337,8 +324,7 @@ def poisson_fit(dm: DesignMatrix) -> FitResult:
     return FitResult(
         model="poisson", columns=dm.columns, coef=beta, std_err=se, z=z, p=pv,
         ci_low=lo, ci_high=hi, log_likelihood=ll, n_obs=n, iterations=it,
-        grad_max_abs=gmax, design_key=dm.fingerprint(),
-        trace={"iterations": it})
+        grad_max_abs=gmax, design_key=dm.fingerprint())
 
 
 def poisson_gof(fit: FitResult, dm: DesignMatrix) -> GofResult:
@@ -358,7 +344,7 @@ def poisson_gof(fit: FitResult, dm: DesignMatrix) -> GofResult:
     pearson = float(np.sum((y - mu) ** 2 / mu))
     dev_terms = y * np.log(y / mu, out=np.zeros_like(y), where=y > 0)
     deviance = float(2.0 * np.sum(dev_terms - (y - mu)))
-    df = dm.n_obs - dm.n_params
+    df = dm.n_obs - dm.x.shape[1]
     return GofResult(pearson_chi2=pearson, deviance=deviance, df=df,
                      p_value=chi2_p(pearson, df))
 
@@ -451,14 +437,13 @@ def negbin_start(pois: FitResult, dm: DesignMatrix) -> np.ndarray:
     return np.append(pois.coef, np.log(alpha))
 
 
-def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
+def negbin_fit(dm: DesignMatrix, start) -> FitResult:
     """NB2 MLE over (beta, ln alpha) by Newton iteration with step-halving.
 
-    ``start`` is (beta..., ln_alpha) on the original covariate scale; by
-    default it is ``negbin_start`` of a Poisson fit made here, so a caller
-    that already holds that fit passes its ``negbin_start``. When the
-    data are equidispersed the iteration drives alpha toward zero, where
-    the likelihood flattens, and converges in that flat tail. One rule
+    ``start`` is (beta..., ln_alpha) on the original covariate scale, such
+    as ``negbin_start`` of the caller's Poisson fit. When the data are
+    equidispersed the iteration drives alpha toward zero, where the
+    likelihood flattens, and converges in that flat tail. One rule
     reaches the boundary: a converged ln alpha below ``LN_ALPHA_BOUNDARY``
     (alpha below 1e-6) is pinned at ``LN_ALPHA_FLOOR`` (alpha 1e-8), and
     beta is re-optimized there by a profile run whose iterations add to
@@ -466,17 +451,12 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
     alpha standard errors (the information in ln alpha vanishes, so an
     interior-style interval would be meaningless). Interior optima report
     ln-alpha and alpha with delta-method standard errors and intervals.
-    ``trace`` is ``{"iterations": k}``, plus ``"boundary": True`` at the
-    boundary.
     """
     x, y = dm.x, dm.y
     n, p = x.shape
-    _check_rows(dm)
     scaler = _Scaler(x)
     xs = scaler.x_scaled
 
-    if start is None:
-        start = negbin_start(poisson_fit(dm), dm)
     start = np.asarray(start, dtype=np.float64)
     if start.size != p + 1:
         raise DataError(f"start must have {p + 1} entries (beta, ln_alpha)")
@@ -522,9 +502,7 @@ def negbin_fit(dm: DesignMatrix, start=None) -> FitResult:
         alpha_std_err=alpha * t_se, ln_alpha_std_err=t_se,
         alpha_ci=alpha_ci,
         ln_alpha_ci=(t - Z95 * t_se, t + Z95 * t_se),
-        alpha_boundary=boundary,
-        trace={"iterations": it, "boundary": True} if boundary
-        else {"iterations": it})
+        alpha_boundary=boundary)
 
 
 def lr_test_alpha(poisson: FitResult, negbin: FitResult) -> LrAlphaResult:

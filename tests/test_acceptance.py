@@ -36,6 +36,7 @@ from surgnet.regression import (
     negbin_hessian,
     negbin_loglik,
     negbin_score,
+    negbin_start,
     poisson_fit,
     poisson_gof,
     poisson_hessian,
@@ -288,7 +289,7 @@ def test_criterion_6_negbin_recovery():
         dm = DesignMatrix.build(y, {"x1": x1})
         pois = poisson_fit(dm)
         gof = poisson_gof(pois, dm)
-        nb = negbin_fit(dm)
+        nb = negbin_fit(dm, start=negbin_start(pois, dm))
         lr = lr_test_alpha(pois, nb)
 
         assert abs(nb.coef[0] - 0.5) <= 0.1, f"slope {nb.coef[0]:.4f}"
@@ -326,7 +327,9 @@ def test_criterion_7_nesting_and_equidispersed_lr():
             xr = rng.normal(0.0, 1.0, size=200)
             yr = rng.poisson(np.exp(0.4 * xr + 0.2))
             dmr = DesignMatrix.build(yr, {"x1": xr})
-            stat = lr_test_alpha(poisson_fit(dmr), negbin_fit(dmr)).statistic
+            pois = poisson_fit(dmr)
+            stat = lr_test_alpha(
+                pois, negbin_fit(dmr, start=negbin_start(pois, dmr))).statistic
             small += int(stat < 4.0)
         assert small >= 95, f"only {small}/100 replicates below 4"
         info["detail"] = f"nesting gap {gap:.1e}, {small}/100 small LR"

@@ -524,6 +524,24 @@ def test_env_output_dir_and_flag_precedence(dataset, tmp_path, monkeypatch,
     assert (flag_dir / "manifest.json").is_file()
 
 
+@pytest.mark.parametrize("form", ["config", "flag"])
+def test_empty_output_dir_is_config_error(dataset, tmp_path, monkeypatch,
+                                          capsys, form):
+    # an empty path would put every artifact into the working directory
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input_path": str(dataset), "output_dir": ""}))
+    argv = {"config": ["run", "--config", str(cfg)],
+            "flag": ["run", "--input", str(dataset), "--output-dir", ""]}[form]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: output_dir must be a non-empty path, got ''\n")
+    assert list(work.iterdir()) == []
+
+
 def test_missing_file_is_data_error(tmp_path, capsys):
     rc = cli.main(["ingest-check", str(tmp_path / "absent.csv")])
     assert rc == 3

@@ -1,8 +1,12 @@
 """The 0/1 CSR matrices and scipy's kernel behind their products, checked
 bit for bit against ``scipy.sparse``."""
 
+import importlib.machinery
 import itertools
+import os
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -247,3 +251,33 @@ def test_both_load_routes_give_the_same_products():
         with mock.patch.object(csr, "_KERNEL", kernel):
             got = (a @ x, a @ v)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_no_matching_extension_file_gives_no_kernel_path(monkeypatch):
+    assert csr._kernel_path() is not None
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                        [".no-such-extension"])
+    assert csr._kernel_path() is None
+
+
+def test_a_kernel_scipy_already_loaded_is_reused():
+    # test_csr imports scipy.sparse, which loads its kernel first
+    assert csr._load_kernel() is sparse._sparsetools
+    # a process that imports scipy.sparse before surgnet multiplies with
+    # scipy's own module, and gets scipy's bits
+    src = str(Path(csr.__file__).resolve().parents[1])
+    code = """
+import numpy as np
+import scipy.sparse
+from surgnet import csr
+assert csr._KERNEL is scipy.sparse._sparsetools
+m = scipy.sparse.random(50, 40, density=0.2, format='csr', random_state=3)
+m.data[:] = 1.0
+a = csr.Csr(m.indptr, m.indices, 40)
+x = np.random.default_rng(3).standard_normal((40, 7))
+assert np.array_equal(a @ x, m @ x) and np.array_equal(a @ x[:, 0], m @ x[:, 0])
+"""
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

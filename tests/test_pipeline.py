@@ -178,6 +178,16 @@ def test_segment_pool_size_does_not_change_the_artifacts(dataset, tmp_path,
     assert outputs[0] == outputs[1]
 
 
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    assert pipeline._usable_cpus() >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pipeline._usable_cpus() == 3
+    # os.cpu_count may not know either
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pipeline._usable_cpus() == 1
+
+
 def test_first_segment_error_wins_whatever_finishes_first(dataset, tmp_path,
                                                           monkeypatch):
     # every segment fails its eigenvector iteration; segment 1 is held back

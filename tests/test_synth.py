@@ -216,6 +216,30 @@ def test_dx_draw_replays_integers_and_shuffle(monkeypatch, n_cases, held,
             theirs.integers(0, 5, size=9).tolist()
 
 
+# seed 0 advanced this many outputs: the high half of the next one is a
+# word that integers(0, 39) rejects, which happens with probability 22/2**32
+_LEMIRE_REJECT_AT = 71_676_296
+
+
+@pytest.mark.parametrize("counts", [[1], [1, 2, 3], [3, 0, 5]])
+@pytest.mark.parametrize("lead", [0, 1, 2, 3])
+def test_dx_draw_replays_a_rejected_complication_draw(counts, lead):
+    m = len(DX_CODES[0])
+    probe = np.random.default_rng(0)
+    probe.bit_generator.advance(_LEMIRE_REJECT_AT)
+    high = int(probe.bit_generator.random_raw()) >> 32
+    assert m == 39 and (high * m) & 0xFFFFFFFF < (2**32 - m) % m
+    # with no lead, the first case's n_fill takes the low half and its
+    # first complication code the rejected high half
+    ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
+    for rng in (ours, theirs):
+        rng.bit_generator.advance(_LEMIRE_REJECT_AT - lead)
+    got = synth._draw_dx(ours, np.array(counts), *DX_CODES)
+    assert got == oracles.dx_by_integers_and_shuffle(theirs, np.array(counts),
+                                                     *DX_CODES)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.8])
 @pytest.mark.parametrize("n_cases", [1, 300])
 @pytest.mark.parametrize("n_providers", ROSTERS)
