@@ -41,13 +41,13 @@ for seg in segments:
 from surgnet.network import build_bipartite, project_one_mode
 
 # The two-mode network is the case x provider incidence matrix B: one
-# row per case, one column per provider, a nonzero per link.
-two_mode = build_bipartite(segments[0])
-n_cases, n_providers = two_mode.incidence.shape
-print(f"\ntwo-mode: {n_cases} cases, {n_providers} providers, "
-      f"{two_mode.incidence.nnz} links")
+# row per case, one column per provider (the sorted ids in providers),
+# a nonzero per link.
+providers, b = build_bipartite(segments[0])
+n_cases, n_providers = b.shape
+print(f"\ntwo-mode: {n_cases} cases, {n_providers} providers, {b.nnz} links")
 
-graph = project_one_mode(two_mode)
+graph = project_one_mode(providers, b)
 print(f"one-mode: {graph.n_nodes} providers, {graph.n_edges} edges")
 # the graph is unweighted and keeps no shared-case counts: count them
 # from the segment's own cases, each case's team pairs in id order

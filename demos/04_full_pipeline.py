@@ -39,8 +39,8 @@ with tempfile.TemporaryDirectory(prefix="surgnet_demo_") as tmp:
           f"across {len(result.analyses)} segments")
     for sa in result.analyses:
         s = sa.summary
-        print(f"  segment {sa.segment.index}: {s.node_count} providers, "
-              f"{s.edge_count} edges, density {s.density:.4f}")
+        print(f"  segment {sa.segment.index}: {s['nodes']} providers, "
+              f"{s['edges']} edges, density {s['density']:.4f}")
 
     # The estimation compares Poisson and NB2 side by side; the negative
     # binomial coefficient on teamSize should sit near the planted 0.15.

@@ -27,9 +27,11 @@ ENV_OUTPUT_DIR = "SURGNET_OUTPUT_DIR"
 # and defaults to None: an absent flag leaves the value to the environment,
 # the config file or the PipelineConfig default.
 #
-# The pipeline, and scipy's sparse kernel with it, is imported by run and
-# ingest-check, which resolve a PipelineConfig; synth and dump-codeset
-# need numpy alone.
+# The pipeline is imported by run and ingest-check, which resolve a
+# PipelineConfig; synth and dump-codeset run no stage and import no scipy
+# package. Importing this module still loads csr, because records builds
+# its case tables as csr.Csr matrices, and csr loads scipy's compiled
+# sparse kernel (the _sparsetools extension) from its file at import.
 
 
 def _add_format_args(p):

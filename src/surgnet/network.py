@@ -1,8 +1,9 @@
 """Two-mode case-provider network construction and one-mode projection.
 
-Within one time segment, providers who were involved in a case are linked
-to that case (two-mode). The two-mode graph is held as a 0/1 incidence
-matrix B in CSR form (``csr.Csr``), one row per case and one column per
+Within one time segment, providers who were involved in a case are
+linked to that case (two-mode). ``build_bipartite`` returns the two-mode
+graph as the sorted tuple of its provider ids and a 0/1 incidence matrix
+B in CSR form (``csr.Csr``), one row per case and one column per
 provider. Removing the case nodes and connecting providers who share at
 least one case yields the one-mode co-worker graph: the nonzeros off the
 diagonal of B^T B (Borgatti & Everett 1997). They are found from each
@@ -10,31 +11,16 @@ case's provider pairs (``Csr.row_pairs``), each distinct pair kept once
 (``csr.from_pairs``), rather than multiplied out. The projection is
 unweighted: repeated collaborations collapse to one edge, and how many
 cases a pair shares is not kept. The same B gives each segment's
-case-side counts (``summarize``) and, in ``centrality``, its team sizes
-and means. The co-worker graph holds its adjacency as one ``csr.Csr``
-and labels its own connected components from it, each node with the
-least node index in its component.
+case-side counts (``summarize``, which keys every descriptive by the
+name the run's artifacts give it) and, in ``centrality``, its team sizes
+and means. The co-worker graph holds its adjacency as one ``csr.Csr`` and
+labels its own connected components from it, each node with the least
+node index in its component.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import csr
-
-
-@dataclass(frozen=True, eq=False)
-class BipartiteGraph:
-    """Two-mode graph: edges only run between case nodes and provider nodes.
-
-    ``incidence`` is the case x provider 0/1 matrix B in CSR form: row r
-    is the segment's r-th case, column j is ``providers[j]`` (sorted), and
-    each row's column indices are sorted, i.e. the case's providers in id
-    order.
-    """
-
-    providers: tuple
-    incidence: csr.Csr
 
 
 class CoworkerGraph:
@@ -60,14 +46,6 @@ class CoworkerGraph:
         if loops.any():
             raise ValueError(f"self-loop on {nodes[ends[loops][0, 0]]!r}")
         self._build(nodes, ends[:, 0], ends[:, 1])
-
-    @classmethod
-    def _projection(cls, nodes, incidence):
-        """Graph on sorted ``nodes`` linking every two columns that share a
-        row of ``incidence``, whose rows list each column at most once."""
-        g = cls.__new__(cls)
-        g._build(nodes, *incidence.row_pairs())
-        return g
 
     def _build(self, nodes, u, v):
         """Hold sorted ``nodes`` linked at each index pair of ``zip(u, v)``,
@@ -133,62 +111,54 @@ class CoworkerGraph:
         return f"CoworkerGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
 
 
-@dataclass(frozen=True)
-class GraphSummary:
-    """Whole-graph descriptives for one segment network."""
-
-    node_count: int
-    edge_count: int
-    case_count: int
-    avg_team_size: float
-    avg_degree: float
-    density: float
-    isolated_nodes: int
-    outside_largest_component: int
-    isolated_provider_cases: int
-
-
-def build_bipartite(segment) -> BipartiteGraph:
+def build_bipartite(segment):
     """Two-mode network of one segment: each case links to its providers.
 
-    B is the segment's rows of its case table's case x provider matrix,
-    keeping the columns of the providers that occur in them.
+    Returns ``(providers, B)``. B is the segment's rows of its case
+    table's case x provider matrix, keeping the columns of the providers
+    that occur in them: row r is the segment's r-th case, column j is
+    ``providers[j]`` (sorted), and each row's column indices are sorted,
+    i.e. the case's providers in id order.
     """
     team = segment.cases.team
     used, columns = np.unique(team.indices, return_inverse=True)
-    return BipartiteGraph(
-        providers=tuple(segment.cases.provider_ids[j] for j in used.tolist()),
-        incidence=csr.Csr(team.indptr, columns, used.size))
+    providers = tuple(segment.cases.provider_ids[j] for j in used.tolist())
+    return providers, csr.Csr(team.indptr, columns, used.size)
 
 
-def project_one_mode(bg: BipartiteGraph) -> CoworkerGraph:
-    """Project the two-mode graph onto providers.
+def project_one_mode(providers, incidence) -> CoworkerGraph:
+    """Project the two-mode graph ``build_bipartite`` returns onto providers.
 
     Each case's provider set becomes a clique; the result is the union of
     those cliques as a simple graph, the off-diagonal nonzeros of B^T B.
-    Providers who share no case stay as isolated nodes.
+    Each row of ``incidence`` lists a column at most once. Providers who
+    share no case stay as isolated nodes.
     """
-    return CoworkerGraph._projection(bg.providers, bg.incidence)
+    g = CoworkerGraph.__new__(CoworkerGraph)
+    g._build(providers, *incidence.row_pairs())
+    return g
 
 
-def summarize(g: CoworkerGraph, incidence) -> GraphSummary:
+def summarize(g: CoworkerGraph, incidence) -> dict:
     """Whole-graph descriptives of a segment's projection ``g`` and its
-    incidence matrix B: the case count (B's rows), mean team size (B's
+    incidence matrix B, keyed by the names ``segments.json`` and the
+    manifest give them: the case count (B's rows), mean team size (B's
     nonzeros per row), the cases with a member among the degree-0 nodes,
     mean degree, density, and the nodes in one-node components and outside
-    the largest component, from the graph's ``component_labels``."""
+    the largest component, from the graph's ``component_labels``. Counts
+    are ints and the rest floats."""
     n, m = g.n_nodes, g.n_edges
     n_cases = incidence.shape[0]
     sizes = np.bincount(g.component_labels(), minlength=1)
-    return GraphSummary(
-        node_count=n,
-        edge_count=m,
-        case_count=n_cases,
-        avg_team_size=incidence.nnz / n_cases if n_cases else 0.0,
-        avg_degree=(2.0 * m / n) if n else 0.0,
-        density=(2.0 * m / (n * (n - 1))) if n >= 2 else 0.0,
-        isolated_nodes=int(np.count_nonzero(sizes == 1)),
-        outside_largest_component=n - int(sizes.max()),
-        isolated_provider_cases=int(np.count_nonzero(
+    return {
+        "nodes": n,
+        "edges": m,
+        "cases": n_cases,
+        "avg_team_size": incidence.nnz / n_cases if n_cases else 0.0,
+        "avg_degree": (2.0 * m / n) if n else 0.0,
+        "density": (2.0 * m / (n * (n - 1))) if n >= 2 else 0.0,
+        "isolated_nodes": int(np.count_nonzero(sizes == 1)),
+        "outside_largest_component": n - int(sizes.max()),
+        "isolated_provider_cases": int(np.count_nonzero(
             incidence @ (g.degrees() == 0).astype(float))),
-    )
+    }

@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _VERSION
-from . import centrality, correlation, network, records, regression
+from . import centrality, correlation, csr, network, records, regression
 from .complications import ComplicationCodeset, count_complications
 from .errors import ConfigError, ConvergenceError, DataError
 
@@ -161,9 +161,9 @@ CaseRow = namedtuple("CaseRow", (
 @dataclass(frozen=True)
 class SegmentAnalysis:
     segment: records.Segment
-    bipartite: network.BipartiteGraph
+    incidence: csr.Csr  # B, one row per case, one column per graph node
     graph: network.CoworkerGraph
-    summary: network.GraphSummary
+    summary: dict  # network.summarize's descriptives
     measures: dict  # centrality.compute_all's columns
 
 
@@ -237,12 +237,12 @@ def load_cases(cfg: PipelineConfig):
 def _analyze_segment(seg):
     """Build, project, and measure one segment's network."""
     with _stage(f"network (segment {seg.index})"):
-        bipartite = network.build_bipartite(seg)
-        graph = network.project_one_mode(bipartite)
-        summary = network.summarize(graph, bipartite.incidence)
+        providers, incidence = network.build_bipartite(seg)
+        graph = network.project_one_mode(providers, incidence)
+        summary = network.summarize(graph, incidence)
     with _stage(f"metrics (segment {seg.index})"):
         measures = centrality.compute_all(graph)
-    return SegmentAnalysis(segment=seg, bipartite=bipartite, graph=graph,
+    return SegmentAnalysis(segment=seg, incidence=incidence, graph=graph,
                            summary=summary, measures=measures)
 
 
@@ -253,18 +253,14 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def analyze_segments(cfg: PipelineConfig, retained):
-    """Segment, then build, project, and measure each segment's network.
+def analyze_segments(segments):
+    """Build, project, and measure each segment's network.
 
     Segments are independent, so each is one task on a thread pool with a
     worker per usable CPU; the sparse products and array work of the
     measures release the GIL. Results, and the first error, come back in
-    segment order, as from a serial loop. The segments copy their cases,
-    so the reference to ``retained`` is dropped once they are cut.
+    segment order, as from a serial loop.
     """
-    with _stage("segment"):
-        segments = records.segment_cases(retained, window_days=cfg.window_days)
-    del retained
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
         return list(pool.map(_analyze_segment, segments))
 
@@ -283,8 +279,7 @@ def assemble_rows(cfg: PipelineConfig, analyses, codeset):
     with _stage("join"):
         for sa in analyses:
             cases = sa.segment.cases
-            sizes, means = centrality.team_means(sa.bipartite.incidence,
-                                                 sa.measures)
+            sizes, means = centrality.team_means(sa.incidence, sa.measures)
             parts.append((
                 np.full(len(cases), sa.segment.index, dtype=np.int64),
                 count_complications(cases, codeset,
@@ -346,10 +341,11 @@ def run_pipeline(cfg: PipelineConfig, write=True) -> RunResult:
     cfg.validate()
     with _stage("codeset"):
         codeset = ComplicationCodeset.load(cfg.codeset)
-    # retained is a one-item list, so that analyze_segments gets the case
-    # table's only reference and can drop it once the segments are cut
-    diagnostics, report, *retained = load_cases(cfg)
-    analyses = analyze_segments(cfg, retained.pop())
+    diagnostics, report, retained = load_cases(cfg)
+    with _stage("segment"):
+        segments = records.segment_cases(retained, window_days=cfg.window_days)
+    del retained  # the segments copy their cases
+    analyses = analyze_segments(segments)
     table = assemble_rows(cfg, analyses, codeset)
     spearman = correlate_rows(table)
     est = estimate(cfg, table)
@@ -419,34 +415,30 @@ def _node_mean(measures, name):
     return sum(column) / len(column) if column else 0.0
 
 
+# the network.summarize descriptives each segments.* row carries, and
+# the rows of segments.tsv
+_SEGMENT_SUMMARY = ("nodes", "edges", "cases", "avg_team_size", "avg_degree",
+                    "density")
+_SEGMENT_MEASURES = _SEGMENT_SUMMARY + ("avg_betweenness", "avg_closeness",
+                                        "avg_eigenvector", "avg_complications")
+
+
 def _segment_stats(analyses, table):
     c_count = np.bincount(table["segment"]).tolist()
     c_sum = np.bincount(table["segment"], weights=table["C"]).tolist()
     stats = []
     for sa in analyses:
         k = sa.segment.index
-        stats.append({
-            "segment": k,
-            "start_day": sa.segment.start_day,
-            "end_day_exclusive": sa.segment.end_day_exclusive,
-            "nodes": sa.summary.node_count,
-            "edges": sa.summary.edge_count,
-            "cases": sa.summary.case_count,
-            "avg_team_size": sa.summary.avg_team_size,
-            "avg_degree": sa.summary.avg_degree,
-            "density": sa.summary.density,
-            "avg_betweenness": _node_mean(sa.measures, "betweenness"),
-            "avg_closeness": _node_mean(sa.measures, "closeness"),
-            "avg_eigenvector": _node_mean(sa.measures, "eigenvector"),
-            "avg_complications":
-                c_sum[k] / c_count[k] if c_count[k] else 0.0,
-        })
+        row = {"segment": k,
+               "start_day": sa.segment.start_day,
+               "end_day_exclusive": sa.segment.end_day_exclusive}
+        for key in _SEGMENT_SUMMARY:
+            row[key] = sa.summary[key]
+        for name in ("betweenness", "closeness", "eigenvector"):
+            row[f"avg_{name}"] = _node_mean(sa.measures, name)
+        row["avg_complications"] = c_sum[k] / c_count[k] if c_count[k] else 0.0
+        stats.append(row)
     return stats
-
-
-_SEGMENT_MEASURES = ("nodes", "edges", "cases", "avg_team_size", "avg_degree",
-                     "density", "avg_betweenness", "avg_closeness",
-                     "avg_eigenvector", "avg_complications")
 
 
 def _render_segments(stats):
@@ -591,16 +583,16 @@ def _fit_record(fit: regression.FitResult):
 def _build_manifest(cfg, diagnostics, report, analyses, table, spearman,
                     est):
     excluded = dict(report)
+    cases_per_segment = [sa.summary["cases"] for sa in analyses]
     # the segments partition the retained cases
-    retained = sum(sa.summary.case_count for sa in analyses)
-    per_segment = [{
-        "segment": sa.segment.index,
-        "cases": sa.summary.case_count,
-        "nodes": sa.summary.node_count,
-        "edges": sa.summary.edge_count,
-        "isolated_nodes": sa.summary.isolated_nodes,
-        "outside_largest_component": sa.summary.outside_largest_component,
-    } for sa in analyses]
+    retained = sum(cases_per_segment)
+    per_segment = []
+    for sa in analyses:
+        entry = {"segment": sa.segment.index}
+        for key in ("cases", "nodes", "edges", "isolated_nodes",
+                    "outside_largest_component"):
+            entry[key] = sa.summary[key]
+        per_segment.append(entry)
     return {
         "surgnet_version": _VERSION,
         "config": cfg.to_dict(),
@@ -611,11 +603,10 @@ def _build_manifest(cfg, diagnostics, report, analyses, table, spearman,
                       "diagnostics": len(diagnostics)},
             "exclusions": {"removed": excluded, "retained": retained},
             "segments": {"count": len(analyses),
-                         "cases_per_segment":
-                             [sa.summary.case_count for sa in analyses]},
+                         "cases_per_segment": cases_per_segment},
             "network": {"per_segment": per_segment,
                         "cases_with_isolated_providers": sum(
-                            sa.summary.isolated_provider_cases
+                            sa.summary["isolated_provider_cases"]
                             for sa in analyses)},
             "join": {"rows": len(table["case_id"])},
             "correlate": {"n_obs": spearman.n_obs,

@@ -138,7 +138,7 @@ def test_criterion_2_projection_cliques_and_edge_union():
                 cases.append(make_case(case_id=f"c{k}", providers=team))
             seg = Segment(index=1, start_day=0, end_day_exclusive=365,
                           cases=case_table(cases))
-            g = project_one_mode(build_bipartite(seg))
+            g = project_one_mode(*build_bipartite(seg))
 
             union, edges = set(), set(g.edges())
             for case in cases:

@@ -25,8 +25,7 @@ from surgnet.centrality import (
     eigenvector_centrality,
     team_aggregate,
 )
-from surgnet.network import (BipartiteGraph, CoworkerGraph, build_bipartite,
-                             project_one_mode)
+from surgnet.network import CoworkerGraph, build_bipartite, project_one_mode
 from surgnet.records import Segment
 
 
@@ -492,8 +491,7 @@ def test_a_dense_segment_allocates_only_what_its_graph_and_blocks_need():
     sizes = rng.integers(2, 7, size=5000)
     teams = [np.sort(rng.choice(n, size=k, replace=False)) for k in sizes]
     b = Csr(np.concatenate([[0], np.cumsum(sizes)]), np.concatenate(teams), n)
-    g, peak = _traced_peak(project_one_mode,
-                           BipartiteGraph(tuple(range(n)), b))
+    g, peak = _traced_peak(project_one_mode, tuple(range(n)), b)
     pairs, entries = int((sizes * (sizes - 1) // 2).sum()), g.adjacency().nnz
     # The projection expands the clique pairs with int64 positions (36
     # bytes a pair), then holds their ends and both directions of them as
@@ -547,12 +545,12 @@ def test_incidence_team_means_equal_team_aggregate_exactly():
                  for k in range(int(rng.integers(1, 40)))]
         seg = Segment(index=1, start_day=0, end_day_exclusive=365,
                       cases=case_table(cases))
-        bg = build_bipartite(seg)
-        g = project_one_mode(bg)
+        providers, b = build_bipartite(seg)
+        g = project_one_mode(providers, b)
         columns = compute_all(g)
         # B's columns are the graph's nodes, which the columns follow
-        assert bg.providers == columns["provider_id"]
-        sizes, means = centrality.team_means(bg.incidence, columns)
+        assert providers == columns["provider_id"]
+        sizes, means = centrality.team_means(b, columns)
         m = measures(g)
         for case, k, row in zip(cases, sizes.tolist(), means.tolist()):
             team = team_aggregate(case, columns)

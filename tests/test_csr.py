@@ -17,7 +17,7 @@ from scipy import sparse
 
 from surgnet import csr
 from surgnet.csr import Csr
-from surgnet.network import BipartiteGraph, CoworkerGraph, project_one_mode
+from surgnet.network import CoworkerGraph, project_one_mode
 
 # exact zeros of both signs, subnormals and the smallest normal
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308)
@@ -215,7 +215,7 @@ def test_projection_adjacency_equals_scipy_btb(b):
     btb.setdiag(0)
     btb.eliminate_zeros()
     btb.sort_indices()
-    g = project_one_mode(BipartiteGraph(tuple(range(n)), b))
+    g = project_one_mode(tuple(range(n)), b)
     adj = g.adjacency()
     assert np.array_equal(adj.indptr, btb.indptr)
     assert np.array_equal(adj.indices, btb.indices)
@@ -224,7 +224,7 @@ def test_projection_adjacency_equals_scipy_btb(b):
 @settings(max_examples=50, deadline=None)
 @given(b=matrices(sorted_rows=True))
 def test_a_graph_built_from_its_edges_equals_the_projection(b):
-    g = project_one_mode(BipartiteGraph(tuple(range(b.shape[1])), b))
+    g = project_one_mode(tuple(range(b.shape[1])), b)
     h = CoworkerGraph(g.nodes, g.edges())
     assert h.nodes == g.nodes
     assert np.array_equal(h.adjacency().indptr, g.adjacency().indptr)

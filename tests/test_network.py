@@ -24,26 +24,25 @@ def seg(cases, index=1, start=0, end=365):
                    cases=case_table(cases))
 
 
-def links(bg, case_ids):
+def links(providers, b, case_ids):
     """The (case_id, provider_id) links of B; row r is ``case_ids[r]``."""
-    b = bg.incidence
-    return {(case_ids[r], bg.providers[j]) for r in range(b.shape[0])
+    return {(case_ids[r], providers[j]) for r in range(b.shape[0])
             for j in b.indices[b.indptr[r]:b.indptr[r + 1]].tolist()}
 
 
 def test_bipartite_links_each_case_to_its_providers():
     s = seg([make_case("c1", providers=("a", "b")),
              make_case("c2", providers=("b", "c"))])
-    bg = build_bipartite(s)
-    assert bg.incidence.shape[0] == len(s.cases) == 2
-    assert bg.providers == ("a", "b", "c")
-    assert links(bg, s.cases.case_id) == {
+    providers, b = build_bipartite(s)
+    assert b.shape[0] == len(s.cases) == 2
+    assert providers == ("a", "b", "c")
+    assert links(providers, b, s.cases.case_id) == {
         ("c1", "a"), ("c1", "b"), ("c2", "b"), ("c2", "c")}
 
 
 def test_projection_makes_clique_per_case():
     s = seg([make_case("c1", providers=("a", "b", "c"))])
-    g = project_one_mode(build_bipartite(s))
+    g = project_one_mode(*build_bipartite(s))
     assert g.nodes == ("a", "b", "c")
     assert list(g.edges()) == [("a", "b"), ("a", "c"), ("b", "c")]
 
@@ -52,7 +51,7 @@ def test_projection_collapses_repeats():
     s = seg([make_case("c1", providers=("a", "b")),
              make_case("c2", providers=("a", "b")),
              make_case("c3", providers=("b", "c"))])
-    g = project_one_mode(build_bipartite(s))
+    g = project_one_mode(*build_bipartite(s))
     assert g.n_edges == 2
     assert list(g.edges()) == [("a", "b"), ("b", "c")]
 
@@ -60,7 +59,7 @@ def test_projection_collapses_repeats():
 def test_solo_provider_is_isolated_node():
     s = seg([make_case("c1", providers=("a",)),
              make_case("c2", providers=("b", "c"))])
-    g = project_one_mode(build_bipartite(s))
+    g = project_one_mode(*build_bipartite(s))
     assert g.nodes == ("a", "b", "c")
     assert list(g.degrees()) == [0, 1, 1]
     assert g.n_nodes == 3 and g.n_edges == 1
@@ -109,23 +108,23 @@ def test_graph_construction_is_input_order_independent():
 def test_summarize_hand_computed():
     s = seg([make_case("c1", providers=("a", "b", "c")),
              make_case("c2", providers=("c", "d"))])
-    bg = build_bipartite(s)
-    info = summarize(project_one_mode(bg), bg.incidence)
-    assert info.node_count == 4
-    assert info.edge_count == 4
-    assert info.case_count == 2
-    assert info.avg_team_size == pytest.approx(2.5)
-    assert info.avg_degree == pytest.approx(2.0)
-    assert info.density == pytest.approx(4 / 6)
+    providers, b = build_bipartite(s)
+    info = summarize(project_one_mode(providers, b), b)
+    assert info["nodes"] == 4
+    assert info["edges"] == 4
+    assert info["cases"] == 2
+    assert info["avg_team_size"] == pytest.approx(2.5)
+    assert info["avg_degree"] == pytest.approx(2.0)
+    assert info["density"] == pytest.approx(4 / 6)
 
 
 def test_summarize_empty_segment():
-    bg = build_bipartite(seg([]))
-    info = summarize(project_one_mode(bg), bg.incidence)
-    assert (info.node_count, info.edge_count, info.case_count) == (0, 0, 0)
-    assert info.avg_team_size == info.avg_degree == info.density == 0.0
-    assert info.isolated_nodes == info.outside_largest_component == 0
-    assert info.isolated_provider_cases == 0
+    providers, b = build_bipartite(seg([]))
+    info = summarize(project_one_mode(providers, b), b)
+    assert (info["nodes"], info["edges"], info["cases"]) == (0, 0, 0)
+    assert info["avg_team_size"] == info["avg_degree"] == info["density"] == 0.0
+    assert info["isolated_nodes"] == info["outside_largest_component"] == 0
+    assert info["isolated_provider_cases"] == 0
 
 
 def test_summarize_counts_components():
@@ -133,11 +132,11 @@ def test_summarize_counts_components():
     s = seg([make_case("c1", providers=("a", "b", "c")),
              make_case("c2", providers=("d", "e")),
              make_case("c3", providers=("f",))])
-    bg = build_bipartite(s)
-    info = summarize(project_one_mode(bg), bg.incidence)
-    assert info.isolated_nodes == 1
-    assert info.outside_largest_component == 3
-    assert info.isolated_provider_cases == 1
+    providers, b = build_bipartite(s)
+    info = summarize(project_one_mode(providers, b), b)
+    assert info["isolated_nodes"] == 1
+    assert info["outside_largest_component"] == 3
+    assert info["isolated_provider_cases"] == 1
 
 
 def test_projection_equals_union_of_cliques_on_random_segments():
@@ -154,8 +153,8 @@ def test_projection_equals_union_of_cliques_on_random_segments():
         solos = [f"solo{k}" for k in range(int(rng.integers(0, 3)))]
         cases += [make_case(f"s{p}", providers=(p,)) for p in solos]
         s = seg(cases)
-        bg = build_bipartite(s)
-        g = project_one_mode(bg)
+        providers, b = build_bipartite(s)
+        g = project_one_mode(providers, b)
 
         expected_edges = set()
         for c in cases:
@@ -172,19 +171,18 @@ def test_projection_equals_union_of_cliques_on_random_segments():
         for p in solos:
             assert degree[p] == 0
         # the incidence rows: each case's team in provider-id order
-        b = bg.incidence
         for r, c in enumerate(cases):
             row = b.indices[b.indptr[r]:b.indptr[r + 1]]
-            assert [bg.providers[j] for j in row] == sorted(c.providers)
-        assert links(bg, s.cases.case_id) == {
+            assert [providers[j] for j in row] == sorted(c.providers)
+        assert links(providers, b, s.cases.case_id) == {
             (c.case_id, p) for c in cases for p in c.providers}
         # the case-side counts, from B, against the case records
-        info = summarize(g, bg.incidence)
-        assert info.case_count == len(cases)
-        assert info.avg_team_size == pytest.approx(
+        info = summarize(g, b)
+        assert info["cases"] == len(cases)
+        assert info["avg_team_size"] == pytest.approx(
             sum(len(c.providers) for c in cases) / len(cases))
         alone = expected_nodes - {p for u, v in expected_edges for p in (u, v)}
-        assert info.isolated_provider_cases == sum(
+        assert info["isolated_provider_cases"] == sum(
             1 for c in cases if c.providers & alone)
 
 

@@ -1,7 +1,9 @@
 """End-to-end pipeline: config handling, stage wiring, artifacts, determinism."""
 
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -17,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from surgnet import centrality, network, pipeline
+import surgnet
+from surgnet import centrality, cli, network, pipeline
 from surgnet.errors import ConfigError, ConvergenceError, DataError
 from surgnet.records import MISSING, PLACEHOLDER_IDS
 from surgnet.pipeline import (
@@ -73,6 +76,22 @@ def test_readme_lists_exactly_the_config_keys():
     assert listed, "README no longer introduces the config keys"
     assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(
         f.name for f in fields(PipelineConfig))
+
+
+def test_readme_code_names_resolve():
+    # every `[surgnet.]<module>.<name>[.<attr>]` of a surgnet module that
+    # README names, artifact file names such as `regression.json` aside
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {m.name for m in pkgutil.iter_modules(surgnet.__path__)}
+    names = {(module, rest) for module, rest in re.findall(
+                 r"`(?:surgnet\.)?(\w+)\.(\w+(?:\.\w+)?)`", readme)
+             if module in modules and rest not in ("tsv", "json", "py")}
+    assert len(names) >= 10, "README no longer names its code"
+    for module, rest in sorted(names):
+        obj = importlib.import_module(f"surgnet.{module}")
+        for attr in rest.split("."):
+            assert hasattr(obj, attr), f"README names {module}.{rest}"
+            obj = getattr(obj, attr)
 
 
 def test_readme_names_every_placeholder_id():
@@ -405,6 +424,48 @@ def test_manifest_counts_cases_with_isolated_providers(dataset, tmp_path):
     assert network["cases_with_isolated_providers"] == 3
     isolated = sum(s["isolated_nodes"] for s in network["per_segment"])
     assert isolated == 2
+
+
+def test_windows_that_hold_no_case_report_zeros(tmp_path):
+    # the cases of days 100-199 move to 300-399, so the 100-day windows
+    # 2 (days 100-199) and 3 (200-299) hold no case
+    path = tmp_path / "cases.csv"
+    synth_generate(seed=3, n_cases=600, n_providers=40, window_days=100,
+                   n_segments=2, out_path=path)
+    header, *rows = path.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    for row in cells:
+        if int(row[1]) >= 100:
+            row[1], row[2] = str(int(row[1]) + 200), str(int(row[2]) + 200)
+    path.write_text("\n".join([header] + [",".join(r) for r in cells]) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--input", str(path), "--output-dir", str(out),
+                     "--window-days", "100"]) == 0
+
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stages"]["segments"]["cases_per_segment"] == [
+        299, 0, 0, 301]
+    for k in (2, 3):
+        assert manifest["stages"]["network"]["per_segment"][k - 1] == {
+            "segment": k, "cases": 0, "nodes": 0, "edges": 0,
+            "isolated_nodes": 0, "outside_largest_component": 0}
+    # JSON writes an int 0 as 0 and a float 0 as 0.0, so the types count
+    expected = {"segment": 2, "start_day": 100, "end_day_exclusive": 200,
+                "nodes": 0, "edges": 0, "cases": 0, "avg_team_size": 0.0,
+                "avg_degree": 0.0, "density": 0.0, "avg_betweenness": 0.0,
+                "avg_closeness": 0.0, "avg_eigenvector": 0.0,
+                "avg_complications": 0.0}
+    seg2 = json.loads((out / "segments.json").read_text())[1]
+    assert seg2 == expected
+    assert {k: type(v) for k, v in seg2.items()} == {
+        k: type(v) for k, v in expected.items()}
+    table = [line.split("\t")
+             for line in (out / "segments.tsv").read_text().splitlines()]
+    assert table[0] == ["measure", "1", "2", "3", "4"]
+    assert all(row[2] == row[3] == "0" for row in table[1:])
+    header = (out / "node_metrics_seg1.tsv").read_text().splitlines()[0]
+    assert header.startswith("provider_id\t")
+    assert (out / "node_metrics_seg2.tsv").read_text() == header + "\n"
 
 
 def test_each_segment_is_labelled_once(dataset, tmp_path, monkeypatch):
