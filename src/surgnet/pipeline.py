@@ -6,7 +6,7 @@ joined per-case table -> Spearman matrix -> OLS/VIF screening -> Poisson
 fit with goodness of fit -> negative binomial fit with the alpha=0 LR
 test. All numeric work happens before any file is created; a failing
 stage therefore aborts with the stage name and writes nothing. Given the
-same config and input, reruns are byte-identical.
+same config and input, reruns on one machine are byte-identical.
 
 The cases travel as one columnar ``records.CaseTable`` and the joined
 per-case table is a dict of columns (``assemble_rows``), which the
@@ -21,7 +21,8 @@ incidence matrix B gives its case-side counts and team means, and
 The process's parallelism is across segments. Each segment's network
 and measures are one task on a thread pool with a worker per CPU the
 process may run on (its affinity mask); results and the first error come
-back in segment order. The BLAS thread count is neither set nor read:
+back in segment order, and the heap pages the workers freed go back to
+the OS (``analyze_segments``). The BLAS thread count is neither set nor read:
 - OLS and VIF read the rows once, through ``np.einsum`` (numpy's own
   loop, not BLAS), and solve the small cross-product system after it;
 - Spearman's dot products sum half-integer rank deviations, exactly at
@@ -29,12 +30,16 @@ back in segment order. The BLAS thread count is neither set nor read:
 - the Poisson and NB2 fits go through BLAS gemv/gemm; on the inputs
   tested with OpenBLAS 0.3.31 their results are the same at 1, 2 and 4
   threads;
-- known limit: the eigenvector's ``np.linalg.norm`` is a BLAS dot product.
-  Its sum can move with the thread count on vectors of some 20 000
+- known limit: the bytes are those of one machine. The eigenvector's
+  ``np.linalg.norm`` and the fits' gemv/gemm run the BLAS kernels chosen
+  for the CPU, so another CPU (or ``OPENBLAS_CORETYPE``) can move the
+  last digits of the eigenvector, its team means and the fits. The norm's
+  sum can also move with the thread count on vectors of some 20 000
   entries, not on ones of 2 000; the largest components of the benchmark
   workloads have 1 200 and 100 providers.
 """
 
+import ctypes
 import hashlib
 import json
 import math
@@ -259,10 +264,18 @@ def analyze_segments(segments):
     Segments are independent, so each is one task on a thread pool with a
     worker per usable CPU; the sparse products and array work of the
     measures release the GIL. Results, and the first error, come back in
-    segment order, as from a serial loop.
+    segment order, as from a serial loop. Then glibc's ``malloc_trim(0)``
+    hands the pages freed in the workers' arenas, which the main thread's
+    later stages cannot reuse, back to the OS. Where the C library has no
+    ``malloc_trim`` (macOS, musl), nothing is called.
     """
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        return list(pool.map(_analyze_segment, segments))
+        analyses = list(pool.map(_analyze_segment, segments))
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+        trim(0)
+    return analyses
 
 
 def assemble_rows(cfg: PipelineConfig, analyses, codeset):
