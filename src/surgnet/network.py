@@ -13,9 +13,10 @@ unweighted: repeated collaborations collapse to one edge, and how many
 cases a pair shares is not kept. The same B gives each segment's
 case-side counts (``summarize``, which keys every descriptive by the
 name the run's artifacts give it) and, in ``centrality``, its team sizes
-and means. The co-worker graph holds its adjacency as one ``csr.Csr`` and
-labels its own connected components from it, each node with the least
-node index in its component.
+and means. A co-worker graph is made one way, by the projection, from
+the sorted provider ids and B's row pairs. It holds its adjacency as one
+``csr.Csr`` and labels its own connected components from it, each node
+with the least node index in its component.
 """
 
 import numpy as np
@@ -28,28 +29,14 @@ class CoworkerGraph:
 
     Nodes are kept sorted and the adjacency is held as one ``csr.Csr``
     with sorted neighbor lists, so iteration order (and everything
-    derived from it) is deterministic. Built from a list of edges or
-    projected from a segment's B, it is made from index pairs of linked
-    nodes by one builder, and keeps only its nodes, its adjacency and,
-    once asked, its component labels.
+    derived from it) is deterministic. ``project_one_mode`` makes it
+    from a segment's B. It keeps only its nodes, its adjacency and, once
+    asked, its component labels.
     """
 
-    def __init__(self, nodes, edges):
-        nodes = tuple(sorted(set(nodes)))
-        index = {u: i for i, u in enumerate(nodes)}
-        try:
-            ends = np.array([(index[u], index[v]) for u, v in edges],
-                            dtype=np.int32).reshape(-1, 2)
-        except KeyError as e:
-            raise ValueError(f"edge end {e.args[0]!r} is not a node") from None
-        loops = ends[:, 0] == ends[:, 1]
-        if loops.any():
-            raise ValueError(f"self-loop on {nodes[ends[loops][0, 0]]!r}")
-        self._build(nodes, ends[:, 0], ends[:, 1])
-
-    def _build(self, nodes, u, v):
-        """Hold sorted ``nodes`` linked at each index pair of ``zip(u, v)``,
-        in either orientation, repeats allowed."""
+    def __init__(self, nodes, u, v):
+        """Hold ``nodes``, sorted and distinct, linked at each index pair
+        of ``zip(u, v)``, u != v, in either orientation, repeats allowed."""
         self.nodes = nodes
         # both directions
         self._adjacency = csr.from_pairs(
@@ -134,22 +121,22 @@ def project_one_mode(providers, incidence) -> CoworkerGraph:
     Each row of ``incidence`` lists a column at most once. Providers who
     share no case stay as isolated nodes.
     """
-    g = CoworkerGraph.__new__(CoworkerGraph)
-    g._build(providers, *incidence.row_pairs())
-    return g
+    return CoworkerGraph(providers, *incidence.row_pairs())
 
 
 def summarize(g: CoworkerGraph, incidence) -> dict:
     """Whole-graph descriptives of a segment's projection ``g`` and its
     incidence matrix B, keyed by the names ``segments.json`` and the
     manifest give them: the case count (B's rows), mean team size (B's
-    nonzeros per row), the cases with a member among the degree-0 nodes,
-    mean degree, density, and the nodes in one-node components and outside
-    the largest component, from the graph's ``component_labels``. Counts
-    are ints and the rest floats."""
+    nonzeros per row), mean degree, density, the isolated nodes and the
+    cases with a member among them, and the nodes outside the largest
+    component, from the graph's ``component_labels``. A node is isolated
+    when its degree is 0: in a simple graph, those are the nodes of the
+    one-node components. Counts are ints and the rest floats."""
     n, m = g.n_nodes, g.n_edges
     n_cases = incidence.shape[0]
-    sizes = np.bincount(g.component_labels(), minlength=1)
+    isolated = g.degrees() == 0
+    largest = np.bincount(g.component_labels(), minlength=1).max()
     return {
         "nodes": n,
         "edges": m,
@@ -157,8 +144,8 @@ def summarize(g: CoworkerGraph, incidence) -> dict:
         "avg_team_size": incidence.nnz / n_cases if n_cases else 0.0,
         "avg_degree": (2.0 * m / n) if n else 0.0,
         "density": (2.0 * m / (n * (n - 1))) if n >= 2 else 0.0,
-        "isolated_nodes": int(np.count_nonzero(sizes == 1)),
-        "outside_largest_component": n - int(sizes.max()),
+        "isolated_nodes": int(np.count_nonzero(isolated)),
+        "outside_largest_component": n - int(largest),
         "isolated_provider_cases": int(np.count_nonzero(
-            incidence @ (g.degrees() == 0).astype(float))),
+            incidence @ isolated.astype(float))),
     }

@@ -437,7 +437,6 @@ _SEGMENT_MEASURES = _SEGMENT_SUMMARY + ("avg_betweenness", "avg_closeness",
 
 
 def _segment_stats(analyses, table):
-    c_count = np.bincount(table["segment"]).tolist()
     c_sum = np.bincount(table["segment"], weights=table["C"]).tolist()
     stats = []
     for sa in analyses:
@@ -449,7 +448,8 @@ def _segment_stats(analyses, table):
             row[key] = sa.summary[key]
         for name in ("betweenness", "closeness", "eigenvector"):
             row[f"avg_{name}"] = _node_mean(sa.measures, name)
-        row["avg_complications"] = c_sum[k] / c_count[k] if c_count[k] else 0.0
+        n_cases = sa.summary["cases"]
+        row["avg_complications"] = c_sum[k] / n_cases if n_cases else 0.0
         stats.append(row)
     return stats
 

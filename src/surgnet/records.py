@@ -305,7 +305,8 @@ def parse_cases(source, delimiter=",", provider_form="wide"):
         "long": one row per (case, provider); scalar fields and dx codes
         are taken from the first row seen for each case, and every value
         a later row of the case would change or add is reported as a
-        diagnostic.
+        diagnostic. A case is reported as having no valid providers, at
+        its first row, only when none of its rows gives one.
 
     Returns
     -------
@@ -386,9 +387,11 @@ def _parse_stream(stream, delimiter, provider_form):
     dx_cells = itemgetter(*dx_idx) if len(dx_idx) > 1 else \
         (lambda row: [row[i] for i in dx_idx])
 
-    diagnostics: list[ParseDiagnostic] = []
+    diagnostics: list[ParseDiagnostic | None] = []
     table = _TableBuilder()
     by_id: dict[str, int] = {}  # case_id -> row (long-form merge)
+    # case_id -> its "no valid providers" diagnostic, judged once merged
+    unstaffed: dict[str, int] = {}
     gender_code: dict[str, int] = {}  # raw gender cell -> index in GENDERS
     width = len(header)
 
@@ -432,6 +435,8 @@ def _parse_stream(stream, delimiter, provider_form):
             _report_discarded(case_id, table.kept(seen), ints, row[i_gender],
                               dx, row_no, diagnostics)
             table.add_providers(seen, pids)
+            if pids and case_id in unstaffed:
+                diagnostics[unstaffed.pop(case_id)] = None
             continue
         if seen is not None:
             diagnostics.append(ParseDiagnostic(row_no, f"duplicate case_id {case_id}"))
@@ -442,6 +447,7 @@ def _parse_stream(stream, delimiter, provider_form):
             continue
         pids = _split_providers(row[i_prov], case_id, row_no, diagnostics)
         if not pids:
+            unstaffed[case_id] = len(diagnostics)
             diagnostics.append(ParseDiagnostic(
                 row_no, f"case {case_id} has no valid providers"))
 
@@ -457,7 +463,7 @@ def _parse_stream(stream, delimiter, provider_form):
         by_id[case_id] = table.add(case_id, day, end, age, gender, styp,
                                    pids, dx)
 
-    return table.build(), diagnostics
+    return table.build(), [d for d in diagnostics if d is not None]
 
 
 # Exclusion rules over a CaseTable, applied in order; a removed case is

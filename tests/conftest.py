@@ -4,8 +4,11 @@ import csv
 import io
 import sys
 
+import numpy as np
 import pytest
 
+from surgnet import csr
+from surgnet.network import project_one_mode
 from surgnet.records import CaseRecord, parse_cases
 
 
@@ -42,6 +45,18 @@ def case_table(cases):
     table, _ = parse_cases(io.StringIO(text.getvalue()))
     assert len(table) == len(cases), "the parser skipped a case"
     return table
+
+
+def coworker_graph(nodes, edges):
+    """The co-worker graph on ``nodes`` that links the ends of each edge,
+    made the way a run makes one: each edge is a two-provider row of an
+    incidence matrix over the sorted, distinct nodes, and
+    ``project_one_mode`` projects it. An edge's ends must differ."""
+    nodes = tuple(sorted(set(nodes)))
+    index = {u: j for j, u in enumerate(nodes)}
+    ends = [index[u] for edge in edges for u in edge]
+    return project_one_mode(nodes, csr.Csr(
+        np.arange(0, len(ends) + 1, 2), ends, len(nodes)))
 
 
 @pytest.fixture

@@ -22,12 +22,12 @@ from contextlib import contextmanager
 import numpy as np
 
 import oracles
-from conftest import case_table, make_case
+from conftest import case_table, coworker_graph, make_case
 from surgnet import cli
 from surgnet.centrality import compute_all
 from surgnet.complications import ComplicationCodeset, count_complications
 from surgnet.correlation import spearman_rho
-from surgnet.network import CoworkerGraph, build_bipartite, project_one_mode
+from surgnet.network import build_bipartite, project_one_mode
 from surgnet.records import Segment
 from surgnet.regression import (
     DesignMatrix,
@@ -81,7 +81,7 @@ KITE5 = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
 
 
 def _compare_to_oracles(nodes, edges, worst, tag):
-    columns = compute_all(CoworkerGraph(nodes, edges))
+    columns = compute_all(coworker_graph(nodes, edges))
     expected = {
         "betweenness": (oracles.betweenness_by_enumeration(nodes, edges), 1e-12),
         "closeness": (oracles.closeness_by_floyd_warshall(nodes, edges), 1e-12),
@@ -440,7 +440,7 @@ def test_criterion_10_scale_smoke():
     with criterion(10, "full metrics pass on a 1000-node / 80000-edge graph "
                        "in < 10 s with every value in [0, 1]",
                    budget=10.0) as info:
-        g = CoworkerGraph(nodes, edges)
+        g = coworker_graph(nodes, edges)
         assert g.n_nodes == n and g.n_edges == m
         metrics = compute_all(g)
         values = np.column_stack([

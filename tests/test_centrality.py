@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
-from conftest import case_table, make_case
+from conftest import case_table, coworker_graph, make_case
 from surgnet import centrality
 from surgnet.csr import Csr
 from surgnet.errors import DataError
@@ -25,7 +25,7 @@ from surgnet.centrality import (
     eigenvector_centrality,
     team_aggregate,
 )
-from surgnet.network import CoworkerGraph, build_bipartite, project_one_mode
+from surgnet.network import build_bipartite, project_one_mode
 from surgnet.records import Segment
 
 
@@ -41,7 +41,7 @@ def graph(edges, extra_nodes=()):
     nodes = set(extra_nodes)
     for u, v in edges:
         nodes |= {u, v}
-    return CoworkerGraph(nodes, edges)
+    return coworker_graph(nodes, edges)
 
 
 STAR5 = graph([("hub", "s1"), ("hub", "s2"), ("hub", "s3"), ("hub", "s4")])
@@ -141,7 +141,7 @@ def test_eigenvector_component_tie_goes_to_smallest_label():
 
 
 def test_tiny_graphs():
-    empty = CoworkerGraph([], [])
+    empty = coworker_graph([], [])
     assert measures(empty) == {name: {} for name in centrality.COLUMNS[1:]}
     single = graph([], extra_nodes=["a"])
     m = measures(single)
@@ -186,7 +186,7 @@ def test_random_graphs_match_oracles():
     rng = np.random.default_rng(20240521)
     for _ in range(300):
         nodes, edges = oracles.random_edge_set(rng, max_nodes=7)
-        g = CoworkerGraph(nodes, edges)
+        g = coworker_graph(nodes, edges)
         m = measures(g)
 
         bc = oracles.betweenness_by_enumeration(nodes, edges)
@@ -207,7 +207,7 @@ def test_medium_random_graph_matches_oracles():
     nodes = [f"p{i:02d}" for i in range(40)]
     edges = [(nodes[i], nodes[j])
              for i in range(40) for j in range(i + 1, 40) if rng.uniform() < 0.08]
-    g = CoworkerGraph(nodes, edges)
+    g = coworker_graph(nodes, edges)
     m = compute_all(g)
     cl = oracles.closeness_by_floyd_warshall(nodes, edges)
     cc = oracles.clustering_by_triples(nodes, edges)
@@ -233,7 +233,7 @@ def test_multi_block_graph_matches_oracles():
         rename = {u: next(labels) for u in sub_nodes}
         nodes += rename.values()
         edges += [(rename[u], rename[v]) for u, v in sub_edges]
-    g = CoworkerGraph(nodes, edges)
+    g = coworker_graph(nodes, edges)
     assert g.n_nodes > centrality._BLOCK_CELLS // g.n_nodes
 
     bc = betweenness_centrality(g)
@@ -266,7 +266,7 @@ def test_compute_all_equals_standalone_measures(seed, max_nodes, shape,
     elif shape == "empty":
         edges = []
     nodes += [f"z{i}" for i in range(isolated)]
-    g = CoworkerGraph(nodes, edges)
+    g = coworker_graph(nodes, edges)
     with mock.patch.object(centrality, "_BLOCK_CELLS", block_cells):
         m = measures(g)
         dg = degree_centrality(g)
@@ -345,7 +345,7 @@ def test_block_stop_rule_matches_oracles(components, order_seed, block_cells):
     # a block stops once its sources have covered their components, so
     # components of different diameters in one block must all finish
     nodes, edges = _disjoint_union(components, order_seed)
-    g = CoworkerGraph(nodes, edges)
+    g = coworker_graph(nodes, edges)
     with mock.patch.object(centrality, "_BLOCK_CELLS", block_cells):
         m = compute_all(g)
     bc = oracles.betweenness_by_enumeration(nodes, edges)
@@ -384,7 +384,7 @@ def test_integer_pass_equals_the_float64_reference_bit_for_bit(
         components, order_seed, block_cells, count_type):
     # count_type int32 runs the pass of graphs past 32 767 nodes
     nodes, edges = _disjoint_union(components, order_seed)
-    a, labels = centrality._labelled(CoworkerGraph(nodes, edges))
+    a, labels = centrality._labelled(coworker_graph(nodes, edges))
     least = centrality._count_type
     with mock.patch.object(centrality, "_BLOCK_CELLS", block_cells), \
             mock.patch.object(centrality, "_count_type",
@@ -431,7 +431,7 @@ def test_path_count_overflow_is_a_data_error():
     joints = [f"j{i:04d}" for i in range(1031)]
     edges = [(end, f"s{i:04d}{side}") for i in range(1030) for side in "ab"
              for end in joints[i:i + 2]]
-    g = CoworkerGraph(joints + sorted({v for _, v in edges}), edges)
+    g = coworker_graph(joints + sorted({v for _, v in edges}), edges)
     assert (g.n_nodes, g.n_edges, g.nodes[0]) == (3091, 4120, "j0000")
     # one source per block: block 0 is the chain end alone
     with mock.patch.object(centrality, "_BLOCK_CELLS", g.n_nodes):
@@ -446,7 +446,7 @@ def test_sparse_clustering_path_agrees_with_dense():
     nodes = [f"p{i}" for i in range(n)]
     idx = rng.integers(0, n, size=(6000, 2))
     edges = [(nodes[i], nodes[j]) for i, j in idx if i != j]
-    g = CoworkerGraph(nodes, edges)
+    g = coworker_graph(nodes, edges)
     cc = clustering_coefficient(g)
     sample = rng.choice(n, size=40, replace=False)
     order, adj = oracles.adjacency(nodes, set(g.edges()))
@@ -467,7 +467,7 @@ def test_metric_ranges_on_random_graph():
     nodes = [f"p{i}" for i in range(60)]
     edges = [(nodes[i], nodes[j])
              for i in range(60) for j in range(i + 1, 60) if rng.uniform() < 0.1]
-    m = compute_all(CoworkerGraph(nodes, edges))
+    m = compute_all(coworker_graph(nodes, edges))
     for name in centrality.TEAM_MEASURES:
         assert m[name].min() >= 0.0 and m[name].max() <= 1.0
 

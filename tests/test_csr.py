@@ -15,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from conftest import coworker_graph
 from surgnet import csr
 from surgnet.csr import Csr
-from surgnet.network import CoworkerGraph, project_one_mode
+from surgnet.network import project_one_mode
 
 # exact zeros of both signs, subnormals and the smallest normal
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308)
@@ -225,7 +226,7 @@ def test_projection_adjacency_equals_scipy_btb(b):
 @given(b=matrices(sorted_rows=True))
 def test_a_graph_built_from_its_edges_equals_the_projection(b):
     g = project_one_mode(tuple(range(b.shape[1])), b)
-    h = CoworkerGraph(g.nodes, g.edges())
+    h = coworker_graph(g.nodes, g.edges())
     assert h.nodes == g.nodes
     assert np.array_equal(h.adjacency().indptr, g.adjacency().indptr)
     assert np.array_equal(h.adjacency().indices, g.adjacency().indices)

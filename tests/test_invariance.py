@@ -85,14 +85,15 @@ def _wide(rows):
     return "\n".join(lines) + "\n"
 
 
-def _long(rows):
-    """The same cases one provider token per row: a case's valid ids
-    first, then its placeholders; every row repeats the case's cells. A
-    row the parser skips is written once."""
+def _long(rows, draw):
+    """The same cases one provider token per row, a case's placeholder
+    among its valid ids where ``draw`` puts it; every row repeats the
+    case's cells. A row the parser skips is written once."""
     lines = [",".join(FIELDS + ["provider"] + DX_COLUMNS)]
     for cells, team, extra, dx, skipped in rows:
         dx = dx + [""] * (len(DX_COLUMNS) - len(dx))
-        tokens = team + extra
+        at = draw(st.integers(0, len(team)))
+        tokens = team[:at] + extra + team[at:]
         for token in tokens[:1] if skipped else tokens:
             lines.append(",".join([cells[f] for f in FIELDS] + [token] + dx))
     return "\n".join(lines) + "\n"
@@ -129,10 +130,10 @@ def test_row_order_does_not_change_the_artifacts(case_path, rows, data):
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(rows=case_rows(repeats=False))
-def test_long_form_gives_the_wide_form_artifacts(case_path, rows):
+@given(rows=case_rows(repeats=False), data=st.data())
+def test_long_form_gives_the_wide_form_artifacts(case_path, rows, data):
     wide = _outcome(case_path, _wide(rows))
-    long = _outcome(case_path, _long(rows), provider_form="long")
+    long = _outcome(case_path, _long(rows, data.draw), provider_form="long")
     if isinstance(wide[0], str):  # both end in the same error
         assert long == wide
         return

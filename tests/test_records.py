@@ -331,6 +331,23 @@ def test_long_form_merges_providers():
     assert cases[1].providers == frozenset({"c"})
 
 
+def test_long_form_judges_a_case_s_providers_on_all_its_rows():
+    # a placeholder row first, then the ids: as the wide cell "null;a;b"
+    text = ("case_id,day_offset,end_day_offset,age,gender,surgery_type,provider\n"
+            "c1,0,2,50,M,1,null\n"
+            "c2,1,3,60,F,2,\n"
+            "c1,0,2,50,M,1,a\n"
+            "c3,1,3,60,F,2,x\n"
+            "c1,0,2,50,M,1,b\n")
+    cases, diags = read_cases_text(text, provider_form="long")
+    assert cases[0].providers == frozenset({"a", "b"})
+    assert cases[1].providers == frozenset()
+    assert [(d.row, d.message) for d in diags] == [
+        (2, "dropped 1 invalid provider id(s) for case c1"),
+        (3, "dropped 1 invalid provider id(s) for case c2"),
+        (3, "case c2 has no valid providers")]
+
+
 # repeated dx codes in a row, and providers merged from later rows, one
 # of them listed twice
 TAKE_TEXT = ("case_id,day_offset,end_day_offset,age,gender,surgery_type,"

@@ -6,9 +6,12 @@ For each benchmark workload, the case file is generated once, in a child,
 with this tree's ``benchmarks/workloads.py``. Then ``python -m
 surgnet.cli run`` reads it with ``PYTHONPATH=<tree>/src``, first for
 this tree and then for OTHER_TREE. Both runs use the same input and
-output path, because ``manifest.json`` records both paths. Every written
-file's sha256 and ``run``'s stdout are compared, and one line is printed
-per workload. The line also gives each tree's peak resident size, the
+output path, because ``manifest.json`` records both paths. Each tree's
+``surgnet ingest-check`` then reads the same file: the manifest counts
+the parse diagnostics, and its stdout lists each one's row and text.
+Every written file's sha256, ``run``'s stdout and ``ingest-check``'s
+stdout are compared, and one line is printed per workload, naming what
+differs. The line also gives each tree's peak resident size, the
 ``ru_maxrss`` that ``os.wait4`` returns for its ``run`` child. Linux
 counts the forking process's own peak in that figure; this process stays
 small, so it is the run's own peak. The exit status judges the bytes
@@ -36,9 +39,10 @@ def env(pythonpath):
 
 
 def run(tree, case_path, out_dir):
-    """Run ``surgnet run`` from ``tree``; returns the sha256 of each file it
-    writes and of its stdout (None if the run fails) and its peak RSS in
-    MB."""
+    """Run ``surgnet run`` and then ``surgnet ingest-check`` from ``tree``;
+    returns the sha256 of each file the run writes, of its stdout and of
+    ``ingest-check``'s stdout (None if either fails), and the run's peak
+    RSS in MB."""
     shutil.rmtree(out_dir, ignore_errors=True)
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen(
@@ -58,6 +62,14 @@ def run(tree, case_path, out_dir):
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out_dir.iterdir()}
         digests["stdout"] = hashlib.sha256(out.read()).hexdigest()
+    check = subprocess.run(
+        [sys.executable, "-m", "surgnet.cli", "ingest-check", case_path],
+        env=env([tree / "src"]), cwd=out_dir.parent, stdin=subprocess.DEVNULL,
+        capture_output=True)
+    if check.returncode:
+        sys.stderr.write(check.stderr.decode(errors="replace"))
+        return None, peak_mb
+    digests["ingest-check"] = hashlib.sha256(check.stdout).hexdigest()
     return digests, peak_mb
 
 
@@ -89,7 +101,8 @@ def main(argv=None):
                 verdict = f"differ: {', '.join(differ)}"
                 status = 1
             else:
-                verdict = f"identical ({len(ours) - 1} files and stdout)"
+                verdict = (f"identical ({len(ours) - 2} files, stdout and "
+                           f"ingest-check output)")
             print(f"{name}: {verdict}; peak RSS {our_peak:.1f} MB here, "
                   f"{their_peak:.1f} MB in {other}")
     return status
